@@ -30,6 +30,13 @@ from .rules import RuleVariant, UpdateRule
 #: and use the same tolerance for stochasticity checks
 SPECTRAL_TOL = 1e-9
 
+#: cells of (rows, n) or (rows, arcs) work arrays the per-row passes over a
+#: trace hold at once (2 MiB of float64 each)
+_BLOCK_CELLS = 1 << 18
+
+#: trace row templates kept at once, one per distinct activation row
+_MAX_TEMPLATES = 4096
+
 
 @dataclass
 class Trace:
@@ -90,8 +97,7 @@ def drift_series(trace: Trace) -> np.ndarray:
 
 def disagreement_of(x: np.ndarray, graph: Graph) -> float:
     """Adjacency-weighted RMS gap of a raw state vector."""
-    a = graph.adjacency
-    i, j = np.nonzero(a)
+    i, j = graph.arcs
     if len(i) == 0:
         return 0.0
     diff = x[i] - x[j]
@@ -103,11 +109,25 @@ def disagreement(trace: Trace, k: int) -> float:
 
 
 def disagreement_series(trace: Trace) -> np.ndarray:
-    i, j = np.nonzero(trace.graph.adjacency)
+    """Disagreement of every row, in blocks of rows so that the (rows,
+    arcs) temporaries stay within _BLOCK_CELLS cells.
+
+    Each row's sum over the arcs runs left to right (np.add.accumulate),
+    so the values do not depend on the block size. disagreement_of sums a
+    single row with numpy's pairwise sum instead, so the two can differ in
+    the last bits.
+    """
+    i, j = trace.graph.arcs
+    out = np.zeros(trace.iterations)
     if len(i) == 0:
-        return np.zeros(trace.iterations)
-    diff = trace.states[:, i] - trace.states[:, j]
-    return np.sqrt((diff * diff).sum(axis=1) / trace.graph.node_count)
+        return out
+    step = max(1, _BLOCK_CELLS // len(i))
+    for b in range(0, trace.iterations, step):
+        block = trace.states[b:b + step]
+        diff = block[:, i] - block[:, j]
+        total = np.add.accumulate(diff * diff, axis=1)[:, -1]
+        out[b:b + step] = np.sqrt(total / trace.graph.node_count)
+    return out
 
 
 def convergence_time(trace: Trace, tol: float) -> int | None:
@@ -320,13 +340,50 @@ def write_metrics_csv(trace: Trace, fh) -> None:
 
 
 def write_trace_csv(trace: Trace, fh) -> None:
-    """trace CSV in long form: iteration, node_id, x, phi."""
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["iteration", "node_id", "x", "phi"])
-    for k in range(trace.iterations):
-        for i in range(trace.graph.node_count):
-            w.writerow([k, i, f"{trace.states[k, i]:.17g}",
-                        int(trace.activations[k, i])])
+    """trace CSV in long form: iteration, node_id, x, phi.
+
+    Each x cell is f"{x:.17g}". A chain row changes only a few of its
+    values, so one formatted cell per node is kept and reformatted only
+    where the row's float64 bit pattern differs from the previous row's
+    (comparing bits, not values, keeps -0.0 after 0.0 and NaN payload
+    changes exact). Every other field is an integer, so no field ever
+    needs CSV quoting, and each row is one %-substitution into a template
+    cached by the row's activation bytes.
+    """
+    fh.write("iteration,node_id,x,phi\n")
+    n = trace.graph.node_count
+    states = np.ascontiguousarray(trace.states, dtype=np.float64)
+    bits = states.view(np.int64)
+    acts = trace.activations
+    templates: dict[bytes, str] = {}
+    # the iteration goes into the even slots, node i's cell into slot 2i + 1
+    args = [""] * (2 * n)
+    step = max(1, _BLOCK_CELLS // n)
+    for b in range(0, trace.iterations, step):
+        e = min(trace.iterations, b + step)
+        if b:
+            changed = bits[b:e] != bits[b - 1:e - 1]
+        else:  # the first row formats every cell
+            changed = np.ones((e, n), dtype=bool)
+            changed[1:] = bits[1:e] != bits[:e - 1]
+        r, c = np.nonzero(changed)
+        vals = states[b:e][r, c].tolist()
+        slots = (2 * c + 1).tolist()
+        ends = np.searchsorted(r, np.arange(1, e - b + 1)).tolist()
+        lo = 0
+        for k, hi in zip(range(b, e), ends):
+            for slot, x in zip(slots[lo:hi], vals[lo:hi]):
+                args[slot] = f"{x:.17g}"
+            lo = hi
+            key = acts[k].tobytes()
+            tmpl = templates.get(key)
+            if tmpl is None:
+                if len(templates) >= _MAX_TEMPLATES:  # rows that rarely repeat
+                    templates.clear()
+                tmpl = templates[key] = "".join(
+                    f"%s,{i},%s,{int(a)}\n" for i, a in enumerate(acts[k].tolist()))
+            args[0::2] = [str(k)] * n
+            fh.write(tmpl % tuple(args))
 
 
 def write_messages_csv(trace: Trace, fh) -> None:

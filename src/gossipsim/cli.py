@@ -42,6 +42,9 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_NO_CONVERGENCE = 3
 
+#: characters per write in _write_text: at most 1 MiB once UTF-8 encoded
+_WRITE_CHUNK = 1 << 18
+
 
 def _parse_bool(s: str) -> bool:
     v = s.strip().lower()
@@ -208,8 +211,10 @@ def execute_run(cfgd: dict, collect_messages: bool = False) -> analysis.Trace:
 
 
 def _write_text(path: str, text: str) -> None:
+    # in slices, so the encoder never holds a second copy of a large text
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        for start in range(0, len(text), _WRITE_CHUNK):
+            fh.write(text[start:start + _WRITE_CHUNK])
 
 
 def summarize(trace: analysis.Trace, tol: float) -> dict:

@@ -21,6 +21,10 @@ import numpy as np
 from .errors import ConfigError
 
 
+#: uniform draws activation_sequence holds at once (2 MiB of float64)
+_DRAW_CELLS = 1 << 18
+
+
 class ActivationMode(str, Enum):
     ALTERNATING = "alternating"
     STOCHASTIC = "stochastic"
@@ -136,15 +140,28 @@ def step_activation(state: ActivationState, params: DutyCycleParams,
 def activation_sequence(params: DutyCycleParams, n: int, steps: int,
                         seed: int | None = None,
                         phi0: np.ndarray | None = None) -> np.ndarray:
-    """Materialize (steps, n) activation rows by iterating step_activation."""
+    """Materialize (steps, n) activation rows: the rows iterating
+    step_activation from phi0 gives, with the same draws in the same order
+    (one rng.random(n) per step, taken in blocks of steps)."""
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
-    state = ActivationState(phi=np.zeros(n, dtype=np.uint8) if phi0 is None else phi0)
-    rng = np.random.default_rng(seed)
+    phi = ActivationState(phi=np.zeros(n, dtype=np.uint8) if phi0 is None else phi0).phi
+    if phi.shape != (n,):
+        raise ConfigError(f"phi0 has {phi.shape[0]} entries, expected {n}")
     rows = np.empty((steps, n), dtype=np.uint8)
-    for k in range(steps):
-        state = step_activation(state, params, rng)
-        rows[k] = state.phi
+    if params.mode is ActivationMode.ALTERNATING:
+        rows[0::2] = 1 - phi
+        rows[1::2] = phi
+        return rows
+    rng = np.random.default_rng(seed)
+    awake = phi.astype(bool)
+    block = max(1, _DRAW_CELLS // max(n, 1))
+    for b in range(0, steps, block):
+        u = rng.random((min(block, steps - b), n))
+        wake, stay = u < params.p, u >= params.q
+        for k in range(u.shape[0]):
+            awake = np.where(awake, stay[k], wake[k])
+            rows[b + k] = awake
     return rows
 
 

@@ -12,6 +12,7 @@ every node carries a layer in 1..L and the layer sizes sum to n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,19 @@ class Graph:
     def control_adjacency(self) -> np.ndarray:
         """Undirected radio view used for beacons, wake-ups, and layers."""
         return self.adjacency | self.adjacency.T
+
+    @cached_property
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Arc endpoints (i, j), i.e. np.nonzero(adjacency) in row-major order.
+
+        Computed on first use and kept, since the recorder needs them on
+        every trace row, so adjacency must not be changed in place after
+        construction; the arrays are read-only because they are shared.
+        """
+        i, j = np.nonzero(self.adjacency)
+        i.flags.writeable = False
+        j.flags.writeable = False
+        return i, j
 
 
 def _connected_from(und: np.ndarray, start: int) -> bool:
@@ -281,7 +295,10 @@ def from_edge_list(text: str) -> Graph:
     for row in rows[1:]:
         if len(row) != 2:
             raise TopologyError(f"bad edge line {' '.join(row)!r}")
-        i, j = int(row[0]), int(row[1])
+        try:
+            i, j = int(row[0]), int(row[1])
+        except ValueError:
+            raise TopologyError(f"bad edge line {' '.join(row)!r}")
         if not (0 <= i < n and 0 <= j < n):
             raise TopologyError(f"edge ({i}, {j}) out of range for {n} nodes")
         adj[i, j] = True

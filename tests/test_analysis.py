@@ -1,10 +1,19 @@
 """Metrics, convergence detection, and spectral certification."""
 
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 
 from gossipsim import (
+    ActivationMode,
+    DutyCycleParams,
     RunConfig,
+    TopologyParams,
+    activation_sequence,
+    analysis,
     build_topology,
     check_consensus_conditions,
     convergence_rounds,
@@ -14,6 +23,8 @@ from gossipsim import (
     drift,
     expected_weight_matrix,
     run_agent_sim,
+    run_matrix_sim,
+    run_pairwise_baseline,
     second_eigenvalue_modulus,
     spectral_radius,
 )
@@ -268,3 +279,116 @@ class TestCsv:
         assert lines[0] == "iteration,node_id,x,phi"
         assert len(lines) == tr.iterations * 3 + 1
         assert lines[1] == "0,0,0,0"
+
+
+def reference_trace_csv(trace):
+    """The trace CSV as a csv.writer loop over every cell writes it."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["iteration", "node_id", "x", "phi"])
+    for k in range(trace.iterations):
+        for i in range(trace.graph.node_count):
+            w.writerow([k, i, f"{trace.states[k, i]:.17g}",
+                        int(trace.activations[k, i])])
+    return buf.getvalue()
+
+
+def _agent_trace(kind, n, params=TopologyParams(), cycles=20):
+    g = build_topology(kind, n, params, seed=3)
+    x0 = np.random.default_rng(5).uniform(0.0, 100.0, n)
+    return run_agent_sim(RunConfig(graph=g, initial_states=x0, max_iterations=cycles))
+
+
+def _pairwise_trace():
+    g = build_topology("random_geometric", 12, TopologyParams(radius=0.5), seed=2)
+    return run_pairwise_baseline(RunConfig(graph=g, rule=UpdateRule(RuleVariant.PAIRWISE_BASELINE),
+                                           seed=4, max_iterations=300))
+
+
+def _stochastic_matrix_trace():
+    g = build_topology("circular", 9)
+    duty = DutyCycleParams(mode=ActivationMode.STOCHASTIC, p=0.4, q=0.3)
+    cfg = RunConfig(graph=g, duty=duty, seed=6, max_iterations=120)
+    return run_matrix_sim(cfg, activation_sequence(duty, 9, 120, seed=7))
+
+
+def _special_values_trace():
+    """Cells going 0.0 -> -0.0 -> 0.0, through nan and inf, under
+    activation rows that repeat and vary."""
+    rows = [[0.0, 1.5, 2.0], [-0.0, 1.5, 2.0], [0.0, float("nan"), 2.0],
+            [0.0, -float("nan"), float("inf")], [0.0, 1.5, -float("inf")],
+            [5e-324, 1.5, -0.0], [5e-324, 1.5, -0.0], [1e300, 0.1, 0.0]]
+    tr = synthetic_trace(CHAIN3, rows)
+    tr.activations = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 0, 0],
+                               [0, 1, 1], [0, 0, 0], [1, 1, 1], [1, 0, 0]], dtype=np.uint8)
+    return tr
+
+
+ORACLE_TRACES = {
+    "agent_chain": lambda: _agent_trace("chain", 12),
+    "agent_star": lambda: _agent_trace("star", 8),
+    "agent_ring_directed": lambda: _agent_trace("circular", 10, TopologyParams(directed=True)),
+    "pairwise": _pairwise_trace,
+    "matrix_stochastic": _stochastic_matrix_trace,
+    "special_values": _special_values_trace,
+}
+
+
+class TestTraceCsvOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
+    def test_matches_csv_writer_loop(self, name):
+        tr = ORACLE_TRACES[name]()
+        assert trace_csv_text(tr) == reference_trace_csv(tr)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
+    def test_matches_with_tiny_blocks_and_template_cache(self, name, monkeypatch):
+        # one row per block, and a template cache that keeps a single row
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 1)
+        monkeypatch.setattr(analysis, "_MAX_TEMPLATES", 1)
+        tr = ORACLE_TRACES[name]()
+        assert trace_csv_text(tr) == reference_trace_csv(tr)
+
+
+def sequential_disagreement(x, graph):
+    """Left-to-right sum over the arcs of np.nonzero(adjacency), in floats."""
+    acc = 0.0
+    for a, b in zip(*np.nonzero(graph.adjacency)):
+        d = float(x[a]) - float(x[b])
+        acc += d * d
+    return math.sqrt(acc / graph.node_count)
+
+
+SERIES_TRACES = {
+    "chain": lambda: _agent_trace("chain", 10),
+    "random_geometric": lambda: _agent_trace("random_geometric", 30, TopologyParams(radius=0.4)),
+    "ring_directed": lambda: _agent_trace("circular", 10, TopologyParams(directed=True)),
+}
+
+
+class TestSeriesAgainstRecorder:
+    @pytest.mark.parametrize("name", sorted(SERIES_TRACES))
+    def test_cached_arcs_are_nonzero_in_order(self, name):
+        g = SERIES_TRACES[name]().graph
+        i, j = np.nonzero(g.adjacency)
+        assert np.array_equal(g.arcs[0], i) and np.array_equal(g.arcs[1], j)
+        assert g.arcs is g.arcs
+        assert not g.arcs[0].flags.writeable
+
+    @pytest.mark.parametrize("cells", [None, 1, 64])
+    @pytest.mark.parametrize("name", sorted(SERIES_TRACES))
+    def test_series_and_recorder_values(self, name, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+        tr = SERIES_TRACES[name]()
+        g = tr.graph
+        series = disagreement_series(tr)
+        i, j = np.nonzero(g.adjacency)
+        # the recorder sums one row pairwise, the series left to right:
+        # each within arcs * eps of the true sum of nonnegative terms
+        rel = len(i) * np.finfo(float).eps
+        for k in range(tr.iterations):
+            x = tr.states[k]
+            diff = x[i] - x[j]
+            assert disagreement_of(x, g) == float(np.sqrt((diff * diff).sum() / g.node_count))
+            assert series[k] == sequential_disagreement(x, g)
+            assert series[k] == pytest.approx(disagreement_of(x, g), rel=rel, abs=0.0)

@@ -13,6 +13,7 @@ from gossipsim import (
     step_activation,
     wake_time,
 )
+from gossipsim import duty_cycle
 from gossipsim.errors import ConfigError
 
 
@@ -156,6 +157,25 @@ class TestSequence:
         assert np.array_equal(a, b)
         c = activation_sequence(params, 6, 50, seed=4)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("mode", list(ActivationMode))
+    def test_matches_iterated_step_activation(self, mode, seed, monkeypatch):
+        # a few rows per block of draws, so block edges are crossed
+        monkeypatch.setattr(duty_cycle, "_DRAW_CELLS", 20)
+        params = DutyCycleParams(mode=mode, p=0.3, q=0.6)
+        phi0 = np.array([1, 0, 0, 1, 1], dtype=np.uint8)
+        state, rng, want = ActivationState(phi=phi0), np.random.default_rng(seed), []
+        for _ in range(103):
+            state = step_activation(state, params, rng)
+            want.append(state.phi)
+        got = activation_sequence(params, 5, 103, seed=seed, phi0=phi0)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, np.array(want))
+
+    def test_phi0_length_must_match(self):
+        with pytest.raises(ConfigError):
+            activation_sequence(DutyCycleParams(), 3, 4, phi0=np.zeros(2, dtype=np.uint8))
 
     def test_alternating_sequence(self):
         rows = activation_sequence(DutyCycleParams(), 3, 4)

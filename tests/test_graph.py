@@ -260,3 +260,7 @@ class TestSerialization:
     def test_edge_out_of_range(self):
         with pytest.raises(TopologyError):
             from_edge_list("3 0 0\n0 5\n")
+
+    def test_non_integer_edge_token(self):
+        with pytest.raises(TopologyError):
+            from_edge_list("3 0 0\n0 x\n")
