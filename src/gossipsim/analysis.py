@@ -30,8 +30,8 @@ from .rules import RuleVariant, UpdateRule
 #: and use the same tolerance for stochasticity checks
 SPECTRAL_TOL = 1e-9
 
-#: cells of (rows, n) or (rows, arcs) work arrays the per-row passes over a
-#: trace hold at once (2 MiB of float64 each)
+#: cells per block of rows in the passes over a whole trace, so that their
+#: (rows, n) and (rows, arcs) work arrays stay near 2 MiB of float64 each
 _BLOCK_CELLS = 1 << 18
 
 #: trace row templates kept at once, one per distinct activation row
@@ -110,24 +110,23 @@ def disagreement(trace: Trace, k: int) -> float:
 
 def disagreement_series(trace: Trace) -> np.ndarray:
     """Disagreement of every row, in blocks of rows so that the (rows,
-    arcs) temporaries stay within _BLOCK_CELLS cells.
+    arcs) temporaries stay within about 2 * _BLOCK_CELLS cells.
 
-    Each row's sum over the arcs runs left to right (np.add.accumulate),
-    so the values do not depend on the block size. disagreement_of sums a
-    single row with numpy's pairwise sum instead, so the two can differ in
-    the last bits.
+    numpy sums the arcs of a one-row array pairwise but each row of a
+    taller array left to right, so every block holds at least two rows
+    unless the trace has one: the values are then those of one pass over
+    the whole trace. disagreement_of sums its single row pairwise, so it
+    can differ from the series in the last bits.
     """
     i, j = trace.graph.arcs
-    out = np.zeros(trace.iterations)
     if len(i) == 0:
-        return out
-    step = max(1, _BLOCK_CELLS // len(i))
-    for b in range(0, trace.iterations, step):
-        block = trace.states[b:b + step]
+        return np.zeros(trace.iterations)
+    step = max(2, _BLOCK_CELLS // len(i))
+    parts = []
+    for block in np.array_split(trace.states, max(1, trace.iterations // step)):
         diff = block[:, i] - block[:, j]
-        total = np.add.accumulate(diff * diff, axis=1)[:, -1]
-        out[b:b + step] = np.sqrt(total / trace.graph.node_count)
-    return out
+        parts.append(np.sqrt((diff * diff).sum(axis=1) / trace.graph.node_count))
+    return np.concatenate(parts)
 
 
 def convergence_time(trace: Trace, tol: float) -> int | None:

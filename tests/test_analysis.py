@@ -383,6 +383,8 @@ class TestSeriesAgainstRecorder:
         g = tr.graph
         series = disagreement_series(tr)
         i, j = np.nonzero(g.adjacency)
+        whole = tr.states[:, i] - tr.states[:, j]
+        assert np.array_equal(series, np.sqrt((whole * whole).sum(axis=1) / g.node_count))
         # the recorder sums one row pairwise, the series left to right:
         # each within arcs * eps of the true sum of nonnegative terms
         rel = len(i) * np.finfo(float).eps
@@ -392,3 +394,9 @@ class TestSeriesAgainstRecorder:
             assert disagreement_of(x, g) == float(np.sqrt((diff * diff).sum() / g.node_count))
             assert series[k] == sequential_disagreement(x, g)
             assert series[k] == pytest.approx(disagreement_of(x, g), rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_row_trace_sums_like_the_recorder(self, seed):
+        g = build_topology("random_geometric", 40, seed=1)
+        x = np.random.default_rng(seed).uniform(0.0, 100.0, 40)
+        assert disagreement_series(make_trace(g, x, 1))[0] == disagreement_of(x, g)
