@@ -22,13 +22,10 @@ from .duty_cycle import (
     beacon_period,
     stationary_active_fraction,
     step_activation,
-    wake_time,
 )
 from .engine import (
     RunConfig,
-    SwitchedSystem,
     closed_form_state,
-    make_switched_system,
     run_agent_sim,
     run_matrix_sim,
     run_pairwise_baseline,
@@ -49,10 +46,7 @@ from .graph import (
     TopologyParams,
     assign_layers,
     build_topology,
-    consensus_weight_matrix,
     from_edge_list,
-    in_neighborhood,
-    neighborhood,
     to_edge_list,
 )
 from .rules import RuleVariant, UpdateRule

@@ -19,12 +19,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import fsum
 
 import numpy as np
 
+from .errors import ConfigError
 from .graph import Graph
-from .rules import RuleVariant, UpdateRule
+from .rules import RuleVariant, UpdateRule, single_active_matrix
 
 #: treat eigenvalue moduli closer than this as one multiplicity cluster,
 #: and use the same tolerance for stochasticity checks
@@ -66,6 +68,22 @@ class Trace:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
+
+    # drift_series and disagreement_series, computed on first use and
+    # kept read-only, so that metrics.csv and the run summary share one
+    # pass; the rows of a trace must not change once either is read.
+
+    @cached_property
+    def drifts(self) -> np.ndarray:
+        d = drift_series(self)
+        d.flags.writeable = False
+        return d
+
+    @cached_property
+    def disagreements(self) -> np.ndarray:
+        e = disagreement_series(self)
+        e.flags.writeable = False
+        return e
 
     def total_messages(self) -> int:
         return sum(self.message_counts.values())
@@ -139,7 +157,7 @@ def convergence_time(trace: Trace, tol: float) -> int | None:
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    eps = disagreement_series(trace)
+    eps = trace.disagreements
     ok = eps < tol
     ticks = trace.ticks
     rows = trace.iterations
@@ -277,36 +295,6 @@ def check_consensus_conditions(w: np.ndarray, label: str = "",
         certified_consensus=consensus, certified_average=average)
 
 
-def single_active_matrix(g: Graph, i: int, rule: UpdateRule) -> np.ndarray:
-    """Effective full-state matrix when only node i runs one update.
-
-    Inactive rows hold their value (identity), which is what the engine
-    does; the neighborhood-set variant also rewrites the polled
-    neighbors' rows with the common average.
-    """
-    n = g.node_count
-    nbrs = np.flatnonzero(g.adjacency[:, i])
-    if len(nbrs) == 0:
-        raise ValueError(f"node {i} has no in-neighbors")
-    w = np.eye(n)
-    if rule.variant is RuleVariant.NEIGHBORHOOD_SET:
-        s = np.append(nbrs, i)
-        w[np.ix_(s, s)] = 1.0 / len(s)
-        mask = np.ones(n, dtype=bool)
-        mask[s] = False
-        for r in s:
-            w[r, mask] = 0.0
-    elif rule.variant is RuleVariant.PURE_NEIGHBOR:
-        w[i, :] = 0.0
-        w[i, nbrs] = 1.0 / len(nbrs)
-    elif rule.variant is RuleVariant.SELF_ADDITIVE:
-        w[i, nbrs] = 1.0 / len(nbrs)
-    else:
-        raise ValueError("pairwise baseline has no single-active matrix; "
-                         "use expected_weight_matrix")
-    return w
-
-
 def expected_weight_matrix(g: Graph, rule: UpdateRule | None = None) -> np.ndarray:
     """Expected one-step matrix under the uniform activation model.
 
@@ -314,14 +302,26 @@ def expected_weight_matrix(g: Graph, rule: UpdateRule | None = None) -> np.ndarr
     the single active updater with probability 1/n; for the pairwise
     baseline the initiator is uniform and its partner uniform among its
     neighbors (that expectation is exactly the pairwise averaging
-    matrix).
+    matrix of Boyd, Ghosh, Prabhakar and Shah, "Randomized Gossip
+    Algorithms", IEEE Trans. Inf. Theory, 2006).
     """
     if rule is None:
         rule = UpdateRule()
     n = g.node_count
     if rule.variant is RuleVariant.PAIRWISE_BASELINE:
-        from .graph import consensus_weight_matrix
-        return consensus_weight_matrix(g, rule)
+        if g.directed:
+            raise ConfigError("pairwise baseline is defined for undirected graphs only")
+        w = np.eye(n)
+        a = rule.alpha
+        for i in range(n):
+            nbrs = np.flatnonzero(g.adjacency[i])
+            pick = 1.0 / (n * len(nbrs))
+            for j in nbrs:
+                w[i, i] -= pick * a
+                w[i, j] += pick * a
+                w[j, j] -= pick * a
+                w[j, i] += pick * a
+        return w
     acc = np.zeros((n, n))
     for i in range(n):
         acc += single_active_matrix(g, i, rule)
@@ -332,8 +332,7 @@ def write_metrics_csv(trace: Trace, fh) -> None:
     """metrics CSV: iteration, drift, disagreement (one row per event)."""
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(["iteration", "drift", "disagreement"])
-    d = drift_series(trace)
-    e = disagreement_series(trace)
+    d, e = trace.drifts, trace.disagreements
     for k in range(trace.iterations):
         w.writerow([k, f"{d[k]:.17g}", f"{e[k]:.17g}"])
 

@@ -70,6 +70,14 @@ def _parse_states(s: str):
     return [float(tok) for tok in s.split(",")]
 
 
+def _parse_seeds(spec: str) -> list[int]:
+    spec = spec.strip()
+    if ":" in spec:
+        lo, hi = spec.split(":", 1)
+        return list(range(int(lo), int(hi)))
+    return [int(tok) for tok in spec.split(",") if tok.strip()]
+
+
 # key -> (parser, default). The single source of truth for run configs.
 CONFIG_SPEC = {
     "graph.kind": (str, "chain"),
@@ -86,7 +94,7 @@ CONFIG_SPEC = {
     "duty.t_c": (float, 1.0),
     "duty.p": (float, 0.0),
     "duty.q": (float, 0.0),
-    "duty.mode": (str, "alternating"),
+    "duty.mode": (ActivationMode, ActivationMode.ALTERNATING),
     "rule.variant": (str, "neighborhood_set"),
     "rule.alpha": (float, 0.5),
     "run.backend": (str, "agent"),
@@ -99,7 +107,7 @@ CONFIG_SPEC = {
 SWEEP_SPEC = {
     "sweep.topologies": (str, "chain,star,circular,random_geometric"),
     "sweep.rules": (str, "neighborhood_set"),
-    "sweep.seeds": (str, "0:10"),
+    "sweep.seeds": (_parse_seeds, list(range(10))),
 }
 
 # canned 50-node runs matching the standard evaluation topologies
@@ -177,7 +185,7 @@ def build_run_config(cfgd: dict) -> RunConfig:
     graph = build_topology(cfgd["graph.kind"], cfgd["graph.n"], params, seed=gseed)
     duty = DutyCycleParams(
         d_mean=cfgd["duty.d_mean"], d_var=cfgd["duty.d_var"], t_c=cfgd["duty.t_c"],
-        p=cfgd["duty.p"], q=cfgd["duty.q"], mode=ActivationMode(cfgd["duty.mode"]),
+        p=cfgd["duty.p"], q=cfgd["duty.q"], mode=cfgd["duty.mode"],
     )
     rule = UpdateRule.parse(cfgd["rule.variant"], cfgd["rule.alpha"])
     init = cfgd["run.initial_states"]
@@ -219,7 +227,7 @@ def _write_text(path: str, text: str) -> None:
 
 def summarize(trace: analysis.Trace, tol: float) -> dict:
     rounds = analysis.convergence_rounds(trace, tol)
-    d = analysis.drift_series(trace)
+    d = trace.drifts
     return {
         "converged": trace.converged,
         "rows": trace.iterations,
@@ -258,14 +266,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
-def _parse_seeds(spec: str) -> list[int]:
-    spec = spec.strip()
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
-
-
 def _sweep_worker(task: dict) -> dict:
     cfgd = dict(task["cfgd"])
     cfgd["graph.kind"] = task["topology"]
@@ -282,7 +282,7 @@ def _sweep_worker(task: dict) -> dict:
     try:
         trace = execute_run(cfgd)
         row.update({k: _fmt(v) for k, v in summarize(trace, cfgd["run.tolerance"]).items()})
-    except GossipSimError as exc:
+    except (GossipSimError, MemoryError) as exc:
         row["status"] = "error"
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -297,7 +297,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfgd = resolve_config(args, SWEEP_SPEC)
     topologies = [t.strip() for t in cfgd["sweep.topologies"].split(",") if t.strip()]
     rules = [r.strip() for r in cfgd["sweep.rules"].split(",") if r.strip()]
-    seeds = _parse_seeds(cfgd["sweep.seeds"])
+    seeds = cfgd["sweep.seeds"]
     for t in topologies:
         base = "circular" if t == "circular_directed" else t
         if base not in TOPOLOGY_KINDS:

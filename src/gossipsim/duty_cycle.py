@@ -58,34 +58,6 @@ class DutyCycleParams:
         """Duration of one hop slot: flight plus processing."""
         return self.d_mean + self.t_c
 
-    def balance_residual(self, t_w: float) -> float:
-        """How far p * t_w is from t_c * q.
-
-        The wake/sleep rates of a node are balanced with its schedule
-        when expected sleep spent per wake matches the compute slot, i.e.
-        p * t_w == t_c * q. Returns the absolute residual.
-        """
-        return abs(self.p * t_w - self.t_c * self.q)
-
-    def check_balance(self, t_w: float, tol: float = 1e-9) -> None:
-        res = self.balance_residual(t_w)
-        if res > tol:
-            raise ConfigError(
-                f"duty-cycle balance violated: |p*t_w - t_c*q| = {res:.3e} > {tol:.0e}")
-
-
-def wake_time(m: int, layer_count: int, d_mean: float, t_c: float) -> float:
-    """How long a layer-m node stays awake within one sweep.
-
-    Deeper layers wake later and sleep sooner: the value is
-    (L - m) * (d_mean + t_c), zero for the outermost layer.
-    """
-    if not (1 <= m <= layer_count):
-        raise ValueError(f"layer {m} out of range 1..{layer_count}")
-    if d_mean < 0 or t_c <= 0:
-        raise ValueError(f"need d_mean >= 0 and t_c > 0, got {d_mean}, {t_c}")
-    return (layer_count - m) * (d_mean + t_c)
-
 
 def beacon_period(layer_count: int, d_mean: float, t_c: float, d_var: float) -> float:
     """Interval between anchor beacons.

@@ -25,25 +25,26 @@ polled values include same-tick write-backs; that ordering is what keeps
 the global sum exact. The pure-neighbor and self-additive rules instead
 answer all polls before anyone computes, which makes same-tick updates
 simultaneous and matches the activation-gated matrix form
-diag(phi) A + (I - diag(phi)); inactive rows hold their value rather
-than zeroing (the literal zeroing form is available behind a debug
-flag).
+diag(phi) A + (I - diag(phi)): inactive rows hold their value.
+
+The rule arithmetic itself lives in rules.py: the backends apply
+UpdateRule.fold, and step_matrix is built from single_active_matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import ceil, fsum
+from math import ceil
 
 import numpy as np
 
 from . import node_protocol as proto
 from .analysis import Trace, disagreement_of, make_trace
 from .duty_cycle import DutyCycleParams, beacon_period
-from .errors import ConfigError, LivenessError
-from .graph import Graph, assign_layers, consensus_weight_matrix
+from .errors import ConfigError, LivenessError, TopologyError
+from .graph import Graph, assign_layers
 from .node_protocol import BROADCAST, Message, MessageKind, NodeState
-from .rules import RuleVariant, UpdateRule
+from .rules import RuleVariant, UpdateRule, single_active_matrix
 
 ANCHOR_SRC = -1  # message src used by the anchor entity
 
@@ -323,82 +324,35 @@ def _run_agent_scripted(cfg: RunConfig, schedule: np.ndarray,
     return rec.finish(x0, net.counts, net.log)
 
 
-def _base_matrix(g: Graph, rule: UpdateRule) -> np.ndarray:
-    """Averaging matrix a fully active step applies, per rule."""
-    w = consensus_weight_matrix(g, rule)
-    if rule.variant is RuleVariant.SELF_ADDITIVE:
-        return w + np.eye(g.node_count)
-    return w
-
-
-def step_matrix(g: Graph, rule: UpdateRule, phi: np.ndarray,
-                hold_inactive: bool = True) -> np.ndarray:
+def step_matrix(g: Graph, rule: UpdateRule, phi: np.ndarray) -> np.ndarray:
     """Explicit state matrix for one step under activation row phi.
 
-    With hold_inactive (the default) inactive rows keep their value; the
-    literal form zeroes them instead. The neighborhood-set rule composes
+    Inactive rows keep their value. The neighborhood-set rule composes
     its per-initiator exchange matrices in ascending id order, matching
-    the agent backend's sequential processing.
+    the agent backend's sequential processing; the simultaneous rules
+    replace one row per active node.
     """
-    from .analysis import single_active_matrix
     n = g.node_count
     phi = np.asarray(phi).astype(bool)
     if phi.shape != (n,):
         raise ConfigError(f"phi shape {phi.shape} does not match {n} nodes")
-    if not hold_inactive:
-        return np.where(phi[:, None], _base_matrix(g, rule), 0.0)
-    if rule.variant is RuleVariant.NEIGHBORHOOD_SET:
-        w = np.eye(n)
-        for i in np.flatnonzero(phi):
-            w = single_active_matrix(g, int(i), rule) @ w
-        return w
     w = np.eye(n)
-    base = _base_matrix(g, rule)
-    w[phi, :] = base[phi, :]
+    for i in np.flatnonzero(phi):
+        single = single_active_matrix(g, int(i), rule)
+        if rule.variant is RuleVariant.NEIGHBORHOOD_SET:
+            w = single @ w
+        else:
+            w[i] = single[i]
     return w
 
 
-@dataclass(frozen=True)
-class SwitchedSystem:
-    """One step of the stacked [states; activations] linear form.
-
-    weight_matrix is block diagonal: the averaging block on top of an
-    identity that carries the activation flags, which change only through
-    input_vector.
-    """
-
-    weight_matrix: np.ndarray  # (2n, 2n)
-    input_vector: np.ndarray   # (2n,)
-    phi: np.ndarray            # (n,)
-    hold_inactive: bool = True
-
-
-def make_switched_system(g: Graph, rule: UpdateRule, phi: np.ndarray,
-                         phi_prev: np.ndarray | None = None,
-                         hold_inactive: bool = True) -> SwitchedSystem:
-    n = g.node_count
-    phi = np.asarray(phi, dtype=float)
-    prev = np.zeros(n) if phi_prev is None else np.asarray(phi_prev, dtype=float)
-    w = np.zeros((2 * n, 2 * n))
-    w[:n, :n] = step_matrix(g, rule, phi, hold_inactive)
-    w[n:, n:] = np.eye(n)
-    d = np.zeros(2 * n)
-    d[n:] = phi - prev
-    return SwitchedSystem(weight_matrix=w, input_vector=d, phi=phi,
-                          hold_inactive=hold_inactive)
-
-
-def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray,
-                   literal_zeroing: bool = False) -> Trace:
+def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray) -> Trace:
     """Matrix backend: apply per-step averaging matrices along a scripted
     activation sequence.
 
     Rows align one-to-one with the scripted steps, so a trace from here
-    is directly comparable with a scripted run_agent_sim. The
-    neighborhood-set and poll rules use the exact same arithmetic as the
-    agent backend; literal_zeroing switches to the zeroing form in which
-    inactive states collapse to 0 instead of holding (debug aid, not a
-    protocol model).
+    is directly comparable with a scripted run_agent_sim. Both fold with
+    the same UpdateRule.fold, in the same order within a step.
     """
     g = cfg.graph
     n = g.node_count
@@ -414,40 +368,33 @@ def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray,
     x = x0.copy()
     adj = g.adjacency
     in_nbrs = [np.flatnonzero(adj[:, i]) for i in range(n)]
-    base = _base_matrix(g, cfg.rule)
+    if not all(len(nb) for nb in in_nbrs):
+        raise TopologyError("a node has no in-neighbors to average over")
+    fold = cfg.rule.fold
     for k in range(cfg.max_iterations):
-        phi = seq[k].astype(bool)
-        active = np.flatnonzero(phi)
-        if literal_zeroing:
-            x = np.where(phi, base @ x, 0.0)
-        elif cfg.rule.variant is RuleVariant.NEIGHBORHOOD_SET:
+        active = np.flatnonzero(seq[k])
+        if cfg.rule.variant is RuleVariant.NEIGHBORHOOD_SET:
             for i in active:
-                s = list(in_nbrs[i]) + [int(i)]
-                common = fsum(x[j] for j in s) / len(s)
-                x[s] = common
+                nb = in_nbrs[i]
+                x[nb] = x[i] = fold(x[i], x[nb])
         else:
             x_read = x.copy()
             for i in active:
-                nb = in_nbrs[i]
-                avg = fsum(x_read[j] for j in nb) / len(nb)
-                if cfg.rule.variant is RuleVariant.SELF_ADDITIVE:
-                    x[i] = avg + x_read[i]
-                else:
-                    x[i] = avg
+                x[i] = fold(x_read[i], x_read[in_nbrs[i]])
         rec.record(k + 1, x, seq[k].astype(np.uint8))
     return rec.finish(x0, {})
 
 
 def closed_form_state(cfg: RunConfig, activation_sequence: np.ndarray,
-                      k: int, literal_zeroing: bool = False) -> np.ndarray:
+                      k: int) -> np.ndarray:
     """Stacked [states; activations] vector at step k via the explicit
-    product-sum solution instead of the recursion.
+    product solution instead of the recursion.
 
-    Composes the time-varying step matrices in order: the state part of
-    the result is (W_k ... W_1) Y_0 plus the accumulated activation
-    inputs pushed through the remaining products. Mathematically equal to
-    run_matrix_sim's row k; numerically it takes an entirely different
-    path, which is what makes it a useful cross-check.
+    The state part is (W_k ... W_1) x0 with W_j the step_matrix of
+    activation row j; the activation inputs telescope, so the activation
+    part is row k itself. Mathematically equal to run_matrix_sim's row k;
+    numerically it takes an entirely different path, which is what makes
+    it a useful cross-check.
     """
     g = cfg.graph
     n = g.node_count
@@ -455,22 +402,12 @@ def closed_form_state(cfg: RunConfig, activation_sequence: np.ndarray,
     if not (0 <= k <= seq.shape[0]):
         raise ConfigError(f"step {k} outside the scripted sequence of {seq.shape[0]}")
     x0, _ = initial_states(cfg)
-    y0 = np.concatenate([x0, np.zeros(n)])
     if k == 0:
-        return y0
-    systems = []
-    prev = np.zeros(n)
-    for j in range(k):
-        phi = seq[j].astype(float)
-        systems.append(make_switched_system(g, cfg.rule, phi, prev,
-                                            hold_inactive=not literal_zeroing))
-        prev = phi
-    suffix = np.eye(2 * n)
-    acc = np.zeros(2 * n)
-    for sys_j in reversed(systems):
-        acc += suffix @ sys_j.input_vector
-        suffix = suffix @ sys_j.weight_matrix
-    return suffix @ y0 + acc
+        return np.concatenate([x0, np.zeros(n)])
+    w = np.eye(n)
+    for phi in seq[:k]:
+        w = step_matrix(g, cfg.rule, phi) @ w
+    return np.concatenate([w @ x0, seq[k - 1].astype(float)])
 
 
 def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Trace:

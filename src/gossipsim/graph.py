@@ -1,4 +1,4 @@
-"""Sensor network topologies, anchor-rooted layers, and averaging matrices.
+"""Sensor network topologies and anchor-rooted layers.
 
 A graph here is a node set 0..n-1 with boolean adjacency and one
 distinguished vertex, ``anchor_id``, where the resource-rich beacon node
@@ -17,7 +17,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, TopologyError, UnconnectableTopologyError
-from .rules import RuleVariant, UpdateRule
 
 TOPOLOGY_KINDS = ("chain", "star", "circular", "complete", "random_geometric")
 
@@ -160,28 +159,6 @@ def _build_random(n: int, params: TopologyParams, seed: int | None) -> Graph:
         f"(n={n}, radius={params.radius}, side={params.side}, erdos_p={params.erdos_p})")
 
 
-def neighborhood(g: Graph, i: int) -> tuple[int, ...]:
-    """Out-neighborhood of node i: the nodes i transmits to."""
-    _check_node(g, i)
-    return tuple(np.flatnonzero(g.adjacency[i]))
-
-
-def in_neighborhood(g: Graph, i: int) -> tuple[int, ...]:
-    """In-neighborhood of node i: the nodes whose transmissions i hears.
-
-    This is the averaging set used by the update rules; it equals the
-    out-neighborhood for undirected graphs.
-    """
-    _check_node(g, i)
-    return tuple(np.flatnonzero(g.adjacency[:, i]))
-
-
-def control_neighborhood(g: Graph, i: int) -> tuple[int, ...]:
-    """Neighbors over the undirected radio view (control traffic)."""
-    _check_node(g, i)
-    return tuple(np.flatnonzero(g.control_adjacency()[i]))
-
-
 def _check_node(g: Graph, i: int) -> None:
     if not (0 <= i < g.node_count):
         raise ValueError(f"node id {i} out of range for {g.node_count} nodes")
@@ -198,9 +175,6 @@ class LayerAssignment:
     layer_of: np.ndarray  # (n,) int64
     layer_count: int
     layer_sizes: np.ndarray  # (layer_count,) int64
-
-    def nodes_in_layer(self, m: int) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.layer_of == m))
 
 
 def assign_layers(g: Graph, anchor: int | None = None) -> LayerAssignment:
@@ -224,44 +198,6 @@ def assign_layers(g: Graph, anchor: int | None = None) -> LayerAssignment:
     count = int(layer_of.max())
     sizes = np.bincount(layer_of, minlength=count + 1)[1:]
     return LayerAssignment(layer_of=layer_of, layer_count=count, layer_sizes=sizes)
-
-
-def consensus_weight_matrix(g: Graph, rule: UpdateRule | None = None) -> np.ndarray:
-    """Row-stochastic averaging matrix implied by the update rule.
-
-    Rows always sum to 1: for the self-additive variant this is the plain
-    neighbor-average matrix (the added self term lives in the dynamics,
-    not here), and for the pairwise baseline it is the expectation of the
-    two-node exchange over a uniform initiator and a uniform neighbor.
-    """
-    if rule is None:
-        rule = UpdateRule()
-    n = g.node_count
-    w = np.zeros((n, n), dtype=float)
-    if rule.variant is RuleVariant.PAIRWISE_BASELINE:
-        if g.directed:
-            raise ConfigError("pairwise baseline is defined for undirected graphs only")
-        w = np.eye(n)
-        a = rule.alpha
-        for i in range(n):
-            nbrs = np.flatnonzero(g.adjacency[i])
-            pick = 1.0 / (n * len(nbrs))
-            for j in nbrs:
-                w[i, i] -= pick * a
-                w[i, j] += pick * a
-                w[j, j] -= pick * a
-                w[j, i] += pick * a
-        return w
-    for i in range(n):
-        nbrs = np.flatnonzero(g.adjacency[:, i])
-        if len(nbrs) == 0:
-            raise TopologyError(f"node {i} has no in-neighbors to average over")
-        if rule.variant is RuleVariant.NEIGHBORHOOD_SET:
-            w[i, nbrs] = 1.0 / (len(nbrs) + 1)
-            w[i, i] = 1.0 / (len(nbrs) + 1)
-        else:  # PURE_NEIGHBOR and SELF_ADDITIVE share the base matrix
-            w[i, nbrs] = 1.0 / len(nbrs)
-    return w
 
 
 def to_edge_list(g: Graph) -> str:
@@ -306,13 +242,3 @@ def from_edge_list(text: str) -> Graph:
             adj[j, i] = True
     return Graph(node_count=n, anchor_id=anchor, adjacency=adj, directed=bool(dflag))
 
-
-def degrees(g: Graph, mode: str = "in") -> np.ndarray:
-    """Node degrees; mode is "in", "out", or "control"."""
-    if mode == "in":
-        return g.adjacency.sum(axis=0)
-    if mode == "out":
-        return g.adjacency.sum(axis=1)
-    if mode == "control":
-        return g.control_adjacency().sum(axis=1)
-    raise ValueError(f"unknown degree mode {mode!r}")

@@ -20,11 +20,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import fsum
 from typing import Iterable, Sequence
 
 from .errors import SimulationError
-from .rules import RuleVariant, UpdateRule
+from .rules import UpdateRule
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +43,6 @@ class Message:
     src: int
     dst: int  # node id, or BROADCAST
     payload: float | int | None = None
-    deliver_at: int = 0  # tick; filled in by the engine's scheduler
 
     def __post_init__(self) -> None:
         if self.kind is MessageKind.STATE_ACK:
@@ -135,15 +133,7 @@ def on_state_ack(node: NodeState, msg: Message,
     pending = node.pending_acks - {msg.src}
     if pending:
         return replace(node, pending_acks=pending, heard=heard), []
-    values = [v for _, v in sorted(heard)]
-    if rule.variant is RuleVariant.NEIGHBORHOOD_SET:
-        new_x = fsum(values + [node.x]) / (len(values) + 1)
-    elif rule.variant is RuleVariant.PURE_NEIGHBOR:
-        new_x = fsum(values) / len(values)
-    elif rule.variant is RuleVariant.SELF_ADDITIVE:
-        new_x = fsum(values) / len(values) + node.x
-    else:
-        raise SimulationError(f"rule {rule.variant.value} is not a poll-round rule")
+    new_x = rule.fold(node.x, [v for _, v in heard])
     done = replace(node, x=new_x, phi=1, phase=Phase.INACTIVE,
                    pending_acks=frozenset(), heard=())
     wake = Message(MessageKind.WAKE_UP, node.id, BROADCAST, payload=1)

@@ -5,14 +5,23 @@ during a poll round. It is a run parameter rather than a hard-coded
 behavior because the variants have visibly different conservation and
 convergence properties, and comparing them is half the point of the
 simulator.
+
+Each poll rule is written down here twice and nowhere else: as the
+scalar UpdateRule.fold an initiator applies, and as single_active_matrix,
+the state matrix of one node's update. Every backend calls one of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import fsum
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigError
+from .graph import Graph
 
 
 class RuleVariant(str, Enum):
@@ -56,3 +65,47 @@ class UpdateRule:
             names = ", ".join(r.value for r in RuleVariant)
             raise ConfigError(f"unknown rule variant {variant!r}; expected one of {names}")
         return cls(variant=v, alpha=alpha)
+
+    def fold(self, own: float, polled: Sequence[float]) -> float:
+        """Value an initiator with state own adopts from the states it polled.
+
+        fsum is correctly rounded, so the result does not depend on the
+        order of polled; that is what lets the backends agree bit for bit.
+        """
+        if self.variant is RuleVariant.NEIGHBORHOOD_SET:
+            return fsum([*polled, own]) / (len(polled) + 1)
+        if self.variant is RuleVariant.PURE_NEIGHBOR:
+            return fsum(polled) / len(polled)
+        if self.variant is RuleVariant.SELF_ADDITIVE:
+            return fsum(polled) / len(polled) + own
+        raise ConfigError(f"rule {self.variant.value} is not a poll-round rule")
+
+
+def single_active_matrix(g: Graph, i: int, rule: UpdateRule) -> np.ndarray:
+    """Effective full-state matrix when only node i runs one update.
+
+    Inactive rows hold their value (identity), which is what the engine
+    does; the neighborhood-set variant also rewrites the polled
+    neighbors' rows with the common average.
+    """
+    n = g.node_count
+    nbrs = np.flatnonzero(g.adjacency[:, i])
+    if len(nbrs) == 0:
+        raise ValueError(f"node {i} has no in-neighbors")
+    w = np.eye(n)
+    if rule.variant is RuleVariant.NEIGHBORHOOD_SET:
+        s = np.append(nbrs, i)
+        w[np.ix_(s, s)] = 1.0 / len(s)
+        mask = np.ones(n, dtype=bool)
+        mask[s] = False
+        for r in s:
+            w[r, mask] = 0.0
+    elif rule.variant is RuleVariant.PURE_NEIGHBOR:
+        w[i, :] = 0.0
+        w[i, nbrs] = 1.0 / len(nbrs)
+    elif rule.variant is RuleVariant.SELF_ADDITIVE:
+        w[i, nbrs] = 1.0 / len(nbrs)
+    else:
+        raise ValueError("pairwise baseline has no single-active matrix; "
+                         "use expected_weight_matrix")
+    return w

@@ -37,7 +37,6 @@ from gossipsim.analysis import (
     single_active_matrix,
     trace_csv_text,
 )
-from gossipsim.graph import consensus_weight_matrix
 from gossipsim.rules import RuleVariant, UpdateRule
 
 CHAIN3 = build_topology("chain", 3)
@@ -179,7 +178,7 @@ class TestSpectral:
 
 class TestConsensusConditions:
     def test_pairwise_two_node_fully_certified(self):
-        w = consensus_weight_matrix(PAIR, UpdateRule(RuleVariant.PAIRWISE_BASELINE))
+        w = expected_weight_matrix(PAIR, UpdateRule(RuleVariant.PAIRWISE_BASELINE))
         rep = check_consensus_conditions(w)
         assert rep.row_stochastic and rep.column_stochastic
         assert rep.rho_centered == pytest.approx(0.0, abs=1e-12)
@@ -253,10 +252,19 @@ class TestExpectedMatrix:
         assert (np.abs(mean - exact) <= bound).all()
 
     def test_pairwise_expectation_matches_graph_matrix(self):
-        g = build_topology("circular", 6)
-        rule = UpdateRule(RuleVariant.PAIRWISE_BASELINE)
-        assert np.allclose(expected_weight_matrix(g, rule),
-                           consensus_weight_matrix(g, rule))
+        # oracle: the mean of the exchange matrix I - alpha (e_i - e_j)(e_i - e_j)^T
+        # over a uniform initiator i and a uniform neighbor j of it
+        g = build_topology("random_geometric", 8, TopologyParams(radius=0.5), seed=2)
+        rule = UpdateRule(RuleVariant.PAIRWISE_BASELINE, alpha=0.3)
+        n = g.node_count
+        want = np.zeros((n, n))
+        for i in range(n):
+            nbrs = np.flatnonzero(g.adjacency[i])
+            for j in nbrs:
+                d = np.zeros(n)
+                d[i], d[j] = 1.0, -1.0
+                want += (np.eye(n) - rule.alpha * np.outer(d, d)) / (n * len(nbrs))
+        assert np.allclose(expected_weight_matrix(g, rule), want, atol=1e-14)
 
 
 class TestCsv:

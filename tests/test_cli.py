@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from gossipsim import cli
 from gossipsim.cli import PRESETS, _parse_seeds, main
 
 
@@ -123,6 +124,13 @@ class TestConfigHandling:
         ids = {row["node_id"] for row in read_csv(out / "trace.csv")}
         assert len(ids) == 50
 
+    def test_unknown_duty_mode_exits_one(self, tmp_path, capsys):
+        rc = run_cli("run", *FAST, "--duty.mode", "bogus", "--out", str(tmp_path / "o"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad value for duty.mode")
+        assert err.count("\n") == 1
+
     def test_unknown_preset_exits_one(self, tmp_path):
         assert run_cli("run", "--preset", "moebius", "--out", str(tmp_path / "o")) == 1
 
@@ -166,6 +174,30 @@ class TestSweepCommand:
         assert status == {"star": "ok", "random_geometric": "error"}
         bad = next(r for r in rows if r["status"] == "error")
         assert bad["error"]
+
+    def test_bad_seed_list_exits_one(self, tmp_path, capsys):
+        rc = run_cli("sweep", "--sweep.topologies", "star", "--sweep.seeds", "x",
+                     "--jobs", "1", "--out", str(tmp_path / "o"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad value for sweep.seeds")
+        assert err.count("\n") == 1
+
+    def test_memory_error_is_an_error_row(self, tmp_path, monkeypatch):
+        def exhausted(cfgd, collect_messages=False):
+            if cfgd["run.seed"] == 1:
+                raise MemoryError
+            return real(cfgd, collect_messages)
+
+        real = cli.execute_run
+        monkeypatch.setattr(cli, "execute_run", exhausted)
+        out = tmp_path / "o"
+        rc = run_cli("sweep", "--graph.n", "6", "--sweep.topologies", "star",
+                     "--sweep.seeds", "0:3", "--jobs", "1", "--out", str(out))
+        assert rc == 0
+        rows = read_csv(out / "sweep.csv")
+        assert [r["status"] for r in rows] == ["ok", "error", "ok"]
+        assert rows[1]["error"].startswith("MemoryError")
 
     def test_empty_seed_list_writes_header_only(self, tmp_path):
         out = tmp_path / "o"

@@ -11,27 +11,9 @@ from gossipsim import (
     beacon_period,
     stationary_active_fraction,
     step_activation,
-    wake_time,
 )
 from gossipsim import duty_cycle
 from gossipsim.errors import ConfigError
-
-
-class TestWakeTime:
-    def test_innermost_layer_longest(self):
-        assert wake_time(1, 3, 1.0, 1.0) == 4.0
-
-    def test_outermost_layer_zero(self):
-        assert wake_time(3, 3, 1.0, 1.0) == 0.0
-
-    def test_fractional_slot(self):
-        assert wake_time(2, 4, 0.5, 1.5) == 4.0
-
-    def test_layer_out_of_range(self):
-        with pytest.raises(ValueError):
-            wake_time(0, 3, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            wake_time(4, 3, 1.0, 1.0)
 
 
 class TestBeaconPeriod:
@@ -70,15 +52,6 @@ class TestParams:
     def test_stochastic_needs_motion(self):
         with pytest.raises(ConfigError):
             DutyCycleParams(mode=ActivationMode.STOCHASTIC, p=0.0, q=0.0)
-
-    def test_balance_relation(self):
-        params = DutyCycleParams(p=0.2, q=0.1, t_c=1.0,
-                                 mode=ActivationMode.STOCHASTIC)
-        # p * t_w == t_c * q at t_w = 0.5
-        params.check_balance(0.5)
-        assert params.balance_residual(0.5) <= 1e-9
-        with pytest.raises(ConfigError):
-            params.check_balance(1.0)
 
     def test_mode_coercion(self):
         params = DutyCycleParams(mode="stochastic", p=0.5, q=0.5)

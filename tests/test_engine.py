@@ -16,7 +16,7 @@ from gossipsim import (
     run_pairwise_baseline,
     step_matrix,
 )
-from gossipsim.engine import initial_states, make_switched_system, ticks_per_cycle
+from gossipsim.engine import initial_states, ticks_per_cycle
 from gossipsim.rules import RuleVariant
 
 from conftest import small_graph_family
@@ -136,10 +136,6 @@ class TestStepMatrix:
         w = step_matrix(RING6, UpdateRule(), np.zeros(6))
         assert np.array_equal(w, np.eye(6))
 
-    def test_all_asleep_literal_form_is_zero(self):
-        w = step_matrix(RING6, UpdateRule(), np.zeros(6), hold_inactive=False)
-        assert np.array_equal(w, np.zeros((6, 6)))
-
     def test_neighborhood_set_composes_in_id_order(self):
         # initiator 0 folds {0,1} to their mean, then initiator 1 folds
         # {0,1,2}; the product is the full uniform averaging matrix
@@ -164,13 +160,6 @@ class TestMatrixBackend:
                         max_iterations=1)
         tr = run_matrix_sim(cfg, np.zeros((1, 3), dtype=np.uint8))
         assert np.array_equal(tr.states[1], tr.states[0])
-
-    def test_all_sleeping_literal_step_zeroes_state(self):
-        cfg = RunConfig(graph=CHAIN3, initial_states=np.array([0.0, 6.0, 0.0]),
-                        max_iterations=1)
-        tr = run_matrix_sim(cfg, np.zeros((1, 3), dtype=np.uint8),
-                            literal_zeroing=True)
-        assert np.array_equal(tr.states[1], np.zeros(3))
 
     def test_fully_active_matches_matrix_power_oracle(self):
         rule = UpdateRule(RuleVariant.PURE_NEIGHBOR)
@@ -222,15 +211,13 @@ class TestBackendEquivalence:
 
 class TestSwitchedSystem:
     def test_block_structure(self):
-        phi = np.array([1.0, 0.0, 0.0])
-        prev = np.array([0.0, 1.0, 0.0])
-        sys = make_switched_system(CHAIN3, UpdateRule(), phi, prev)
-        w, d = sys.weight_matrix, sys.input_vector
-        assert np.array_equal(w[:3, :3], step_matrix(CHAIN3, UpdateRule(), phi))
-        assert np.array_equal(w[3:, 3:], np.eye(3))
-        assert np.array_equal(w[:3, 3:], np.zeros((3, 3)))
-        assert np.array_equal(w[3:, :3], np.zeros((3, 3)))
-        assert np.array_equal(d, [0, 0, 0, 1, -1, 0])
+        # one step: [W(phi) x0 ; phi], the activation inputs telescoped
+        schedule = np.array([[1, 0, 0]], dtype=np.uint8)
+        cfg = RunConfig(graph=CHAIN3, seed=3, max_iterations=1)
+        x0, _ = initial_states(cfg)
+        y = closed_form_state(cfg, schedule, 1)
+        assert np.array_equal(y[:3], step_matrix(CHAIN3, UpdateRule(), schedule[0]) @ x0)
+        assert np.array_equal(y[3:], [1.0, 0.0, 0.0])
 
     def test_closed_form_step_zero_is_initial_stack(self):
         cfg = RunConfig(graph=CHAIN3, seed=3, max_iterations=5)
@@ -250,15 +237,6 @@ class TestSwitchedSystem:
             y = closed_form_state(cfg, schedule, k)
             assert np.abs(y[:8] - tr.states[k]).max() <= 1e-10
             assert np.array_equal(y[8:], schedule[k - 1].astype(float))
-
-    def test_closed_form_literal_variant(self):
-        g = build_topology("chain", 4)
-        schedule = np.array([[1, 0, 1, 0], [0, 1, 1, 1], [1, 1, 0, 0]],
-                            dtype=np.uint8)
-        cfg = RunConfig(graph=g, seed=1, max_iterations=3)
-        tr = run_matrix_sim(cfg, schedule, literal_zeroing=True)
-        y = closed_form_state(cfg, schedule, 3, literal_zeroing=True)
-        assert np.abs(y[:4] - tr.states[3]).max() <= 1e-10
 
     def test_out_of_range_step_rejected(self):
         cfg = RunConfig(graph=CHAIN3, max_iterations=2)

@@ -11,15 +11,13 @@ from gossipsim import (
     UnconnectableTopologyError,
     assign_layers,
     build_topology,
-    consensus_weight_matrix,
+    expected_weight_matrix,
     from_edge_list,
-    in_neighborhood,
-    neighborhood,
+    step_matrix,
     to_edge_list,
 )
 from gossipsim.errors import ConfigError
-from gossipsim.graph import control_neighborhood, degrees
-from gossipsim.rules import RuleVariant, UpdateRule
+from gossipsim.rules import RuleVariant, UpdateRule, single_active_matrix
 
 from conftest import small_graph_family
 
@@ -32,32 +30,36 @@ def to_networkx(g: Graph):
     return nxg
 
 
+def control_degrees(g: Graph) -> np.ndarray:
+    return g.control_adjacency().sum(axis=1)
+
+
 class TestBuilders:
     def test_chain_degrees(self):
         g = build_topology("chain", 4)
-        assert list(degrees(g, "control")) == [1, 2, 2, 1]
+        assert list(control_degrees(g)) == [1, 2, 2, 1]
 
     def test_star_hub_degree(self):
         g = build_topology("star", 4)
-        assert degrees(g, "control")[0] == 3
-        assert list(degrees(g, "control")[1:]) == [1, 1, 1]
+        assert control_degrees(g)[0] == 3
+        assert list(control_degrees(g)[1:]) == [1, 1, 1]
 
     def test_circular_degrees(self):
         g = build_topology("circular", 6)
-        assert (degrees(g, "control") == 2).all()
+        assert (control_degrees(g) == 2).all()
         assert not g.directed
 
     def test_circular_directed(self):
         g = build_topology("circular", 5, TopologyParams(directed=True))
         assert g.directed
-        assert (degrees(g, "in") == 1).all()
-        assert (degrees(g, "out") == 1).all()
-        assert neighborhood(g, 2) == (3,)
-        assert in_neighborhood(g, 2) == (1,)
+        assert (g.adjacency.sum(axis=0) == 1).all()
+        assert (g.adjacency.sum(axis=1) == 1).all()
+        assert list(np.flatnonzero(g.adjacency[2])) == [3]
+        assert list(np.flatnonzero(g.adjacency[:, 2])) == [1]
 
     def test_complete(self):
         g = build_topology("complete", 5)
-        assert (degrees(g, "control") == 4).all()
+        assert (control_degrees(g) == 4).all()
 
     def test_directed_flag_restricted_to_circular(self):
         with pytest.raises(ConfigError):
@@ -122,16 +124,16 @@ class TestGraphValidation:
 class TestNeighborhoods:
     def test_chain_neighborhood(self):
         g = build_topology("chain", 3)
-        assert neighborhood(g, 1) == (0, 2)
-        assert in_neighborhood(g, 1) == (0, 2)
-        assert control_neighborhood(g, 0) == (1,)
+        assert list(np.flatnonzero(g.adjacency[1])) == [0, 2]
+        assert list(np.flatnonzero(g.adjacency[:, 1])) == [0, 2]
+        assert list(np.flatnonzero(g.control_adjacency()[0])) == [1]
 
     def test_bad_index(self):
         g = build_topology("chain", 3)
         with pytest.raises(ValueError):
-            neighborhood(g, 3)
+            assign_layers(g, anchor=3)
         with pytest.raises(ValueError):
-            neighborhood(g, -1)
+            assign_layers(g, anchor=-1)
 
 
 class TestLayers:
@@ -188,42 +190,47 @@ class TestLayers:
 
 class TestWeightMatrices:
     def test_neighborhood_set_chain3(self):
-        w = consensus_weight_matrix(build_topology("chain", 3))
-        assert np.allclose(w[1], [1 / 3, 1 / 3, 1 / 3])
-        assert np.allclose(w[0], [1 / 2, 1 / 2, 0])
+        g = build_topology("chain", 3)
+        assert np.allclose(single_active_matrix(g, 1, UpdateRule())[1], [1 / 3, 1 / 3, 1 / 3])
+        assert np.allclose(single_active_matrix(g, 0, UpdateRule())[0], [1 / 2, 1 / 2, 0])
 
     def test_pure_neighbor_chain3(self):
-        w = consensus_weight_matrix(build_topology("chain", 3),
-                                    UpdateRule(RuleVariant.PURE_NEIGHBOR))
+        w = single_active_matrix(build_topology("chain", 3), 1,
+                                 UpdateRule(RuleVariant.PURE_NEIGHBOR))
         assert np.allclose(w[1], [1 / 2, 0, 1 / 2])
         assert w[1, 1] == 0.0
 
     def test_self_additive_base_is_row_stochastic(self):
-        w = consensus_weight_matrix(build_topology("chain", 3),
-                                    UpdateRule(RuleVariant.SELF_ADDITIVE))
-        assert np.allclose(w.sum(axis=1), 1.0)
+        # the rule adds a row-stochastic neighbor average to the held state
+        w = step_matrix(build_topology("chain", 3),
+                        UpdateRule(RuleVariant.SELF_ADDITIVE), np.ones(3))
+        assert np.allclose((w - np.eye(3)).sum(axis=1), 1.0)
 
     def test_pairwise_two_node(self):
-        w = consensus_weight_matrix(build_topology("chain", 2),
-                                    UpdateRule(RuleVariant.PAIRWISE_BASELINE))
+        w = expected_weight_matrix(build_topology("chain", 2),
+                                   UpdateRule(RuleVariant.PAIRWISE_BASELINE))
         assert np.allclose(w, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_rows_sum_to_one_all_rules(self):
-        rules = [UpdateRule(v) for v in RuleVariant]
         for _, g in small_graph_family():
-            for rule in rules:
-                w = consensus_weight_matrix(g, rule)
-                assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
+            for v in RuleVariant:
+                rule = UpdateRule(v)
+                if v is RuleVariant.PAIRWISE_BASELINE:
+                    w = expected_weight_matrix(g, rule)
+                else:
+                    w = step_matrix(g, rule, np.ones(g.node_count))
+                held = 1.0 if v is RuleVariant.SELF_ADDITIVE else 0.0
+                assert np.abs(w.sum(axis=1) - held - 1.0).max() <= 1e-12
 
     def test_directed_uses_in_neighbors(self):
         g = build_topology("circular", 4, TopologyParams(directed=True))
-        w = consensus_weight_matrix(g, UpdateRule(RuleVariant.PURE_NEIGHBOR))
+        w = step_matrix(g, UpdateRule(RuleVariant.PURE_NEIGHBOR), np.ones(4))
         for i in range(4):
             assert w[i, (i - 1) % 4] == 1.0
 
     def test_undirected_pattern_symmetric(self):
         for _, g in small_graph_family():
-            w = consensus_weight_matrix(g)
+            w = expected_weight_matrix(g)
             off = w.copy()
             np.fill_diagonal(off, 0.0)
             assert np.array_equal(off > 0, off.T > 0)
@@ -231,7 +238,7 @@ class TestWeightMatrices:
     def test_pairwise_rejects_directed(self):
         g = build_topology("circular", 4, TopologyParams(directed=True))
         with pytest.raises(ConfigError):
-            consensus_weight_matrix(g, UpdateRule(RuleVariant.PAIRWISE_BASELINE))
+            expected_weight_matrix(g, UpdateRule(RuleVariant.PAIRWISE_BASELINE))
 
 
 class TestSerialization:
