@@ -14,8 +14,8 @@ Every key can be overridden on the command line with a flag of the same
 name, e.g. --graph.kind star --run.seed 7. All files land under the
 directory given by --out.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime or liveness
-error, 3 run finished without converging.
+Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 run
+finished without converging.
 """
 
 from __future__ import annotations

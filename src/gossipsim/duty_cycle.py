@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 
 import numpy as np
 
@@ -42,6 +43,9 @@ class DutyCycleParams:
     def __post_init__(self) -> None:
         if not isinstance(self.mode, ActivationMode):
             object.__setattr__(self, "mode", ActivationMode(self.mode))
+        for name, val in (("d_mean", self.d_mean), ("d_var", self.d_var), ("t_c", self.t_c)):
+            if not isfinite(val):
+                raise ConfigError(f"{name} must be finite, got {val}")
         if self.d_mean < 0:
             raise ConfigError(f"d_mean must be >= 0, got {self.d_mean}")
         if self.d_var < 0:

@@ -1,18 +1,24 @@
 """Simulation backends for the duty-cycled averaging protocol.
 
-Two backends produce the same trajectories from two very different
-mechanizations:
+Every poll-round run goes through one tick kernel, _apply_tick, which
+folds each initiator of a tick with UpdateRule.fold:
 
-* run_agent_sim drives per-node state machines (node_protocol) with
-  beacons, wake-up floods, and poll rounds on an integer tick clock.
-* run_matrix_sim applies explicit per-step averaging matrices to the
-  state vector for a scripted activation sequence.
+* run_agent_sim runs the beacon protocol. The anchor's beacon wakes hop
+  layer 1 and each layer's wake-up flood wakes the next, so every beacon
+  cycle updates layer m at tick cycle * T + m, initiators in ascending
+  id; the run computes the hop layers once and applies that schedule.
+  node_protocol's per-message handlers are the reference it is tested
+  against (tests/test_protocol_oracle.py); no run calls them.
+* run_matrix_sim, and run_agent_sim given an activation schedule, wake
+  the nodes of scripted activation row k at tick k + 1.
 
-Time: one tick is one hop slot of d_mean + t_c. A beacon fires every
-cycle; the wake wave then updates layer m at tick cycle * T + m, so a
-full sweep occupies L consecutive ticks. Delay variance stretches the
-beacon period (see duty_cycle.beacon_period); individual messages always
-travel at the mean delay, and the period never drops below one sweep.
+step_matrix and closed_form_state write the same steps as explicit
+matrices, built from rules.single_active_matrix.
+
+Time: one tick is one hop slot of d_mean + t_c. A full sweep occupies L
+consecutive ticks. Delay variance stretches the beacon period (see
+duty_cycle.beacon_period); individual messages always travel at the mean
+delay, and the period never drops below one sweep.
 
 Iteration accounting: trace rows are update events (one tick each).
 max_iterations counts beacon cycles for the agent backend and steps for
@@ -26,27 +32,26 @@ the global sum exact. The pure-neighbor and self-additive rules instead
 answer all polls before anyone computes, which makes same-tick updates
 simultaneous and matches the activation-gated matrix form
 diag(phi) A + (I - diag(phi)): inactive rows hold their value.
-
-The rule arithmetic itself lives in rules.py: the backends apply
-UpdateRule.fold, and step_matrix is built from single_active_matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from math import ceil
+from dataclasses import dataclass
+from math import ceil, isfinite
 
 import numpy as np
 
-from . import node_protocol as proto
 from .analysis import Trace, disagreement_of, make_trace
 from .duty_cycle import DutyCycleParams, beacon_period
-from .errors import ConfigError, LivenessError, TopologyError
+from .errors import ConfigError, SimulationError, TopologyError
 from .graph import Graph, assign_layers
-from .node_protocol import BROADCAST, Message, MessageKind, NodeState
+from .node_protocol import BROADCAST, MessageKind
 from .rules import RuleVariant, UpdateRule, single_active_matrix
 
 ANCHOR_SRC = -1  # message src used by the anchor entity
+_REQUEST = MessageKind.STATE_REQUEST.value
+_ACK = MessageKind.STATE_ACK.value
+_WAKE_UP = MessageKind.WAKE_UP.value
 
 
 @dataclass
@@ -64,8 +69,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.tolerance <= 0:
-            raise ConfigError(f"tolerance must be > 0, got {self.tolerance}")
+        if not (self.tolerance > 0 and isfinite(self.tolerance)):
+            raise ConfigError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.initial_states is not None:
             x0 = np.asarray(self.initial_states, dtype=float)
             if x0.shape != (self.graph.node_count,):
@@ -88,12 +93,10 @@ def initial_states(cfg: RunConfig) -> tuple[np.ndarray, np.random.Generator]:
     return rng.uniform(0.0, 100.0, cfg.graph.node_count), rng
 
 
-def ticks_per_cycle(cfg: RunConfig) -> int:
-    """Beacon period in integer ticks; at least one full L-tick sweep."""
-    lay = assign_layers(cfg.graph)
-    slot = cfg.duty.slot()
-    period = beacon_period(lay.layer_count, cfg.duty.d_mean, cfg.duty.t_c, cfg.duty.d_var)
-    return max(lay.layer_count, ceil(period / slot - 1e-12))
+def ticks_per_cycle(duty: DutyCycleParams, layer_count: int) -> int:
+    """Beacon period in integer ticks; at least one full sweep of layer_count ticks."""
+    period = beacon_period(layer_count, duty.d_mean, duty.t_c, duty.d_var)
+    return max(layer_count, ceil(period / duty.slot() - 1e-12))
 
 
 class _Recorder:
@@ -136,116 +139,58 @@ class _Recorder:
         return trace
 
 
-class _AgentNet:
-    """Mutable node table plus message bookkeeping for the agent backend."""
+def _in_neighbors(g: Graph) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each node's averaging in-neighbors in ascending id, and the in-degrees."""
+    src, dst = g.arcs
+    in_deg = np.bincount(dst, minlength=g.node_count)
+    # arcs come in row-major order, so a stable sort by target keeps each
+    # node's sources ascending
+    by_dst = src[np.argsort(dst, kind="stable")]
+    return np.split(by_dst, np.cumsum(in_deg)[:-1]), in_deg
 
-    def __init__(self, cfg: RunConfig, collect_messages: bool):
-        g = cfg.graph
-        self.g = g
-        self.rule = cfg.rule
-        self.layers = assign_layers(g)
-        adj = g.adjacency
-        und = g.control_adjacency()
-        self.avg_nbrs = [tuple(np.flatnonzero(adj[:, i])) for i in range(g.node_count)]
-        self.ctrl_nbrs = [frozenset(np.flatnonzero(und[i])) for i in range(g.node_count)]
-        lay = self.layers.layer_of
-        self.next_layer = [tuple(j for j in np.flatnonzero(und[i]) if lay[j] == lay[i] + 1)
-                           for i in range(g.node_count)]
-        self.nodes = [NodeState(id=i, x=0.0, layer=int(lay[i])) for i in range(g.node_count)]
-        self.counts: dict[str, int] = {k.value: 0 for k in MessageKind}
-        self.log: list | None = [] if collect_messages else None
 
-    def set_states(self, x: np.ndarray) -> None:
-        for i, v in enumerate(x):
-            self.nodes[i] = replace(self.nodes[i], x=float(v))
+def _apply_tick(x: np.ndarray, ids: list[int], rule: UpdateRule,
+                in_nbrs: list[np.ndarray], tick: int, log: list | None) -> None:
+    """Run one tick's poll rounds on x in place, initiators in ids order.
 
-    def x_vector(self) -> np.ndarray:
-        return np.array([nd.x for nd in self.nodes], dtype=float)
-
-    def _note(self, tick: int, msg: Message) -> None:
-        self.counts[msg.kind.value] += 1
-        if self.log is not None:
-            self.log.append((tick, msg.kind.value, msg.src, msg.dst, msg.payload))
-
-    def _answer_polls(self, tick: int, reqs: list[Message]) -> list[Message]:
-        acks = []
-        for req in reqs:
-            self._note(tick, req)
-            _, out = proto.on_state_request(self.nodes[req.dst], req,
-                                            self.ctrl_nbrs[req.dst])
-            ack = out[0]
-            self._note(tick, ack)
-            acks.append(ack)
-        return acks
-
-    def _fold_acks(self, i: int, woken: NodeState, acks: list[Message],
-                   tick: int) -> list[int]:
-        """Deliver acks to node i, apply write-back, emit the wake flood.
-
-        Returns the next-layer targets of the completed update.
-        """
-        cur = woken
-        wake_targets: list[int] = []
-        for ack in acks:
-            cur, emitted = proto.on_state_ack(cur, ack, self.rule)
-            for msg in emitted:
-                self._note(tick, msg)
-                if msg.kind is MessageKind.WAKE_UP:
-                    wake_targets.extend(self.next_layer[i])
-        self.nodes[i] = cur
-        if self.rule.variant is RuleVariant.NEIGHBORHOOD_SET:
-            common = cur.x
-            for j in self.avg_nbrs[i]:
-                self.nodes[j] = replace(self.nodes[j], x=common)
-        return wake_targets
-
-    def process_tick(self, tick: int, triggers: dict[int, Message | None]) -> tuple[list[int], set[int]]:
-        """Run every poll round for one tick.
-
-        triggers maps node id to the stimulus (None for a beacon, or the
-        wake_up message that reached it). Returns (updater ids, next
-        tick's wake targets).
-        """
-        order = sorted(triggers)
-        updaters: list[int] = []
-        next_targets: set[int] = set()
-        if self.rule.variant is RuleVariant.NEIGHBORHOOD_SET:
-            for i in order:
-                woken, reqs = self._wake(i, triggers[i])
-                if not reqs:
-                    continue
-                acks = self._answer_polls(tick, reqs)
-                next_targets.update(self._fold_acks(i, woken, acks, tick))
-                updaters.append(i)
+    Under the neighborhood-set rule the initiators go one after another,
+    each writing the common value back to itself and the nodes it polled,
+    so later initiators read earlier ones' results. Under the other rules
+    every initiator reads x as it stood at the start of the tick. log, if
+    given, receives one (tick, kind, src, dst, payload) per message, in
+    the order node_protocol's handlers emit them.
+    """
+    sequential = rule.variant is RuleVariant.NEIGHBORHOOD_SET
+    staged = []
+    for i in ids:
+        nb = in_nbrs[i]
+        if not len(nb):
+            raise SimulationError(f"node {i} has nobody to poll")
+        polled = x[nb].tolist()
+        if log is not None:
+            for j, v in zip(nb.tolist(), polled):
+                log.append((tick, _REQUEST, i, j, None))
+                log.append((tick, _ACK, j, i, v))
+        if sequential:
+            x[nb] = x[i] = rule.fold(float(x[i]), polled)
+            if log is not None:
+                log.append((tick, _WAKE_UP, i, BROADCAST, 1))
         else:
-            # answer every poll before anyone computes: same-tick updates
-            # are simultaneous under these rules
-            staged: list[tuple[int, NodeState, list[Message]]] = []
-            for i in order:
-                woken, reqs = self._wake(i, triggers[i])
-                if not reqs:
-                    continue
-                acks = self._answer_polls(tick, reqs)
-                staged.append((i, woken, acks))
-            for i, woken, acks in staged:
-                next_targets.update(self._fold_acks(i, woken, acks, tick))
-                updaters.append(i)
-        return updaters, next_targets
+            staged.append(rule.fold(float(x[i]), polled))
+    if not sequential:
+        x[ids] = staged
+        if log is not None:
+            log.extend((tick, _WAKE_UP, i, BROADCAST, 1) for i in ids)
 
-    def _wake(self, i: int, stim: Message | None) -> tuple[NodeState, list[Message]]:
-        node = self.nodes[i]
-        if stim is None:
-            woken, reqs = proto.on_beacon(node, self.avg_nbrs[i])
-        else:
-            woken, reqs = proto.on_wake_up(node, stim, self.avg_nbrs[i])
-        if reqs:
-            self.nodes[i] = woken
-        return woken, reqs
 
-    def reset_phi(self, updaters: list[int]) -> None:
-        # phi drops back low after the processing slot
-        for i in updaters:
-            self.nodes[i] = replace(self.nodes[i], phi=0)
+def _message_counts(trace: Trace, in_deg: np.ndarray, beacons: int) -> dict[str, int]:
+    """Messages of a finished poll-round run, in closed form: each update
+    sends one request to and gets one ack from every in-neighbor, then
+    broadcasts one wake-up."""
+    updates = trace.activations.sum(axis=0, dtype=np.int64)
+    polls = int(updates @ in_deg)
+    return {MessageKind.BEACON.value: beacons, _WAKE_UP: int(updates.sum()),
+            _REQUEST: polls, _ACK: polls}
 
 
 def run_agent_sim(cfg: RunConfig, activation_schedule: np.ndarray | None = None,
@@ -259,69 +204,60 @@ def run_agent_sim(cfg: RunConfig, activation_schedule: np.ndarray | None = None,
     beacons and flood triggering are disabled, and every step records a
     row; steps must be at least max_iterations.
     """
+    log: list | None = [] if collect_messages else None
     if activation_schedule is not None:
-        return _run_agent_scripted(cfg, np.asarray(activation_schedule), collect_messages)
-    net = _AgentNet(cfg, collect_messages)
+        seq = _check_schedule(cfg, activation_schedule, "activation schedule")
+        in_nbrs, in_deg = _in_neighbors(cfg.graph)
+        trace = _run_scripted(cfg, seq, in_nbrs, log)
+        trace.message_counts = _message_counts(trace, in_deg, 0)
+        return trace
+    lay = assign_layers(cfg.graph)
+    # row m - 1 flags hop layer m, the nodes tick m of every cycle updates
+    waves = lay.layer_of == np.arange(1, lay.layer_count + 1)[:, None]
+    wave_ids = [np.flatnonzero(w).tolist() for w in waves]
+    in_nbrs, in_deg = _in_neighbors(cfg.graph)
     x0, _ = initial_states(cfg)
-    net.set_states(x0)
-    t_cycle = ticks_per_cycle(cfg)
+    x = x0.copy()
+    t_cycle = ticks_per_cycle(cfg.duty, lay.layer_count)
     rec = _Recorder(cfg.graph, x0, t_cycle, cfg.tolerance)
-    layer1 = [i for i in range(cfg.graph.node_count) if net.nodes[i].layer == 1]
-    done = rec.converged
-    for cycle in range(cfg.max_iterations):
-        if done:
-            break
-        base = cycle * t_cycle
-        net._note(base + 1, Message(MessageKind.BEACON, ANCHOR_SRC, BROADCAST))
-        triggers: dict[int, Message | None] = {i: None for i in layer1}
-        any_update = False
-        tick = base
-        while triggers:
-            tick += 1
-            updaters, targets = net.process_tick(tick, triggers)
-            if updaters:
-                any_update = True
-                active = np.zeros(cfg.graph.node_count, dtype=np.uint8)
-                active[updaters] = 1
-                done = rec.record(tick, net.x_vector(), active)
-                net.reset_phi(updaters)
-                if done:
-                    break
-            triggers = {j: Message(MessageKind.WAKE_UP, ANCHOR_SRC, j, payload=1)
-                        for j in sorted(targets)}
-        if not any_update:
-            raise LivenessError(
-                f"no node updated during beacon cycle {cycle}; protocol stalled")
-    return rec.finish(x0, net.counts, net.log)
+    cycles = 0
+    while not rec.converged and cycles < cfg.max_iterations:
+        base = cycles * t_cycle
+        cycles += 1
+        if log is not None:
+            log.append((base + 1, MessageKind.BEACON.value, ANCHOR_SRC, BROADCAST, None))
+        for m in range(lay.layer_count):
+            _apply_tick(x, wave_ids[m], cfg.rule, in_nbrs, base + m + 1, log)
+            if rec.record(base + m + 1, x, waves[m]):
+                break
+    trace = rec.finish(x0, messages=log)
+    trace.message_counts = _message_counts(trace, in_deg, cycles)
+    return trace
 
 
-def _run_agent_scripted(cfg: RunConfig, schedule: np.ndarray,
-                        collect_messages: bool) -> Trace:
+def _check_schedule(cfg: RunConfig, schedule, what: str) -> np.ndarray:
     n = cfg.graph.node_count
-    if schedule.ndim != 2 or schedule.shape[1] != n:
-        raise ConfigError(f"activation schedule shape {schedule.shape} "
-                          f"does not match {n} nodes")
-    if schedule.shape[0] < cfg.max_iterations:
-        raise ConfigError("activation schedule shorter than max_iterations")
+    seq = np.asarray(schedule)
+    if seq.ndim != 2 or seq.shape[1] != n:
+        raise ConfigError(f"{what} shape {seq.shape} does not match {n} nodes")
+    if seq.shape[0] < cfg.max_iterations:
+        raise ConfigError(f"{what} shorter than max_iterations")
     if cfg.rule.variant is RuleVariant.PAIRWISE_BASELINE:
         raise ConfigError("scripted runs use the poll-round rules; "
                           "see run_pairwise_baseline")
-    net = _AgentNet(cfg, collect_messages)
+    return seq
+
+
+def _run_scripted(cfg: RunConfig, seq: np.ndarray, in_nbrs: list[np.ndarray],
+                  log: list | None) -> Trace:
+    """Wake the nodes of row k at tick k + 1, recording every step."""
     x0, _ = initial_states(cfg)
-    net.set_states(x0)
+    x = x0.copy()
     rec = _Recorder(cfg.graph, x0, 1, cfg.tolerance)
     for k in range(cfg.max_iterations):
-        tick = k + 1
-        row = np.flatnonzero(schedule[k])
-        triggers: dict[int, Message | None] = {
-            int(i): Message(MessageKind.WAKE_UP, ANCHOR_SRC, int(i), payload=1)
-            for i in row}
-        updaters, _ = net.process_tick(tick, triggers)
-        active = np.zeros(n, dtype=np.uint8)
-        active[updaters] = 1
-        rec.record(tick, net.x_vector(), active)
-        net.reset_phi(updaters)
-    return rec.finish(x0, net.counts, net.log)
+        _apply_tick(x, np.flatnonzero(seq[k]).tolist(), cfg.rule, in_nbrs, k + 1, log)
+        rec.record(k + 1, x, seq[k] != 0)
+    return rec.finish(x0, messages=log)
 
 
 def step_matrix(g: Graph, rule: UpdateRule, phi: np.ndarray) -> np.ndarray:
@@ -351,38 +287,14 @@ def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray) -> Trace:
     activation sequence.
 
     Rows align one-to-one with the scripted steps, so a trace from here
-    is directly comparable with a scripted run_agent_sim. Both fold with
-    the same UpdateRule.fold, in the same order within a step.
+    is directly comparable with a scripted run_agent_sim; both run the
+    same tick kernel. Nothing is sent, so message_counts stays empty.
     """
-    g = cfg.graph
-    n = g.node_count
-    seq = np.asarray(activation_sequence)
-    if seq.ndim != 2 or seq.shape[1] != n:
-        raise ConfigError(f"activation sequence shape {seq.shape} does not match {n} nodes")
-    if seq.shape[0] < cfg.max_iterations:
-        raise ConfigError("activation sequence shorter than max_iterations")
-    if cfg.rule.variant is RuleVariant.PAIRWISE_BASELINE:
-        raise ConfigError("pairwise baseline has its own runner")
-    x0, _ = initial_states(cfg)
-    rec = _Recorder(g, x0, 1, cfg.tolerance)
-    x = x0.copy()
-    adj = g.adjacency
-    in_nbrs = [np.flatnonzero(adj[:, i]) for i in range(n)]
-    if not all(len(nb) for nb in in_nbrs):
+    seq = _check_schedule(cfg, activation_sequence, "activation sequence")
+    in_nbrs, in_deg = _in_neighbors(cfg.graph)
+    if not in_deg.all():
         raise TopologyError("a node has no in-neighbors to average over")
-    fold = cfg.rule.fold
-    for k in range(cfg.max_iterations):
-        active = np.flatnonzero(seq[k])
-        if cfg.rule.variant is RuleVariant.NEIGHBORHOOD_SET:
-            for i in active:
-                nb = in_nbrs[i]
-                x[nb] = x[i] = fold(x[i], x[nb])
-        else:
-            x_read = x.copy()
-            for i in active:
-                x[i] = fold(x_read[i], x_read[in_nbrs[i]])
-        rec.record(k + 1, x, seq[k].astype(np.uint8))
-    return rec.finish(x0, {})
+    return _run_scripted(cfg, seq, in_nbrs, None)
 
 
 def closed_form_state(cfg: RunConfig, activation_sequence: np.ndarray,

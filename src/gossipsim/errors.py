@@ -25,8 +25,3 @@ class UnconnectableTopologyError(TopologyError):
 class SimulationError(GossipSimError):
     """Protocol rule violated at runtime (for example a state request
     arriving from a node that is not a neighbor)."""
-
-
-class LivenessError(SimulationError):
-    """The event loop stalled: a full beacon period elapsed without any
-    node updating."""

@@ -131,6 +131,16 @@ class TestConfigHandling:
         assert err.startswith("config error: bad value for duty.mode")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag,value", [("duty.d_var", "inf"), ("duty.d_mean", "nan"),
+                                            ("duty.t_c", "inf"), ("run.tolerance", "nan"),
+                                            ("run.tolerance", "inf")])
+    def test_non_finite_timing_or_tolerance_exits_one(self, tmp_path, capsys, flag, value):
+        rc = run_cli("run", *FAST, f"--{flag}", value, "--out", str(tmp_path / "o"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
     def test_unknown_preset_exits_one(self, tmp_path):
         assert run_cli("run", "--preset", "moebius", "--out", str(tmp_path / "o")) == 1
 
@@ -174,6 +184,18 @@ class TestSweepCommand:
         assert status == {"star": "ok", "random_geometric": "error"}
         bad = next(r for r in rows if r["status"] == "error")
         assert bad["error"]
+
+    @pytest.mark.parametrize("flag,value", [("duty.t_c", "inf"), ("duty.d_var", "nan"),
+                                            ("run.tolerance", "nan"), ("rule.alpha", "2")])
+    def test_invalid_run_value_gives_error_rows(self, tmp_path, flag, value):
+        out = tmp_path / "o"
+        rc = run_cli("sweep", "--graph.n", "6", "--sweep.topologies", "star,chain",
+                     "--sweep.seeds", "0", f"--{flag}", value, "--jobs", "1",
+                     "--out", str(out))
+        assert rc == 0
+        rows = read_csv(out / "sweep.csv")
+        assert [r["status"] for r in rows] == ["error", "error"]
+        assert all(r["error"].startswith("ConfigError") for r in rows)
 
     def test_bad_seed_list_exits_one(self, tmp_path, capsys):
         rc = run_cli("sweep", "--sweep.topologies", "star", "--sweep.seeds", "x",

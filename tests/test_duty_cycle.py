@@ -49,6 +49,12 @@ class TestParams:
         with pytest.raises(ConfigError):
             DutyCycleParams(t_c=0.0)
 
+    @pytest.mark.parametrize("field", ["d_mean", "d_var", "t_c"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_timing_must_be_finite(self, field, value):
+        with pytest.raises(ConfigError):
+            DutyCycleParams(**{field: value})
+
     def test_stochastic_needs_motion(self):
         with pytest.raises(ConfigError):
             DutyCycleParams(mode=ActivationMode.STOCHASTIC, p=0.0, q=0.0)

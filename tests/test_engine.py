@@ -1,5 +1,7 @@
 """Engine backends: agent wave, matrix recursion, closed form, pairwise."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,14 @@ from gossipsim import (
     ConfigError,
     DutyCycleParams,
     RunConfig,
+    SimulationError,
+    TopologyError,
     TopologyParams,
     UpdateRule,
+    assign_layers,
     build_topology,
     closed_form_state,
+    from_edge_list,
     run_agent_sim,
     run_matrix_sim,
     run_pairwise_baseline,
@@ -53,8 +59,9 @@ class TestInitialStates:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(graph=CHAIN3, max_iterations=0)
-        with pytest.raises(ConfigError):
-            RunConfig(graph=CHAIN3, tolerance=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                RunConfig(graph=CHAIN3, tolerance=tol)
         with pytest.raises(ConfigError):
             RunConfig(graph=CHAIN3, initial_states=np.zeros(5))
         with pytest.raises(ConfigError):
@@ -63,18 +70,18 @@ class TestInitialStates:
 
 class TestTicksPerCycle:
     def test_chain4_three_layers(self):
-        assert ticks_per_cycle(RunConfig(graph=CHAIN4)) == 3
+        assert ticks_per_cycle(DutyCycleParams(), assign_layers(CHAIN4).layer_count) == 3
 
     def test_star_single_layer(self):
-        assert ticks_per_cycle(RunConfig(graph=STAR6)) == 1
+        assert ticks_per_cycle(DutyCycleParams(), assign_layers(STAR6).layer_count) == 1
 
     def test_delay_variance_stretches_cycle(self):
         duty = DutyCycleParams(d_var=2.0)
-        assert ticks_per_cycle(RunConfig(graph=CHAIN4, duty=duty)) == 6
+        assert ticks_per_cycle(duty, assign_layers(CHAIN4).layer_count) == 6
 
     def test_fractional_stretch_rounds_up(self):
         duty = DutyCycleParams(d_mean=2.0, t_c=1.0, d_var=1.5)
-        assert ticks_per_cycle(RunConfig(graph=CHAIN4, duty=duty)) == 5
+        assert ticks_per_cycle(duty, assign_layers(CHAIN4).layer_count) == 5
 
 
 class TestFixedPointsAndBounds:
@@ -207,6 +214,28 @@ class TestBackendEquivalence:
                         max_iterations=4)
         with pytest.raises(ConfigError):
             run_agent_sim(bad, activation_schedule=np.zeros((4, 3)))
+
+
+class TestNodeWithoutInNeighbors:
+    # directed chain 0 -> 1 -> 2: node 0 hears nobody
+    G = from_edge_list("3 0 1\n0 1\n1 2\n")
+
+    def test_beacon_run_raises_simulation_error(self):
+        with pytest.raises(SimulationError, match="node 0 has nobody to poll"):
+            run_agent_sim(RunConfig(graph=self.G, max_iterations=2))
+
+    def test_scripted_run_raises_only_when_scheduled(self):
+        cfg = RunConfig(graph=self.G, max_iterations=2)
+        schedule = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+        with pytest.raises(SimulationError, match="node 0 has nobody to poll"):
+            run_agent_sim(cfg, activation_schedule=schedule)
+        tr = run_agent_sim(replace(cfg, max_iterations=1), activation_schedule=schedule)
+        assert tr.iterations == 2
+
+    def test_matrix_backend_rejects_topology(self):
+        cfg = RunConfig(graph=self.G, max_iterations=1)
+        with pytest.raises(TopologyError):
+            run_matrix_sim(cfg, np.zeros((1, 3), dtype=np.uint8))
 
 
 class TestSwitchedSystem:

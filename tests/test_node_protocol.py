@@ -180,11 +180,11 @@ class TestInvariants:
         assert counts["state_request"] > 0
 
     def test_each_node_updates_once_per_cycle(self):
-        from gossipsim import ticks_per_cycle
+        from gossipsim import assign_layers, ticks_per_cycle
         g = build_topology("random_geometric", 12, seed=3)
         cfg = RunConfig(graph=g, seed=3, max_iterations=4, tolerance=1e-15)
         trace = run_agent_sim(cfg)
-        t_cycle = ticks_per_cycle(cfg)
+        t_cycle = ticks_per_cycle(cfg.duty, assign_layers(g).layer_count)
         # the last update of a cycle can land exactly on the period
         # boundary, so count completed cycles with a ceiling division
         cycles = -(-int(trace.ticks[1:].max()) // t_cycle)
