@@ -7,7 +7,6 @@ from .analysis import (
     check_consensus_conditions,
     convergence_rounds,
     convergence_time,
-    disagreement,
     disagreement_of,
     drift,
     expected_weight_matrix,
@@ -45,8 +44,6 @@ from .graph import (
     TopologyParams,
     assign_layers,
     build_topology,
-    from_edge_list,
-    to_edge_list,
 )
 from .rules import RuleVariant, UpdateRule
 

@@ -122,62 +122,60 @@ def disagreement_of(x: np.ndarray, graph: Graph) -> float:
     return float(np.sqrt((diff * diff).sum() / graph.node_count))
 
 
-def disagreement(trace: Trace, k: int) -> float:
-    return disagreement_of(trace.states[k], trace.graph)
+def disagreement_rows(states: np.ndarray, graph: Graph) -> np.ndarray:
+    """Disagreement of every row of a (rows, n) block of states, in
+    blocks of rows so that the (arcs, rows) temporaries stay within
+    about 2 * _BLOCK_CELLS cells.
 
-
-def disagreement_series(trace: Trace) -> np.ndarray:
-    """Disagreement of every row, in blocks of rows so that the (rows,
-    arcs) temporaries stay within about 2 * _BLOCK_CELLS cells.
-
-    numpy sums the arcs of a one-row array pairwise but each row of a
-    taller array left to right, so every block holds at least two rows
-    unless the trace has one: the values are then those of one pass over
-    the whole trace. disagreement_of sums its single row pairwise, so it
-    can differ from the series in the last bits.
+    Summing an (arcs, rows) array over its arcs adds each row's terms
+    left to right, except that numpy sums a single row pairwise. So every
+    block holds at least two rows unless states has one: a row's value
+    then does not depend on the rows around it. disagreement_of sums its
+    single row pairwise, so it can differ from a row of a taller block in
+    the last bits. Rows of a diverging run read inf or nan without a
+    warning.
     """
-    i, j = trace.graph.arcs
+    i, j = graph.arcs
+    rows = states.shape[0]
     if len(i) == 0:
-        return np.zeros(trace.iterations)
+        return np.zeros(rows)
     step = max(2, _BLOCK_CELLS // len(i))
     parts = []
-    for block in np.array_split(trace.states, max(1, trace.iterations // step)):
-        diff = block[:, i] - block[:, j]
-        parts.append(np.sqrt((diff * diff).sum(axis=1) / trace.graph.node_count))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in np.array_split(states, max(1, rows // step)):
+            cols = np.ascontiguousarray(block.T)
+            diff = np.take(cols, i, axis=0) - np.take(cols, j, axis=0)
+            parts.append(np.sqrt((diff * diff).sum(axis=0) / graph.node_count))
     return np.concatenate(parts)
 
 
-def convergence_time(trace: Trace, tol: float) -> int | None:
-    """First row index from which disagreement stays below tol for a
-    full beacon cycle.
+def disagreement_series(trace: Trace) -> np.ndarray:
+    return disagreement_rows(trace.states, trace.graph)
 
-    Returns None when the trace never sustains tol for cycle_ticks
-    worth of wall clock (a tail shorter than one cycle only counts if
-    the engine stopped the run as converged).
-    """
+
+def sustained_run(ok: np.ndarray, ticks: np.ndarray, cycle_ticks: int,
+                  last_counts: bool = False) -> tuple[int, int] | None:
+    """First run of ok rows whose ticks span cycle_ticks: its first row s
+    and the first row k with ticks[k] - ticks[s] >= cycle_ticks - 1, or
+    None. With last_counts, a final run of ok rows counts as spanning."""
+    rows = np.arange(len(ok))
+    start = np.maximum.accumulate(np.where(ok, 0, rows + 1))  # of each ok row's run
+    spans = ok & (ticks - ticks[np.minimum(start, rows[-1])] >= cycle_ticks - 1)
+    spans[-1] |= last_counts and ok[-1]
+    hit = np.flatnonzero(spans)
+    return (int(start[hit[0]]), int(hit[0])) if len(hit) else None
+
+
+def convergence_time(trace: Trace, tol: float) -> int | None:
+    """First row from which disagreement stays below tol for a full
+    beacon cycle, by sustained_run; None if it never does. A final run
+    shorter than one cycle counts only if the engine stopped the run as
+    converged."""
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    eps = trace.disagreements
-    ok = eps < tol
-    ticks = trace.ticks
-    rows = trace.iterations
-    bad_after = np.full(rows, rows, dtype=np.int64)  # first bad row at or after k
-    nxt = rows
-    for k in range(rows - 1, -1, -1):
-        if not ok[k]:
-            nxt = k
-        bad_after[k] = nxt
-    for k in range(rows):
-        if not ok[k]:
-            continue
-        window_end = ticks[k] + trace.cycle_ticks  # exclusive
-        j = bad_after[k]
-        if j < rows and ticks[j] < window_end:
-            continue  # a violation inside the window
-        covered = ticks[rows - 1] >= window_end - 1
-        if covered or trace.converged:
-            return k
-    return None
+    run = sustained_run(trace.disagreements < tol, trace.ticks, trace.cycle_ticks,
+                        trace.converged)
+    return None if run is None else run[0]
 
 
 def convergence_rounds(trace: Trace, tol: float) -> int | None:
@@ -241,16 +239,8 @@ class SpectralReport:
                   "certified_average")
 
     def to_text(self) -> str:
-        lines = []
-        for name in self.CSV_FIELDS:
-            val = getattr(self, name)
-            if isinstance(val, bool):
-                lines.append(f"{name}={str(val).lower()}")
-            elif isinstance(val, float):
-                lines.append(f"{name}={val:.17g}")
-            else:
-                lines.append(f"{name}={val}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{name}={val}\n"
+                       for name, val in zip(self.CSV_FIELDS, self.to_csv_row()))
 
     def to_csv_row(self) -> list[str]:
         out = []
@@ -328,15 +318,6 @@ def expected_weight_matrix(g: Graph, rule: UpdateRule | None = None) -> np.ndarr
     return acc / n
 
 
-def write_metrics_csv(trace: Trace, fh) -> None:
-    """metrics CSV: iteration, drift, disagreement (one row per event)."""
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["iteration", "drift", "disagreement"])
-    d, e = trace.drifts, trace.disagreements
-    for k in range(trace.iterations):
-        w.writerow([k, f"{d[k]:.17g}", f"{e[k]:.17g}"])
-
-
 def write_trace_csv(trace: Trace, fh) -> None:
     """trace CSV in long form: iteration, node_id, x, phi.
 
@@ -394,9 +375,10 @@ def write_messages_csv(trace: Trace, fh) -> None:
 
 
 def metrics_csv_text(trace: Trace) -> str:
-    buf = io.StringIO()
-    write_metrics_csv(trace, buf)
-    return buf.getvalue()
+    """metrics CSV: iteration, drift, disagreement (one row per event)."""
+    rows = zip(trace.drifts.tolist(), trace.disagreements.tolist())
+    return "iteration,drift,disagreement\n" + "".join(
+        f"{k},{d:.17g},{e:.17g}\n" for k, (d, e) in enumerate(rows))
 
 
 def trace_csv_text(trace: Trace) -> str:

@@ -70,6 +70,13 @@ def _parse_states(s: str):
     return [float(tok) for tok in s.split(",")]
 
 
+def _parse_backend(s: str) -> str:
+    if s not in ("agent", "matrix"):
+        raise ConfigError("expected agent or matrix; rule.variant=pairwise_baseline "
+                          "selects the pairwise baseline")
+    return s
+
+
 def _parse_seeds(spec: str) -> list[int]:
     spec = spec.strip()
     if ":" in spec:
@@ -97,7 +104,7 @@ CONFIG_SPEC = {
     "duty.mode": (ActivationMode, ActivationMode.ALTERNATING),
     "rule.variant": (str, "neighborhood_set"),
     "rule.alpha": (float, 0.5),
-    "run.backend": (str, "agent"),
+    "run.backend": (_parse_backend, "agent"),
     "run.seed": (int, 0),
     "run.max_iterations": (int, 400),
     "run.tolerance": (float, 1e-6),
@@ -200,22 +207,16 @@ def build_run_config(cfgd: dict) -> RunConfig:
 
 def execute_run(cfgd: dict, collect_messages: bool = False) -> analysis.Trace:
     cfg = build_run_config(cfgd)
-    backend = cfgd["run.backend"]
     if cfg.rule.variant is RuleVariant.PAIRWISE_BASELINE:
-        # the exchange baseline has a single runner; route it there no
-        # matter which backend the config named
+        # the exchange baseline has one runner, whichever backend is named
         return run_pairwise_baseline(cfg, collect_messages=collect_messages)
-    if backend == "agent":
-        return run_agent_sim(cfg, collect_messages=collect_messages)
-    if backend == "matrix":
+    if cfgd["run.backend"] == "matrix":
         # the duty-cycle activation process drives the scripted steps;
         # seed offset decorrelates it from the initial-state draw
         seq = activation_sequence(cfg.duty, cfg.graph.node_count,
                                   cfg.max_iterations, seed=cfg.seed + 1)
         return run_matrix_sim(cfg, seq)
-    if backend == "pairwise":
-        return run_pairwise_baseline(cfg, collect_messages=collect_messages)
-    raise ConfigError(f"unknown backend {backend!r}; expected agent, matrix, or pairwise")
+    return run_agent_sim(cfg, collect_messages=collect_messages)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -234,7 +235,7 @@ def summarize(trace: analysis.Trace, tol: float) -> dict:
         "rounds_to_tolerance": rounds if rounds is not None else "",
         "max_drift": float(d.max()),
         "final_drift": float(d[-1]),
-        "final_disagreement": float(analysis.disagreement(trace, trace.iterations - 1)),
+        "final_disagreement": analysis.disagreement_of(trace.final_state, trace.graph),
         "messages_total": trace.total_messages(),
     }
 
@@ -275,14 +276,12 @@ def _sweep_worker(task: dict) -> dict:
     cfgd["rule.variant"] = task["rule"]
     cfgd["run.seed"] = task["seed"]
     cfgd["graph.seed"] = task["seed"]
-    cfgd["run.backend"] = ("pairwise" if task["rule"] == RuleVariant.PAIRWISE_BASELINE.value
-                           else cfgd.get("run.backend", "agent"))
     row = {"topology": task["topology"], "rule": task["rule"], "seed": task["seed"],
            "status": "ok", "error": ""}
     try:
         trace = execute_run(cfgd)
         row.update({k: _fmt(v) for k, v in summarize(trace, cfgd["run.tolerance"]).items()})
-    except (GossipSimError, MemoryError) as exc:
+    except (GossipSimError, MemoryError, OverflowError) as exc:
         row["status"] = "error"
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -328,9 +327,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfgd = resolve_config(args)
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for method, backend in (("protocol", cfgd["run.backend"]), ("pairwise", "pairwise")):
+    for method in ("protocol", "pairwise"):
         mc = dict(cfgd)
-        mc["run.backend"] = backend
         if method == "pairwise":
             mc["rule.variant"] = RuleVariant.PAIRWISE_BASELINE.value
             # a pairwise iteration touches one pair; give it the same
@@ -428,6 +426,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except GossipSimError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except OverflowError as exc:  # a diverging rule (self_additive) left float range
+        print(f"runtime error: the states diverged ({exc})", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -41,7 +41,7 @@ from math import ceil, isfinite
 
 import numpy as np
 
-from .analysis import Trace, disagreement_of, make_trace
+from .analysis import Trace, convergence_time, disagreement_rows, make_trace, sustained_run
 from .duty_cycle import DutyCycleParams, beacon_period
 from .errors import ConfigError, SimulationError, TopologyError
 from .graph import Graph, assign_layers
@@ -100,7 +100,10 @@ def ticks_per_cycle(duty: DutyCycleParams, layer_count: int) -> int:
 
 
 class _Recorder:
-    """Accumulates trace rows and watches for sustained convergence."""
+    """Trace rows of a run, judged a block at a time with the reduction
+    and window rule of the finished trace's metrics, so that the run
+    stops on the numbers metrics.csv reports. Each block starts with the
+    row judged last: only x0 is ever judged alone."""
 
     def __init__(self, graph: Graph, x0: np.ndarray, cycle_ticks: int, tol: float):
         self.graph = graph
@@ -109,32 +112,42 @@ class _Recorder:
         self.states = [np.asarray(x0, dtype=float).copy()]
         self.acts = [np.zeros(graph.node_count, dtype=np.uint8)]
         self.ticks = [0]
-        self.first_ok_tick: int | None = 0 if disagreement_of(x0, graph) < tol else None
-        self.converged = disagreement_of(x0, graph) < tol and cycle_ticks <= 1
+        self.judged = self.run_from = 0  # rows judged; first row of the ok run they end in
+        self.converged = False
 
-    def record(self, tick: int, x: np.ndarray, active: np.ndarray) -> bool:
-        """Append a row; returns True once tol has held for a full cycle."""
-        self.states.append(np.asarray(x, dtype=float).copy())
+    def record(self, tick: int, x: np.ndarray, active: np.ndarray) -> None:
+        self.states.append(x.copy())
         self.acts.append(active.astype(np.uint8))
         self.ticks.append(tick)
-        if disagreement_of(x, self.graph) < self.tol:
-            if self.first_ok_tick is None:
-                self.first_ok_tick = tick
-            if tick >= self.first_ok_tick + self.cycle_ticks - 1:
-                self.converged = True
-        else:
-            self.first_ok_tick = None
+
+    def judge(self) -> bool:
+        """Judge the rows recorded since the last call. Once a run of ok
+        rows spans a cycle, drop the rows after the row where it does and
+        return True."""
+        new = len(self.states) - self.judged
+        block = np.array(self.states[max(self.judged - 1, 0):])
+        ok = np.ones(len(self.states) - self.run_from, dtype=bool)
+        ok[-new:] = disagreement_rows(block, self.graph)[-new:] < self.tol
+        run = sustained_run(ok, np.array(self.ticks[self.run_from:]), self.cycle_ticks)
+        if run is not None:
+            end = self.run_from + run[1] + 1
+            del self.states[end:], self.acts[end:], self.ticks[end:]
+            self.converged = True
+        elif not ok.all():
+            self.run_from += int(np.flatnonzero(~ok)[-1]) + 1
+        self.judged = len(self.states)
         return self.converged
 
-    def finish(self, x_avg_src: np.ndarray,
-               message_counts: dict[str, int] | None = None,
-               messages: list | None = None) -> Trace:
-        trace = make_trace(self.graph, x_avg_src, self.cycle_ticks)
+    def finish(self, messages: list | None) -> Trace:
+        """The trace of the rows kept, and of the messages sent up to the
+        last row's tick."""
+        trace = make_trace(self.graph, self.states[0], self.cycle_ticks)
         trace.states = np.vstack(self.states)
         trace.activations = np.vstack(self.acts)
         trace.ticks = np.asarray(self.ticks, dtype=np.int64)
         trace.converged = self.converged
-        trace.message_counts = message_counts or {}
+        while messages and messages[-1][0] > self.ticks[-1]:
+            messages.pop()
         trace.messages = messages
         return trace
 
@@ -220,6 +233,8 @@ def run_agent_sim(cfg: RunConfig, activation_schedule: np.ndarray | None = None,
     x = x0.copy()
     t_cycle = ticks_per_cycle(cfg.duty, lay.layer_count)
     rec = _Recorder(cfg.graph, x0, t_cycle, cfg.tolerance)
+    if t_cycle <= 1:  # x0 alone can end the run, as a one-row trace's series judges it
+        rec.judge()
     cycles = 0
     while not rec.converged and cycles < cfg.max_iterations:
         base = cycles * t_cycle
@@ -228,9 +243,9 @@ def run_agent_sim(cfg: RunConfig, activation_schedule: np.ndarray | None = None,
             log.append((base + 1, MessageKind.BEACON.value, ANCHOR_SRC, BROADCAST, None))
         for m in range(lay.layer_count):
             _apply_tick(x, wave_ids[m], cfg.rule, in_nbrs, base + m + 1, log)
-            if rec.record(base + m + 1, x, waves[m]):
-                break
-    trace = rec.finish(x0, messages=log)
+            rec.record(base + m + 1, x, waves[m])
+        rec.judge()
+    trace = rec.finish(log)
     trace.message_counts = _message_counts(trace, in_deg, cycles)
     return trace
 
@@ -250,14 +265,16 @@ def _check_schedule(cfg: RunConfig, schedule, what: str) -> np.ndarray:
 
 def _run_scripted(cfg: RunConfig, seq: np.ndarray, in_nbrs: list[np.ndarray],
                   log: list | None) -> Trace:
-    """Wake the nodes of row k at tick k + 1, recording every step."""
-    x0, _ = initial_states(cfg)
-    x = x0.copy()
-    rec = _Recorder(cfg.graph, x0, 1, cfg.tolerance)
+    """Wake the nodes of row k at tick k + 1, recording every step. The
+    run never stops early, so its rows are judged once, at the end."""
+    x, _ = initial_states(cfg)
+    rec = _Recorder(cfg.graph, x, 1, cfg.tolerance)
     for k in range(cfg.max_iterations):
         _apply_tick(x, np.flatnonzero(seq[k]).tolist(), cfg.rule, in_nbrs, k + 1, log)
         rec.record(k + 1, x, seq[k] != 0)
-    return rec.finish(x0, messages=log)
+    trace = rec.finish(log)
+    trace.converged = convergence_time(trace, cfg.tolerance) is not None
+    return trace
 
 
 def step_matrix(g: Graph, rule: UpdateRule, phi: np.ndarray) -> np.ndarray:
@@ -338,23 +355,21 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
     x, rng = initial_states(cfg)
     rec = _Recorder(g, x, n, cfg.tolerance)
     nbrs = [np.flatnonzero(g.adjacency[i]) for i in range(n)]
-    counts = {MessageKind.STATE_REQUEST.value: 0, MessageKind.STATE_ACK.value: 0}
     log: list | None = [] if collect_messages else None
-    done = rec.converged
-    for k in range(cfg.max_iterations):
-        if done:
-            break
+    for k in range(1, cfg.max_iterations + 1):
         i = int(rng.integers(n))
         j = int(nbrs[i][rng.integers(len(nbrs[i]))])
         delta = alpha * (x[j] - x[i])
         x[i] += delta
         x[j] -= delta
-        counts[MessageKind.STATE_REQUEST.value] += 1
-        counts[MessageKind.STATE_ACK.value] += 1
         if log is not None:
-            log.append((k + 1, MessageKind.STATE_REQUEST.value, i, j, None))
-            log.append((k + 1, MessageKind.STATE_ACK.value, j, i, float(x[j])))
+            log.append((k, MessageKind.STATE_REQUEST.value, i, j, None))
+            log.append((k, MessageKind.STATE_ACK.value, j, i, float(x[j])))
         active = np.zeros(n, dtype=np.uint8)
         active[[i, j]] = 1
-        done = rec.record(k + 1, x, active)
-    return rec.finish(rec.states[0], counts, log)
+        rec.record(k, x, active)
+        if (k % n == 0 or k == cfg.max_iterations) and rec.judge():
+            break
+    trace = rec.finish(log)
+    trace.message_counts = dict.fromkeys((_REQUEST, _ACK), trace.iterations - 1)
+    return trace

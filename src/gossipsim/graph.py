@@ -198,47 +198,3 @@ def assign_layers(g: Graph, anchor: int | None = None) -> LayerAssignment:
     count = int(layer_of.max())
     sizes = np.bincount(layer_of, minlength=count + 1)[1:]
     return LayerAssignment(layer_of=layer_of, layer_count=count, layer_sizes=sizes)
-
-
-def to_edge_list(g: Graph) -> str:
-    """Serialize to the plain edge-list text format.
-
-    First line is "n anchor_id directed_flag"; each following line is one
-    "i j" arc (undirected edges written once, with i < j).
-    """
-    lines = [f"{g.node_count} {g.anchor_id} {int(g.directed)}"]
-    if g.directed:
-        for i, j in zip(*np.nonzero(g.adjacency)):
-            lines.append(f"{i} {j}")
-    else:
-        for i, j in zip(*np.nonzero(np.triu(g.adjacency))):
-            lines.append(f"{i} {j}")
-    return "\n".join(lines) + "\n"
-
-
-def from_edge_list(text: str) -> Graph:
-    """Parse the edge-list format written by to_edge_list."""
-    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not rows or len(rows[0]) != 3:
-        raise TopologyError("edge list must start with 'n anchor_id directed_flag'")
-    try:
-        n, anchor, dflag = (int(tok) for tok in rows[0])
-    except ValueError:
-        raise TopologyError(f"bad edge-list header {' '.join(rows[0])!r}")
-    if dflag not in (0, 1):
-        raise TopologyError(f"directed flag must be 0 or 1, got {dflag}")
-    adj = np.zeros((n, n), dtype=bool)
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise TopologyError(f"bad edge line {' '.join(row)!r}")
-        try:
-            i, j = int(row[0]), int(row[1])
-        except ValueError:
-            raise TopologyError(f"bad edge line {' '.join(row)!r}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise TopologyError(f"edge ({i}, {j}) out of range for {n} nodes")
-        adj[i, j] = True
-        if not dflag:
-            adj[j, i] = True
-    return Graph(node_count=n, anchor_id=anchor, adjacency=adj, directed=bool(dflag))
-

@@ -18,7 +18,6 @@ from gossipsim import (
     check_consensus_conditions,
     convergence_rounds,
     convergence_time,
-    disagreement,
     disagreement_of,
     drift,
     expected_weight_matrix,
@@ -101,7 +100,7 @@ class TestDisagreement:
     def test_trace_accessor_matches_series(self):
         tr = synthetic_trace(CHAIN3, [[0.0, 6.0, 0.0], [2.0, 2.0, 2.0]])
         series = disagreement_series(tr)
-        assert disagreement(tr, 0) == pytest.approx(series[0])
+        assert disagreement_of(tr.states[0], CHAIN3) == pytest.approx(series[0])
         assert series[1] == 0.0
 
 

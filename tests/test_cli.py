@@ -76,6 +76,16 @@ class TestRunCommand:
         kv = read_kv(out / "summary.txt")
         assert kv["converged"] == "true"
 
+    @pytest.mark.parametrize("preset", ["chain", "circular_directed"])
+    def test_diverging_run_exits_two(self, tmp_path, capsys, preset):
+        # chain overflows inside the run, circular_directed in metrics.csv
+        rc = run_cli("run", "--preset", preset, "--rule.variant", "self_additive",
+                     "--out", str(tmp_path / "o"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ")
+        assert err.count("\n") == 1
+
     def test_matrix_backend(self, tmp_path):
         out = tmp_path / "o"
         rc = run_cli("run", "--graph.kind", "complete", "--graph.n", "6",
@@ -140,6 +150,17 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("backend", ["pairwise", "bogus"])
+    def test_backend_is_agent_or_matrix(self, tmp_path, capsys, backend):
+        # the pairwise baseline is a rule, not a backend
+        for rule in ("neighborhood_set", "pairwise_baseline"):
+            rc = run_cli("run", *FAST, "--run.backend", backend, "--rule.variant", rule,
+                         "--out", str(tmp_path / "o"))
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: bad value for run.backend")
+            assert err.count("\n") == 1
 
     def test_unknown_preset_exits_one(self, tmp_path):
         assert run_cli("run", "--preset", "moebius", "--out", str(tmp_path / "o")) == 1
@@ -220,6 +241,17 @@ class TestSweepCommand:
         rows = read_csv(out / "sweep.csv")
         assert [r["status"] for r in rows] == ["ok", "error", "ok"]
         assert rows[1]["error"].startswith("MemoryError")
+
+    def test_diverging_run_is_an_error_row(self, tmp_path):
+        out = tmp_path / "o"
+        rc = run_cli("sweep", "--sweep.rules", "self_additive,neighborhood_set",
+                     "--sweep.topologies", "chain", "--graph.n", "50",
+                     "--run.max_iterations", "1200", "--sweep.seeds", "0:1",
+                     "--jobs", "1", "--out", str(out))
+        assert rc == 0
+        rows = read_csv(out / "sweep.csv")
+        assert [r["status"] for r in rows] == ["error", "ok"]
+        assert rows[0]["error"].startswith("OverflowError")
 
     def test_empty_seed_list_writes_header_only(self, tmp_path):
         out = tmp_path / "o"

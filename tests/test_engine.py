@@ -8,6 +8,7 @@ import pytest
 from gossipsim import (
     ConfigError,
     DutyCycleParams,
+    Graph,
     RunConfig,
     SimulationError,
     TopologyError,
@@ -15,8 +16,10 @@ from gossipsim import (
     UpdateRule,
     assign_layers,
     build_topology,
+    analysis,
     closed_form_state,
-    from_edge_list,
+    convergence_time,
+    engine,
     run_agent_sim,
     run_matrix_sim,
     run_pairwise_baseline,
@@ -218,7 +221,8 @@ class TestBackendEquivalence:
 
 class TestNodeWithoutInNeighbors:
     # directed chain 0 -> 1 -> 2: node 0 hears nobody
-    G = from_edge_list("3 0 1\n0 1\n1 2\n")
+    G = Graph(node_count=3, anchor_id=0, directed=True,
+              adjacency=np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=bool))
 
     def test_beacon_run_raises_simulation_error(self):
         with pytest.raises(SimulationError, match="node 0 has nobody to poll"):
@@ -378,3 +382,115 @@ class TestPairwiseBaseline:
         tr = run_pairwise_baseline(cfg)
         assert (tr.activations[1:].sum(axis=1) == 2).all()
         assert tr.cycle_ticks == 8
+
+
+def first_stop(ok, ticks, cycle_ticks):
+    """(first row, stop row) of the first run of ok rows whose ticks span
+    cycle_ticks, one row at a time; None if no run does."""
+    start = None
+    for k, good in enumerate(ok):
+        if not good:
+            start = None
+            continue
+        if start is None:
+            start = k
+        if ticks[k] - ticks[start] >= cycle_ticks - 1:
+            return start, k
+    return None
+
+
+PAIRWISE = UpdateRule(RuleVariant.PAIRWISE_BASELINE)
+
+# agent and pairwise runs: (graph, rule, seed, max_iterations, tolerance, d_var).
+# chain20_ulp stops at row 730 when the stop is judged with a sum other
+# than the one its metrics use: no run of its rows spans a cycle there.
+STOP_RUNS = {
+    "chain20_ulp": (build_topology("chain", 20), UpdateRule(), 1, 400,
+                    0.1827057988809243, 0.0),
+    "chain20_1e-6": (build_topology("chain", 20), UpdateRule(), 1, 400, 1e-6, 0.0),
+    "chain12_stretched": (build_topology("chain", 12), UpdateRule(), 2, 400, 1e-3, 2.5),
+    "star8": (build_topology("star", 8), UpdateRule(), 3, 50, 1e-6, 0.0),
+    "ring10_directed": (build_topology("circular", 10, TopologyParams(directed=True)),
+                        UpdateRule(), 4, 400, 1e-4, 0.0),
+    "rgg30": (build_topology("random_geometric", 30, TopologyParams(radius=0.4), seed=2),
+              UpdateRule(), 5, 200, 1e-8, 0.0),
+    "pairwise_ring12": (build_topology("circular", 12), PAIRWISE, 6, 5000, 1e-3, 0.0),
+    "pairwise_rgg12": (build_topology("random_geometric", 12, TopologyParams(radius=0.5),
+                                      seed=2), PAIRWISE, 7, 5000, 1e-2, 0.0),
+}
+
+
+def stop_run(name, **kw):
+    g, rule, seed, steps, tol, d_var = STOP_RUNS[name]
+    cfg = RunConfig(graph=g, rule=rule, seed=seed, max_iterations=steps, tolerance=tol,
+                    duty=DutyCycleParams(d_var=d_var))
+    run = run_pairwise_baseline if rule is PAIRWISE else run_agent_sim
+    return run(cfg, **kw), tol
+
+
+class TestStopRule:
+    """A run stops on the row its own metrics call converged."""
+
+    @pytest.mark.parametrize("name", sorted(STOP_RUNS))
+    def test_stops_at_first_row_its_series_spans_a_cycle(self, name):
+        tr, tol = stop_run(name)
+        assert tr.converged
+        ok = tr.disagreements < tol
+        last = tr.iterations - 1
+        k = convergence_time(tr, tol)
+        assert first_stop(ok, tr.ticks, tr.cycle_ticks) == (k, last)
+        assert ok[k:].all()
+        assert tr.ticks[last] - tr.ticks[k] >= tr.cycle_ticks - 1
+
+    @pytest.mark.parametrize("name", ["chain20_1e-6", "pairwise_ring12"])
+    def test_budget_cut_run_has_no_sustained_run(self, name):
+        g, rule, seed, _, tol, d_var = STOP_RUNS[name]
+        steps = 10 if rule is PAIRWISE else 3
+        cfg = RunConfig(graph=g, rule=rule, seed=seed, max_iterations=steps, tolerance=tol)
+        tr = (run_pairwise_baseline if rule is PAIRWISE else run_agent_sim)(cfg)
+        assert not tr.converged
+        assert first_stop(tr.disagreements < tol, tr.ticks, tr.cycle_ticks) is None
+        assert convergence_time(tr, tol) is None
+
+    @pytest.mark.parametrize("name", sorted(STOP_RUNS))
+    def test_messages_end_at_the_stop_row(self, name):
+        tr, _ = stop_run(name, collect_messages=True)
+        plain, _ = stop_run(name)
+        assert np.array_equal(tr.states, plain.states)
+        assert tr.message_counts == plain.message_counts
+        assert tr.messages[-1][0] == tr.ticks[-1]
+        kinds = {}
+        for m in tr.messages:
+            kinds[m[1]] = kinds.get(m[1], 0) + 1
+        assert kinds == {k: v for k, v in tr.message_counts.items() if v}
+
+    def test_pairwise_counts_come_from_rows_kept(self):
+        tr, _ = stop_run("pairwise_ring12")
+        assert tr.iterations - 1 < 5000
+        assert tr.message_counts == {"state_request": tr.iterations - 1,
+                                     "state_ack": tr.iterations - 1}
+
+    @pytest.mark.parametrize("name", ["star8", "chain20_1e-6", "ring10_directed",
+                                      "chain12_stretched", "pairwise_ring12"])
+    def test_recorder_values_equal_the_series(self, name, monkeypatch):
+        blocks = []
+
+        def spy(states, graph):
+            out = analysis.disagreement_rows(states, graph)
+            blocks.append(out)
+            return out
+
+        monkeypatch.setattr(engine, "disagreement_rows", spy)
+        tr, _ = stop_run(name)
+        # each block starts with the last row of the one before it
+        judged = np.concatenate([blocks[0]] + [b[1:] for b in blocks[1:]])
+        series = analysis.disagreement_series(tr)
+        rows = tr.iterations
+        if len(blocks[0]) == 1:  # x0 judged alone, as a one-row trace reports it
+            assert tr.cycle_ticks <= 1
+            one_row = analysis.make_trace(tr.graph, tr.states[0], tr.cycle_ticks)
+            assert judged[0] == analysis.disagreement_series(one_row)[0]
+            judged, series = judged[1:], series[1:]
+            rows -= 1
+        assert all(len(b) >= 2 for b in blocks[1:])
+        assert np.array_equal(judged[:rows], series)

@@ -1,4 +1,4 @@
-"""Topology construction, layers, weight matrices, and serialization."""
+"""Topology construction, layers and weight matrices."""
 
 import networkx as nx
 import numpy as np
@@ -12,9 +12,7 @@ from gossipsim import (
     assign_layers,
     build_topology,
     expected_weight_matrix,
-    from_edge_list,
     step_matrix,
-    to_edge_list,
 )
 from gossipsim.errors import ConfigError
 from gossipsim.rules import RuleVariant, UpdateRule, single_active_matrix
@@ -239,35 +237,3 @@ class TestWeightMatrices:
         g = build_topology("circular", 4, TopologyParams(directed=True))
         with pytest.raises(ConfigError):
             expected_weight_matrix(g, UpdateRule(RuleVariant.PAIRWISE_BASELINE))
-
-
-class TestSerialization:
-    def test_roundtrip_undirected(self):
-        g = build_topology("random_geometric", 15, TopologyParams(radius=0.45), seed=2)
-        h = from_edge_list(to_edge_list(g))
-        assert np.array_equal(g.adjacency, h.adjacency)
-        assert h.anchor_id == g.anchor_id
-        assert h.directed == g.directed
-
-    def test_roundtrip_directed(self):
-        g = build_topology("circular", 6, TopologyParams(directed=True))
-        h = from_edge_list(to_edge_list(g))
-        assert np.array_equal(g.adjacency, h.adjacency)
-        assert h.directed
-
-    def test_header_format(self):
-        g = build_topology("chain", 3)
-        first = to_edge_list(g).splitlines()[0]
-        assert first == "3 0 0"
-
-    def test_bad_header(self):
-        with pytest.raises(TopologyError):
-            from_edge_list("3 0\n0 1\n1 2\n")
-
-    def test_edge_out_of_range(self):
-        with pytest.raises(TopologyError):
-            from_edge_list("3 0 0\n0 5\n")
-
-    def test_non_integer_edge_token(self):
-        with pytest.raises(TopologyError):
-            from_edge_list("3 0 0\n0 x\n")
