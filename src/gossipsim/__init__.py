@@ -15,12 +15,10 @@ from .analysis import (
 )
 from .duty_cycle import (
     ActivationMode,
-    ActivationState,
     DutyCycleParams,
     activation_sequence,
     beacon_period,
     stationary_active_fraction,
-    step_activation,
 )
 from .engine import (
     RunConfig,

@@ -115,11 +115,7 @@ def drift_series(trace: Trace) -> np.ndarray:
 
 def disagreement_of(x: np.ndarray, graph: Graph) -> float:
     """Adjacency-weighted RMS gap of a raw state vector."""
-    i, j = graph.arcs
-    if len(i) == 0:
-        return 0.0
-    diff = x[i] - x[j]
-    return float(np.sqrt((diff * diff).sum() / graph.node_count))
+    return float(disagreement_rows(x[None], graph)[0])
 
 
 def disagreement_rows(states: np.ndarray, graph: Graph) -> np.ndarray:
@@ -130,10 +126,10 @@ def disagreement_rows(states: np.ndarray, graph: Graph) -> np.ndarray:
     Summing an (arcs, rows) array over its arcs adds each row's terms
     left to right, except that numpy sums a single row pairwise. So every
     block holds at least two rows unless states has one: a row's value
-    then does not depend on the rows around it. disagreement_of sums its
-    single row pairwise, so it can differ from a row of a taller block in
-    the last bits. Rows of a diverging run read inf or nan without a
-    warning.
+    then does not depend on the rows around it. disagreement_of passes
+    its vector as a one-row block, so it sums pairwise and can differ
+    from a row of a taller block in the last bits. Rows of a diverging
+    run read inf or nan without a warning.
     """
     i, j = graph.arcs
     rows = states.shape[0]

@@ -215,7 +215,7 @@ def execute_run(cfgd: dict, collect_messages: bool = False) -> analysis.Trace:
         # seed offset decorrelates it from the initial-state draw
         seq = activation_sequence(cfg.duty, cfg.graph.node_count,
                                   cfg.max_iterations, seed=cfg.seed + 1)
-        return run_matrix_sim(cfg, seq)
+        return run_matrix_sim(cfg, seq, collect_messages=collect_messages)
     return run_agent_sim(cfg, collect_messages=collect_messages)
 
 

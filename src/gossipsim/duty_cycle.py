@@ -78,52 +78,19 @@ def beacon_period(layer_count: int, d_mean: float, t_c: float, d_var: float) -> 
     return max(sweep, sweep * d_var)
 
 
-@dataclass(frozen=True)
-class ActivationState:
-    """Activation vector plus the step index that produced it."""
-
-    phi: np.ndarray  # (n,) uint8, 1 = awake
-    step: int = 0
-
-    def __post_init__(self) -> None:
-        phi = np.asarray(self.phi, dtype=np.uint8)
-        if phi.ndim != 1 or not np.isin(phi, (0, 1)).all():
-            raise ConfigError("phi must be a flat 0/1 vector")
-        object.__setattr__(self, "phi", phi)
-
-
-def step_activation(state: ActivationState, params: DutyCycleParams,
-                    rng: np.random.Generator | None = None) -> ActivationState:
-    """Advance the activation process by one step.
-
-    Alternating mode toggles every node (the +1/-1 drive starting from
-    +1, which confines phi to {0, 1} and gives exact period 2).
-    Stochastic mode runs the birth-death chain and needs an rng.
-    """
-    if params.mode is ActivationMode.ALTERNATING:
-        phi = (1 - state.phi).astype(np.uint8)
-    else:
-        if rng is None:
-            raise ConfigError("stochastic activation needs an rng")
-        u = rng.random(state.phi.shape[0])
-        asleep = state.phi == 0
-        phi = state.phi.copy()
-        phi[asleep & (u < params.p)] = 1
-        phi[~asleep & (u < params.q)] = 0
-    return ActivationState(phi=phi, step=state.step + 1)
-
-
 def activation_sequence(params: DutyCycleParams, n: int, steps: int,
                         seed: int | None = None,
                         phi0: np.ndarray | None = None) -> np.ndarray:
-    """Materialize (steps, n) activation rows: the rows iterating
-    step_activation from phi0 gives, with the same draws in the same order
-    (one rng.random(n) per step, taken in blocks of steps)."""
+    """Materialize (steps, n) activation rows, starting from phi0 (all
+    asleep by default). Alternating mode toggles every node each step
+    (exact period 2). Stochastic mode runs the birth-death chain on one
+    rng.random(n) per step, taken in blocks of steps."""
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
-    phi = ActivationState(phi=np.zeros(n, dtype=np.uint8) if phi0 is None else phi0).phi
-    if phi.shape != (n,):
-        raise ConfigError(f"phi0 has {phi.shape[0]} entries, expected {n}")
+    phi = np.zeros(n, dtype=np.uint8) if phi0 is None else np.asarray(phi0)
+    if phi.shape != (n,) or not np.isin(phi, (0, 1)).all():
+        raise ConfigError(f"phi0 must be a 0/1 vector of {n} entries")
+    phi = phi.astype(np.uint8)
     rows = np.empty((steps, n), dtype=np.uint8)
     if params.mode is ActivationMode.ALTERNATING:
         rows[0::2] = 1 - phi

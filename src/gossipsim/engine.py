@@ -7,12 +7,13 @@ folds each initiator of a tick with UpdateRule.fold:
   layer 1 and each layer's wake-up flood wakes the next, so every beacon
   cycle updates layer m at tick cycle * T + m, initiators in ascending
   id; the run computes the hop layers once and applies that schedule.
-  node_protocol's per-message handlers are the reference it is tested
-  against (tests/test_protocol_oracle.py); no run calls them.
-* run_matrix_sim, and run_agent_sim given an activation schedule, wake
-  the nodes of scripted activation row k at tick k + 1.
+  The per-message protocol handlers that tests/test_protocol_oracle.py
+  drives are the reference it is tested against; no run calls them.
+* run_matrix_sim is the one scripted runner: it wakes the nodes of
+  activation row k at tick k + 1.
 
-step_matrix and closed_form_state write the same steps as explicit
+Both report closed-form message counts and, on request, the message
+log. step_matrix and closed_form_state write the same steps as explicit
 matrices, built from rules.single_active_matrix.
 
 Time: one tick is one hop slot of d_mean + t_c. A full sweep occupies L
@@ -22,8 +23,8 @@ delay, and the period never drops below one sweep.
 
 Iteration accounting: trace rows are update events (one tick each).
 max_iterations counts beacon cycles for the agent backend and steps for
-the scripted/matrix/pairwise backends. analysis.convergence_rounds
-converts a trace back to per-node update rounds.
+the matrix/pairwise backends. analysis.convergence_rounds converts a
+trace back to per-node update rounds.
 
 Within one tick the neighborhood-set rule processes initiators
 sequentially in ascending node id, each full poll round atomic, so the
@@ -43,15 +44,14 @@ import numpy as np
 
 from .analysis import Trace, convergence_time, disagreement_rows, make_trace, sustained_run
 from .duty_cycle import DutyCycleParams, beacon_period
-from .errors import ConfigError, SimulationError, TopologyError
+from .errors import ConfigError, SimulationError
 from .graph import Graph, assign_layers
-from .node_protocol import BROADCAST, MessageKind
 from .rules import RuleVariant, UpdateRule, single_active_matrix
 
 ANCHOR_SRC = -1  # message src used by the anchor entity
-_REQUEST = MessageKind.STATE_REQUEST.value
-_ACK = MessageKind.STATE_ACK.value
-_WAKE_UP = MessageKind.WAKE_UP.value
+BROADCAST = -1  # message dst of a one-transmission broadcast
+# message kinds, as the --dump-messages log spells them
+_BEACON, _WAKE_UP, _REQUEST, _ACK = "beacon", "wake_up", "state_request", "state_ack"
 
 
 @dataclass
@@ -93,10 +93,17 @@ def initial_states(cfg: RunConfig) -> tuple[np.ndarray, np.random.Generator]:
     return rng.uniform(0.0, 100.0, cfg.graph.node_count), rng
 
 
-def ticks_per_cycle(duty: DutyCycleParams, layer_count: int) -> int:
-    """Beacon period in integer ticks; at least one full sweep of layer_count ticks."""
-    period = beacon_period(layer_count, duty.d_mean, duty.t_c, duty.d_var)
-    return max(layer_count, ceil(period / duty.slot() - 1e-12))
+def ticks_per_cycle(duty: DutyCycleParams, layer_count: int, cycles: int = 1) -> int:
+    """Beacon period in integer ticks; at least one full sweep of layer_count
+    ticks. Raises ConfigError unless the last tick of cycles beacon cycles
+    fits in int64."""
+    ratio = beacon_period(layer_count, duty.d_mean, duty.t_c, duty.d_var) / duty.slot()
+    if not isfinite(ratio):
+        raise ConfigError("d_mean, t_c and d_var give a beacon cycle of no finite tick count")
+    ticks = max(layer_count, ceil(ratio - 1e-12))
+    if ticks * cycles > np.iinfo(np.int64).max:
+        raise ConfigError(f"{cycles} beacon cycles of {ticks:.3g} ticks overflow int64 ticks")
+    return ticks
 
 
 class _Recorder:
@@ -171,7 +178,7 @@ def _apply_tick(x: np.ndarray, ids: list[int], rule: UpdateRule,
     so later initiators read earlier ones' results. Under the other rules
     every initiator reads x as it stood at the start of the tick. log, if
     given, receives one (tick, kind, src, dst, payload) per message, in
-    the order node_protocol's handlers emit them.
+    the order the protocol's per-node handlers emit them.
     """
     sequential = rule.variant is RuleVariant.NEIGHBORHOOD_SET
     staged = []
@@ -202,28 +209,15 @@ def _message_counts(trace: Trace, in_deg: np.ndarray, beacons: int) -> dict[str,
     broadcasts one wake-up."""
     updates = trace.activations.sum(axis=0, dtype=np.int64)
     polls = int(updates @ in_deg)
-    return {MessageKind.BEACON.value: beacons, _WAKE_UP: int(updates.sum()),
+    return {_BEACON: beacons, _WAKE_UP: int(updates.sum()),
             _REQUEST: polls, _ACK: polls}
 
 
-def run_agent_sim(cfg: RunConfig, activation_schedule: np.ndarray | None = None,
-                  collect_messages: bool = False) -> Trace:
-    """Agent-level simulation.
-
-    Without a schedule, runs max_iterations beacon cycles of the full
-    protocol (or stops early once disagreement holds below tolerance for
-    one full beacon period). With a scripted activation_schedule of shape
-    (steps, n), the given nodes are woken directly at consecutive ticks,
-    beacons and flood triggering are disabled, and every step records a
-    row; steps must be at least max_iterations.
-    """
+def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
+    """Agent-level simulation: max_iterations beacon cycles of the full
+    protocol, or fewer once disagreement holds below tolerance for one
+    full beacon period."""
     log: list | None = [] if collect_messages else None
-    if activation_schedule is not None:
-        seq = _check_schedule(cfg, activation_schedule, "activation schedule")
-        in_nbrs, in_deg = _in_neighbors(cfg.graph)
-        trace = _run_scripted(cfg, seq, in_nbrs, log)
-        trace.message_counts = _message_counts(trace, in_deg, 0)
-        return trace
     lay = assign_layers(cfg.graph)
     # row m - 1 flags hop layer m, the nodes tick m of every cycle updates
     waves = lay.layer_of == np.arange(1, lay.layer_count + 1)[:, None]
@@ -231,7 +225,7 @@ def run_agent_sim(cfg: RunConfig, activation_schedule: np.ndarray | None = None,
     in_nbrs, in_deg = _in_neighbors(cfg.graph)
     x0, _ = initial_states(cfg)
     x = x0.copy()
-    t_cycle = ticks_per_cycle(cfg.duty, lay.layer_count)
+    t_cycle = ticks_per_cycle(cfg.duty, lay.layer_count, cfg.max_iterations)
     rec = _Recorder(cfg.graph, x0, t_cycle, cfg.tolerance)
     if t_cycle <= 1:  # x0 alone can end the run, as a one-row trace's series judges it
         rec.judge()
@@ -240,40 +234,13 @@ def run_agent_sim(cfg: RunConfig, activation_schedule: np.ndarray | None = None,
         base = cycles * t_cycle
         cycles += 1
         if log is not None:
-            log.append((base + 1, MessageKind.BEACON.value, ANCHOR_SRC, BROADCAST, None))
+            log.append((base + 1, _BEACON, ANCHOR_SRC, BROADCAST, None))
         for m in range(lay.layer_count):
             _apply_tick(x, wave_ids[m], cfg.rule, in_nbrs, base + m + 1, log)
             rec.record(base + m + 1, x, waves[m])
         rec.judge()
     trace = rec.finish(log)
     trace.message_counts = _message_counts(trace, in_deg, cycles)
-    return trace
-
-
-def _check_schedule(cfg: RunConfig, schedule, what: str) -> np.ndarray:
-    n = cfg.graph.node_count
-    seq = np.asarray(schedule)
-    if seq.ndim != 2 or seq.shape[1] != n:
-        raise ConfigError(f"{what} shape {seq.shape} does not match {n} nodes")
-    if seq.shape[0] < cfg.max_iterations:
-        raise ConfigError(f"{what} shorter than max_iterations")
-    if cfg.rule.variant is RuleVariant.PAIRWISE_BASELINE:
-        raise ConfigError("scripted runs use the poll-round rules; "
-                          "see run_pairwise_baseline")
-    return seq
-
-
-def _run_scripted(cfg: RunConfig, seq: np.ndarray, in_nbrs: list[np.ndarray],
-                  log: list | None) -> Trace:
-    """Wake the nodes of row k at tick k + 1, recording every step. The
-    run never stops early, so its rows are judged once, at the end."""
-    x, _ = initial_states(cfg)
-    rec = _Recorder(cfg.graph, x, 1, cfg.tolerance)
-    for k in range(cfg.max_iterations):
-        _apply_tick(x, np.flatnonzero(seq[k]).tolist(), cfg.rule, in_nbrs, k + 1, log)
-        rec.record(k + 1, x, seq[k] != 0)
-    trace = rec.finish(log)
-    trace.converged = convergence_time(trace, cfg.tolerance) is not None
     return trace
 
 
@@ -299,44 +266,51 @@ def step_matrix(g: Graph, rule: UpdateRule, phi: np.ndarray) -> np.ndarray:
     return w
 
 
-def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray) -> Trace:
-    """Matrix backend: apply per-step averaging matrices along a scripted
-    activation sequence.
-
-    Rows align one-to-one with the scripted steps, so a trace from here
-    is directly comparable with a scripted run_agent_sim; both run the
-    same tick kernel. Nothing is sent, so message_counts stays empty.
+def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray,
+                   collect_messages: bool = False) -> Trace:
+    """Scripted run: wake the nodes of activation row k at tick k + 1, for
+    max_iterations steps, with no beacons. Every step records a row, so
+    rows align one-to-one with the scripted steps. The run never stops
+    early, so its rows are judged once, at the end.
     """
-    seq = _check_schedule(cfg, activation_sequence, "activation sequence")
+    n = cfg.graph.node_count
+    seq = np.asarray(activation_sequence)
+    if seq.ndim != 2 or seq.shape[1] != n:
+        raise ConfigError(f"activation sequence shape {seq.shape} does not match {n} nodes")
+    if seq.shape[0] < cfg.max_iterations:
+        raise ConfigError("activation sequence shorter than max_iterations")
+    if cfg.rule.variant is RuleVariant.PAIRWISE_BASELINE:
+        raise ConfigError("scripted runs use the poll-round rules; "
+                          "see run_pairwise_baseline")
     in_nbrs, in_deg = _in_neighbors(cfg.graph)
-    if not in_deg.all():
-        raise TopologyError("a node has no in-neighbors to average over")
-    return _run_scripted(cfg, seq, in_nbrs, None)
+    log: list | None = [] if collect_messages else None
+    x, _ = initial_states(cfg)
+    rec = _Recorder(cfg.graph, x, 1, cfg.tolerance)
+    for k in range(cfg.max_iterations):
+        _apply_tick(x, np.flatnonzero(seq[k]).tolist(), cfg.rule, in_nbrs, k + 1, log)
+        rec.record(k + 1, x, seq[k] != 0)
+    trace = rec.finish(log)
+    trace.converged = convergence_time(trace, cfg.tolerance) is not None
+    trace.message_counts = _message_counts(trace, in_deg, 0)
+    return trace
 
 
 def closed_form_state(cfg: RunConfig, activation_sequence: np.ndarray,
                       k: int) -> np.ndarray:
-    """Stacked [states; activations] vector at step k via the explicit
-    product solution instead of the recursion.
+    """State vector at step k via the explicit product (W_k ... W_1) x0,
+    W_j the step_matrix of activation row j, instead of the recursion.
 
-    The state part is (W_k ... W_1) x0 with W_j the step_matrix of
-    activation row j; the activation inputs telescope, so the activation
-    part is row k itself. Mathematically equal to run_matrix_sim's row k;
-    numerically it takes an entirely different path, which is what makes
-    it a useful cross-check.
+    Mathematically equal to run_matrix_sim's row k; numerically it takes
+    an entirely different path, which is what makes it a useful
+    cross-check.
     """
-    g = cfg.graph
-    n = g.node_count
     seq = np.asarray(activation_sequence)
     if not (0 <= k <= seq.shape[0]):
         raise ConfigError(f"step {k} outside the scripted sequence of {seq.shape[0]}")
-    x0, _ = initial_states(cfg)
-    if k == 0:
-        return np.concatenate([x0, np.zeros(n)])
-    w = np.eye(n)
+    w = np.eye(cfg.graph.node_count)
     for phi in seq[:k]:
-        w = step_matrix(g, cfg.rule, phi) @ w
-    return np.concatenate([w @ x0, seq[k - 1].astype(float)])
+        w = step_matrix(cfg.graph, cfg.rule, phi) @ w
+    return w @ initial_states(cfg)[0]
 
 
 def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Trace:
@@ -363,8 +337,8 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
         x[i] += delta
         x[j] -= delta
         if log is not None:
-            log.append((k, MessageKind.STATE_REQUEST.value, i, j, None))
-            log.append((k, MessageKind.STATE_ACK.value, j, i, float(x[j])))
+            log.append((k, _REQUEST, i, j, None))
+            log.append((k, _ACK, j, i, float(x[j])))
         active = np.zeros(n, dtype=np.uint8)
         active[[i, j]] = 1
         rec.record(k, x, active)

@@ -60,7 +60,7 @@ class Graph:
             raise TopologyError("undirected graph has asymmetric adjacency")
         if not (0 <= self.anchor_id < n):
             raise TopologyError(f"anchor_id {self.anchor_id} out of range for {n} nodes")
-        if not _connected_from(self.control_adjacency(), self.anchor_id):
+        if (_hops(self.control_adjacency(), self.anchor_id) < 0).any():
             raise TopologyError("graph is not connected from the anchor vertex")
 
     def control_adjacency(self) -> np.ndarray:
@@ -81,16 +81,18 @@ class Graph:
         return i, j
 
 
-def _connected_from(und: np.ndarray, start: int) -> bool:
-    n = und.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        reach = und[frontier].any(axis=0) & ~seen
-        frontier = list(np.flatnonzero(reach))
-        seen |= reach
-    return bool(seen.all())
+def _hops(und: np.ndarray, root: int) -> np.ndarray:
+    """Breadth-first hop count of every node from root over the symmetric
+    adjacency und; -1 for a node root cannot reach."""
+    hop = np.full(und.shape[0], -1, dtype=np.int64)
+    hop[root] = 0
+    frontier = np.array([root])
+    h = 0
+    while len(frontier):
+        h += 1
+        frontier = np.flatnonzero(und[frontier].any(axis=0) & (hop < 0))
+        hop[frontier] = h
+    return hop
 
 
 def build_topology(kind: str, n: int, params: TopologyParams | None = None,
@@ -152,16 +154,11 @@ def _build_random(n: int, params: TopologyParams, seed: int | None) -> Graph:
             d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
             adj = d2 <= params.radius ** 2
             np.fill_diagonal(adj, False)
-        if _connected_from(adj, params.anchor):
+        if (_hops(adj, params.anchor) >= 0).all():
             return Graph(node_count=n, anchor_id=params.anchor, adjacency=adj)
     raise UnconnectableTopologyError(
         f"no connected sample in {params.max_attempts} attempts "
         f"(n={n}, radius={params.radius}, side={params.side}, erdos_p={params.erdos_p})")
-
-
-def _check_node(g: Graph, i: int) -> None:
-    if not (0 <= i < g.node_count):
-        raise ValueError(f"node id {i} out of range for {g.node_count} nodes")
 
 
 @dataclass(frozen=True)
@@ -177,24 +174,9 @@ class LayerAssignment:
     layer_sizes: np.ndarray  # (layer_count,) int64
 
 
-def assign_layers(g: Graph, anchor: int | None = None) -> LayerAssignment:
+def assign_layers(g: Graph) -> LayerAssignment:
     """Breadth-first layers over the radio graph, rooted at the anchor."""
-    root = g.anchor_id if anchor is None else anchor
-    _check_node(g, root)
-    und = g.control_adjacency()
-    n = g.node_count
-    hop = np.full(n, -1, dtype=np.int64)
-    hop[root] = 0
-    frontier = [root]
-    h = 0
-    while frontier:
-        h += 1
-        reach = und[frontier].any(axis=0) & (hop < 0)
-        frontier = list(np.flatnonzero(reach))
-        hop[frontier] = h
-    if (hop < 0).any():
-        raise TopologyError("layer assignment reached a disconnected node")
-    layer_of = np.maximum(hop, 1)
+    layer_of = np.maximum(_hops(g.control_adjacency(), g.anchor_id), 1)
     count = int(layer_of.max())
     sizes = np.bincount(layer_of, minlength=count + 1)[1:]
     return LayerAssignment(layer_of=layer_of, layer_count=count, layer_sizes=sizes)

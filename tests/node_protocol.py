@@ -1,11 +1,14 @@
-"""Per-node state machine for the beacon-driven poll protocol.
+"""Per-node state machine for the beacon-driven poll protocol: the
+reference that test_protocol_oracle.py drives one message at a time and
+that the engine's tick kernel must match exactly. No run calls it.
 
 Handlers are pure: each takes the current NodeState plus one stimulus and
 returns a replacement state together with the messages the node emits in
-response. The engine owns delivery, timing, and addressing; in
-particular it only hands wake-ups to sleeping nodes in the next layer
-out, and it applies the common-average write-back of the
-neighborhood-set rule after the initiating node finishes its round.
+response. The driver (test_protocol_oracle.ProtocolOracle) owns
+delivery, timing, and addressing; in particular it only hands wake-ups
+to sleeping nodes in the next layer out, and it applies the
+common-average write-back of the neighborhood-set rule after the
+initiating node finishes its round.
 
 The protocol per node is small: sleep until a beacon (layer 1) or a
 wake_up (deeper layers) arrives, poll the averaging neighbors with
@@ -22,8 +25,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import SimulationError
-from .rules import UpdateRule
+from gossipsim.errors import SimulationError
+from gossipsim.rules import UpdateRule
 
 log = logging.getLogger(__name__)
 
@@ -121,7 +124,7 @@ def on_state_ack(node: NodeState, msg: Message,
     Duplicate or unsolicited acks are ignored, so replaying a delivery is
     a no-op. When the final ack lands the node folds the collected
     payloads per the rule, raises phi, and broadcasts wake_up(1) in a
-    single transmission; the engine routes it to next-layer neighbors
+    single transmission; the driver routes it to next-layer neighbors
     and drops phi back low after the processing slot.
     """
     if msg.kind is not MessageKind.STATE_ACK:

@@ -162,22 +162,24 @@ def test_criterion_2_random_geometric_majority_within_100():
     assert fast > 10, f"only {fast}/20 seeds converged within 100 rounds"
 
 
-# criterion 3: the agent wave and the matrix recursion are the same machine
+# criterion 3: the beacon wave is the scripted recursion on its own rows
 
 
 @pytest.mark.parametrize("kind", ["chain", "star", "circular"])
 @pytest.mark.parametrize("variant", POLL_RULES)
 def test_criterion_3_backend_equivalence(kind, variant):
     g = build_topology(kind, 5)
-    rng = np.random.default_rng([len(kind), list(POLL_RULES).index(variant)])
-    schedule = (rng.random((20, 5)) < 0.5).astype(np.uint8)
-    cfg = RunConfig(graph=g, rule=UpdateRule(variant), seed=2, max_iterations=20)
-    tr_a = run_agent_sim(cfg, activation_schedule=schedule)
-    tr_m = run_matrix_sim(cfg, schedule)
-    gap = float(np.abs(tr_a.states - tr_m.states).max())
-    print(f"criterion 3 [{kind}/{variant.value}]: max entry gap {gap:.3e} "
-          f"(bound 1e-12)")
-    assert gap <= 1e-12
+    cfg = RunConfig(graph=g, rule=UpdateRule(variant), seed=2, max_iterations=8,
+                    tolerance=1e-15)
+    tr_a = run_agent_sim(cfg)
+    acts = tr_a.activations[1:]
+    tr_m = run_matrix_sim(replace(cfg, max_iterations=len(acts)), acts)
+    same = np.array_equal(tr_a.states, tr_m.states)
+    counts = {k: v for k, v in tr_a.message_counts.items() if k != "beacon"}
+    print(f"criterion 3 [{kind}/{variant.value}]: {len(acts)} wave rows replayed, "
+          f"states bit-identical {same}")
+    assert same
+    assert counts == {k: v for k, v in tr_m.message_counts.items() if k != "beacon"}
 
 
 # criterion 4: the product-sum closed form agrees with the recursion
@@ -191,7 +193,7 @@ def test_criterion_4_closed_form_oracle(variant):
     cfg = RunConfig(graph=g, rule=UpdateRule(variant), seed=3, max_iterations=20)
     tr = run_matrix_sim(cfg, schedule)
     y = closed_form_state(cfg, schedule, 20)
-    gap = float(np.abs(y[:5] - tr.states[20]).max())
+    gap = float(np.abs(y - tr.states[20]).max())
     print(f"criterion 4 [{variant.value}]: closed form vs recursion gap "
           f"{gap:.3e} at step 20 (bound 1e-10)")
     assert gap <= 1e-10

@@ -372,6 +372,14 @@ SERIES_TRACES = {
 }
 
 
+ONE_ROW_GRAPHS = [build_topology(kind, 40) for kind in ("chain", "star", "circular", "complete")]
+ONE_ROW_GRAPHS += [
+    build_topology("circular", 40, TopologyParams(directed=True)),
+    build_topology("random_geometric", 40, seed=1),
+    build_topology("random_geometric", 300, TopologyParams(radius=0.1), seed=2),
+]
+
+
 class TestSeriesAgainstRecorder:
     @pytest.mark.parametrize("name", sorted(SERIES_TRACES))
     def test_cached_arcs_are_nonzero_in_order(self, name):
@@ -404,6 +412,13 @@ class TestSeriesAgainstRecorder:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_one_row_trace_sums_like_the_recorder(self, seed):
-        g = build_topology("random_geometric", 40, seed=1)
-        x = np.random.default_rng(seed).uniform(0.0, 100.0, 40)
-        assert disagreement_series(make_trace(g, x, 1))[0] == disagreement_of(x, g)
+        # one magnitude per seed; disagreement_of and a one-row series both
+        # give the pairwise sum of a flat vector, bit for bit, on every graph
+        scale = (1e-8, 1e-3, 1.0, 1e4, 1e9)[seed]
+        for g in ONE_ROW_GRAPHS:
+            x = np.random.default_rng(seed).uniform(0.0, 100.0, g.node_count) * scale
+            i, j = g.arcs
+            diff = x[i] - x[j]
+            want = float(np.sqrt((diff * diff).sum() / g.node_count))
+            assert disagreement_of(x, g) == want
+            assert disagreement_series(make_trace(g, x, 1))[0] == want

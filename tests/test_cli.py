@@ -2,6 +2,7 @@
 
 import csv
 import os
+from collections import Counter
 
 import pytest
 
@@ -95,6 +96,16 @@ class TestRunCommand:
         kv = read_kv(out / "summary.txt")
         assert kv["converged"] == "true"
 
+    def test_matrix_backend_dumps_its_messages(self, tmp_path):
+        argv = ["run", "--graph.kind", "chain", "--graph.n", "6", "--run.backend", "matrix",
+                "--run.max_iterations", "30", "--out", str(tmp_path / "o")]
+        assert run_cli(*argv, "--dump-messages") == 3
+        kinds = Counter(row["kind"] for row in read_csv(tmp_path / "o" / "messages.csv"))
+        trace = cli.execute_run(cli.resolve_config(cli.build_parser().parse_args(argv)))
+        assert kinds == {k: v for k, v in trace.message_counts.items() if v}
+        total = int(read_kv(tmp_path / "o" / "summary.txt")["messages_total"])
+        assert total == sum(kinds.values()) > 0
+
 
 class TestConfigHandling:
     def test_file_then_flag_precedence(self, tmp_path):
@@ -146,6 +157,16 @@ class TestConfigHandling:
                                             ("run.tolerance", "inf")])
     def test_non_finite_timing_or_tolerance_exits_one(self, tmp_path, capsys, flag, value):
         rc = run_cli("run", *FAST, f"--{flag}", value, "--out", str(tmp_path / "o"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [("--duty.d_mean", "1e308", "--duty.t_c", "1e308"),
+                                       ("--duty.d_var", "1e308"), ("--duty.d_var", "1e300")])
+    def test_timing_overflow_exits_one(self, tmp_path, capsys, flags):
+        rc = run_cli("run", "--graph.kind", "star", "--graph.n", "5",
+                     "--run.max_iterations", "3", *flags, "--out", str(tmp_path / "o"))
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
@@ -287,6 +308,14 @@ class TestCompareCommand:
         assert rows[0]["rule"] == "neighborhood_set"
         assert rows[1]["rule"] == "pairwise_baseline"
         assert all(int(r["messages_total"]) > 0 for r in rows)
+
+    def test_matrix_protocol_counts_its_messages(self, tmp_path):
+        rc = run_cli("compare", "--graph.kind", "circular", "--graph.n", "10",
+                     "--run.backend", "matrix", "--run.max_iterations", "30",
+                     "--out", str(tmp_path / "o"))
+        assert rc == 0
+        protocol, _ = read_csv(tmp_path / "o" / "compare.csv")
+        assert int(protocol["messages_total"]) > 0
 
 
 class TestSpectraCommand:

@@ -5,12 +5,10 @@ import pytest
 
 from gossipsim import (
     ActivationMode,
-    ActivationState,
     DutyCycleParams,
     activation_sequence,
     beacon_period,
     stationary_active_fraction,
-    step_activation,
 )
 from gossipsim import duty_cycle
 from gossipsim.errors import ConfigError
@@ -69,34 +67,21 @@ class TestParams:
 
 class TestAlternating:
     def test_toggle_from_zero(self):
-        params = DutyCycleParams()
-        s0 = ActivationState(phi=np.zeros(3, dtype=np.uint8))
-        s1 = step_activation(s0, params)
-        s2 = step_activation(s1, params)
-        assert list(s1.phi) == [1, 1, 1]
-        assert list(s2.phi) == [0, 0, 0]
-        assert s2.step == 2
+        rows = activation_sequence(DutyCycleParams(), 3, 2)
+        assert rows.tolist() == [[1, 1, 1], [0, 0, 0]]
 
     def test_exact_period_two(self):
-        params = DutyCycleParams()
-        state = ActivationState(phi=np.array([0, 1, 0, 1], dtype=np.uint8))
-        two = step_activation(step_activation(state, params), params)
-        assert np.array_equal(two.phi, state.phi)
+        phi0 = np.array([0, 1, 0, 1], dtype=np.uint8)
+        rows = activation_sequence(DutyCycleParams(), 4, 6, phi0=phi0)
+        assert np.array_equal(rows[1::2], np.tile(phi0, (3, 1)))
+        assert np.array_equal(rows[0::2], np.tile(1 - phi0, (3, 1)))
 
     def test_confined_to_bits(self):
-        params = DutyCycleParams()
-        state = ActivationState(phi=np.array([0, 1], dtype=np.uint8))
-        for _ in range(5):
-            state = step_activation(state, params)
-            assert set(np.unique(state.phi)) <= {0, 1}
+        rows = activation_sequence(DutyCycleParams(), 2, 5, phi0=np.array([0, 1]))
+        assert set(np.unique(rows)) <= {0, 1}
 
 
 class TestStochastic:
-    def test_needs_rng(self):
-        params = DutyCycleParams(mode=ActivationMode.STOCHASTIC, p=0.2, q=0.1)
-        with pytest.raises(ConfigError):
-            step_activation(ActivationState(phi=np.zeros(2, dtype=np.uint8)), params)
-
     def test_stationary_fraction_formula(self):
         params = DutyCycleParams(mode=ActivationMode.STOCHASTIC, p=1.0, q=1.0)
         assert stationary_active_fraction(params) == 0.5
@@ -123,8 +108,21 @@ class TestStochastic:
         assert abs(sleep - 0.2) < 0.02
 
     def test_invalid_phi_vector(self):
+        params = DutyCycleParams(mode=ActivationMode.STOCHASTIC, p=0.2, q=0.1)
         with pytest.raises(ConfigError):
-            ActivationState(phi=np.array([0, 2], dtype=np.uint8))
+            activation_sequence(params, 2, 3, phi0=np.array([0, 2], dtype=np.uint8))
+
+
+def step_activation(phi, params, rng):
+    """One step of the activation process, written one node at a time:
+    alternating mode toggles every node; stochastic mode wakes a sleeping
+    node with probability p and puts an awake one to sleep with
+    probability q, on one rng.random(n) draw per step."""
+    if params.mode is ActivationMode.ALTERNATING:
+        return [1 - b for b in phi]
+    u = rng.random(len(phi))
+    return [int(u[i] < params.p) if b == 0 else int(u[i] >= params.q)
+            for i, b in enumerate(phi)]
 
 
 class TestSequence:
@@ -144,10 +142,10 @@ class TestSequence:
         monkeypatch.setattr(duty_cycle, "_DRAW_CELLS", 20)
         params = DutyCycleParams(mode=mode, p=0.3, q=0.6)
         phi0 = np.array([1, 0, 0, 1, 1], dtype=np.uint8)
-        state, rng, want = ActivationState(phi=phi0), np.random.default_rng(seed), []
+        phi, rng, want = phi0.tolist(), np.random.default_rng(seed), []
         for _ in range(103):
-            state = step_activation(state, params, rng)
-            want.append(state.phi)
+            phi = step_activation(phi, params, rng)
+            want.append(phi)
         got = activation_sequence(params, 5, 103, seed=seed, phi0=phi0)
         assert got.dtype == np.uint8
         assert np.array_equal(got, np.array(want))

@@ -11,7 +11,6 @@ from gossipsim import (
     Graph,
     RunConfig,
     SimulationError,
-    TopologyError,
     TopologyParams,
     UpdateRule,
     assign_layers,
@@ -27,8 +26,6 @@ from gossipsim import (
 )
 from gossipsim.engine import initial_states, ticks_per_cycle
 from gossipsim.rules import RuleVariant
-
-from conftest import small_graph_family
 
 CHAIN3 = build_topology("chain", 3)
 CHAIN4 = build_topology("chain", 4)
@@ -109,7 +106,7 @@ class TestFixedPointsAndBounds:
         # neighbor mean, so a constant vector scales by two
         cfg = RunConfig(graph=RING6, rule=UpdateRule(RuleVariant.SELF_ADDITIVE),
                         initial_states=np.full(6, 2.5), max_iterations=1)
-        tr = run_agent_sim(cfg, activation_schedule=ones_schedule(6, 1))
+        tr = run_matrix_sim(cfg, ones_schedule(6, 1))
         assert np.array_equal(tr.states[1], np.full(6, 5.0))
 
     def test_row_sums_conserved_by_neighborhood_set(self):
@@ -193,32 +190,6 @@ class TestMatrixBackend:
             run_matrix_sim(bad, np.zeros((4, 3)))
 
 
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("variant", POLL_RULES)
-    def test_agent_and_matrix_agree_on_random_schedules(self, variant):
-        rng = np.random.default_rng(31)
-        for _, g in small_graph_family(6):
-            n = g.node_count
-            schedule = (rng.random((12, n)) < 0.5).astype(np.uint8)
-            cfg = RunConfig(graph=g, rule=UpdateRule(variant), seed=4,
-                            max_iterations=12)
-            tr_a = run_agent_sim(cfg, activation_schedule=schedule)
-            tr_m = run_matrix_sim(cfg, schedule)
-            assert np.abs(tr_a.states - tr_m.states).max() <= 1e-12
-            assert np.array_equal(tr_a.activations, tr_m.activations)
-
-    def test_scripted_agent_validation(self):
-        cfg = RunConfig(graph=CHAIN3, max_iterations=4)
-        with pytest.raises(ConfigError):
-            run_agent_sim(cfg, activation_schedule=np.zeros((4, 5)))
-        with pytest.raises(ConfigError):
-            run_agent_sim(cfg, activation_schedule=np.zeros((3, 3)))
-        bad = RunConfig(graph=CHAIN3, rule=UpdateRule(RuleVariant.PAIRWISE_BASELINE),
-                        max_iterations=4)
-        with pytest.raises(ConfigError):
-            run_agent_sim(bad, activation_schedule=np.zeros((4, 3)))
-
-
 class TestNodeWithoutInNeighbors:
     # directed chain 0 -> 1 -> 2: node 0 hears nobody
     G = Graph(node_count=3, anchor_id=0, directed=True,
@@ -232,31 +203,26 @@ class TestNodeWithoutInNeighbors:
         cfg = RunConfig(graph=self.G, max_iterations=2)
         schedule = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
         with pytest.raises(SimulationError, match="node 0 has nobody to poll"):
-            run_agent_sim(cfg, activation_schedule=schedule)
-        tr = run_agent_sim(replace(cfg, max_iterations=1), activation_schedule=schedule)
+            run_matrix_sim(cfg, schedule, collect_messages=True)
+        tr = run_matrix_sim(replace(cfg, max_iterations=1), schedule, collect_messages=True)
         assert tr.iterations == 2
-
-    def test_matrix_backend_rejects_topology(self):
-        cfg = RunConfig(graph=self.G, max_iterations=1)
-        with pytest.raises(TopologyError):
-            run_matrix_sim(cfg, np.zeros((1, 3), dtype=np.uint8))
+        assert tr.message_counts == {"beacon": 0, "wake_up": 2,
+                                     "state_request": 2, "state_ack": 2}
 
 
 class TestSwitchedSystem:
     def test_block_structure(self):
-        # one step: [W(phi) x0 ; phi], the activation inputs telescoped
+        # one step of the closed form is the step matrix applied to x0
         schedule = np.array([[1, 0, 0]], dtype=np.uint8)
         cfg = RunConfig(graph=CHAIN3, seed=3, max_iterations=1)
         x0, _ = initial_states(cfg)
         y = closed_form_state(cfg, schedule, 1)
-        assert np.array_equal(y[:3], step_matrix(CHAIN3, UpdateRule(), schedule[0]) @ x0)
-        assert np.array_equal(y[3:], [1.0, 0.0, 0.0])
+        assert np.array_equal(y, step_matrix(CHAIN3, UpdateRule(), schedule[0]) @ x0)
 
     def test_closed_form_step_zero_is_initial_stack(self):
         cfg = RunConfig(graph=CHAIN3, seed=3, max_iterations=5)
-        y0 = closed_form_state(cfg, np.zeros((5, 3)), 0)
         x0, _ = initial_states(cfg)
-        assert np.array_equal(y0, np.concatenate([x0, np.zeros(3)]))
+        assert np.array_equal(closed_form_state(cfg, np.zeros((5, 3)), 0), x0)
 
     @pytest.mark.parametrize("variant", POLL_RULES)
     def test_closed_form_matches_recursion(self, variant):
@@ -268,8 +234,8 @@ class TestSwitchedSystem:
         tr = run_matrix_sim(cfg, schedule)
         for k in (1, 7, 20):
             y = closed_form_state(cfg, schedule, k)
-            assert np.abs(y[:8] - tr.states[k]).max() <= 1e-10
-            assert np.array_equal(y[8:], schedule[k - 1].astype(float))
+            assert y.shape == (8,)
+            assert np.abs(y - tr.states[k]).max() <= 1e-10
 
     def test_out_of_range_step_rejected(self):
         cfg = RunConfig(graph=CHAIN3, max_iterations=2)

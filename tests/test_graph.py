@@ -127,11 +127,10 @@ class TestNeighborhoods:
         assert list(np.flatnonzero(g.control_adjacency()[0])) == [1]
 
     def test_bad_index(self):
-        g = build_topology("chain", 3)
-        with pytest.raises(ValueError):
-            assign_layers(g, anchor=3)
-        with pytest.raises(ValueError):
-            assign_layers(g, anchor=-1)
+        adj = build_topology("chain", 3).adjacency
+        for anchor in (3, -1):
+            with pytest.raises(TopologyError):
+                Graph(node_count=3, anchor_id=anchor, adjacency=adj)
 
 
 class TestLayers:
@@ -181,8 +180,8 @@ class TestLayers:
         assert np.array_equal(play[perm], lay)
 
     def test_custom_root(self):
-        g = build_topology("chain", 4)
-        lay = assign_layers(g, anchor=3)
+        g = build_topology("chain", 4, TopologyParams(anchor=3))
+        lay = assign_layers(g)
         assert list(lay.layer_of) == [3, 2, 1, 1]
 
 

@@ -1,10 +1,13 @@
-"""Pure handler behavior of the per-node protocol state machine."""
+"""Pure handler behavior of the per-node protocol state machine, the
+oracle in tests/node_protocol.py."""
 
 import numpy as np
 import pytest
 
 from gossipsim import RunConfig, SimulationError, build_topology, run_agent_sim
-from gossipsim.node_protocol import (
+from gossipsim.rules import RuleVariant, UpdateRule
+
+from node_protocol import (
     BROADCAST,
     Message,
     MessageKind,
@@ -15,7 +18,6 @@ from gossipsim.node_protocol import (
     on_state_request,
     on_wake_up,
 )
-from gossipsim.rules import RuleVariant, UpdateRule
 
 NS = UpdateRule(RuleVariant.NEIGHBORHOOD_SET)
 

@@ -1,10 +1,12 @@
-"""Oracle: node_protocol's handlers, driven one message at a time, must
-give exactly what the engine's tick kernel gives.
+"""Oracle: the handlers of tests/node_protocol.py, driven one message at
+a time, must give exactly what the engine's tick kernel gives.
 
 The engine never calls the handlers; it applies the compiled layer
 schedule. This file keeps the per-message path alive as an independent
 reference for states, activations, ticks, message counts and the
-message log, on the beacon wave and on scripted schedules.
+message log, on the beacon wave (run_agent_sim) and on scripted
+schedules (run_matrix_sim). The oracle spells the message kinds with its
+own enum, so the log comparison also pins the --dump-messages names.
 """
 
 from dataclasses import replace
@@ -12,13 +14,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gossipsim import RunConfig, UpdateRule, assign_layers, run_agent_sim, ticks_per_cycle
+from gossipsim import (RunConfig, UpdateRule, assign_layers, run_agent_sim, run_matrix_sim,
+                       ticks_per_cycle)
 from gossipsim.engine import ANCHOR_SRC, initial_states
-from gossipsim.node_protocol import (BROADCAST, Message, MessageKind, NodeState, on_beacon,
-                                     on_state_ack, on_state_request, on_wake_up)
 from gossipsim.rules import RuleVariant
 
 from conftest import FIFTY_NODE_SPECS, fifty_node_graph, small_graph_family
+from node_protocol import (BROADCAST, Message, MessageKind, NodeState, on_beacon,
+                           on_state_ack, on_state_request, on_wake_up)
 
 POLL_RULES = (RuleVariant.NEIGHBORHOOD_SET, RuleVariant.PURE_NEIGHBOR,
               RuleVariant.SELF_ADDITIVE)
@@ -142,7 +145,7 @@ def test_scripted_schedules_match_handlers(variant):
         schedule = (rng.random((10, g.node_count)) < 0.5).astype(np.uint8)
         cfg = RunConfig(graph=g, rule=UpdateRule(variant), seed=int(rng.integers(100)),
                         max_iterations=10)
-        trace = run_agent_sim(cfg, activation_schedule=schedule, collect_messages=True)
+        trace = run_matrix_sim(cfg, schedule, collect_messages=True)
         oracle = ProtocolOracle(cfg)
         oracle.run_scripted(schedule, cfg.max_iterations)
         assert_same(oracle, trace)
