@@ -14,10 +14,8 @@ from .analysis import (
     spectral_radius,
 )
 from .duty_cycle import (
-    ActivationMode,
     DutyCycleParams,
     activation_sequence,
-    beacon_period,
     stationary_active_fraction,
 )
 from .engine import (

@@ -214,6 +214,16 @@ def second_eigenvalue_modulus(m: np.ndarray, tol: float = SPECTRAL_TOL) -> float
     return float(below[0])
 
 
+def format_value(v) -> str:
+    """One output cell: lower-case bools, floats to 17 significant digits
+    (enough to round-trip float64), anything else through str."""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
 @dataclass(frozen=True)
 class SpectralReport:
     """Certification summary for one averaging matrix."""
@@ -235,20 +245,10 @@ class SpectralReport:
                   "certified_average")
 
     def to_text(self) -> str:
-        return "".join(f"{name}={val}\n"
-                       for name, val in zip(self.CSV_FIELDS, self.to_csv_row()))
+        return "".join(f"{name}={val}\n" for name, val in self.to_csv_row().items())
 
-    def to_csv_row(self) -> list[str]:
-        out = []
-        for name in self.CSV_FIELDS:
-            val = getattr(self, name)
-            if isinstance(val, bool):
-                out.append(str(val).lower())
-            elif isinstance(val, float):
-                out.append(f"{val:.17g}")
-            else:
-                out.append(str(val))
-        return out
+    def to_csv_row(self) -> dict[str, str]:
+        return {name: format_value(getattr(self, name)) for name in self.CSV_FIELDS}
 
 
 def check_consensus_conditions(w: np.ndarray, label: str = "",
@@ -366,8 +366,7 @@ def write_messages_csv(trace: Trace, fh) -> None:
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(["time", "kind", "src", "dst", "payload"])
     for time, kind, src, dst, payload in (trace.messages or []):
-        pl = "" if payload is None else f"{payload:.17g}" if isinstance(payload, float) else str(payload)
-        w.writerow([time, kind, src, dst, pl])
+        w.writerow([time, kind, src, dst, "" if payload is None else format_value(payload)])
 
 
 def metrics_csv_text(trace: Trace) -> str:

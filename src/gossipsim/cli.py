@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import analysis
-from .duty_cycle import ActivationMode, DutyCycleParams, activation_sequence
+from .duty_cycle import DutyCycleParams, activation_sequence
 from .engine import (RunConfig, run_agent_sim, run_matrix_sim,
                      run_pairwise_baseline)
 from .errors import ConfigError, GossipSimError, TopologyError
@@ -44,15 +44,6 @@ EXIT_NO_CONVERGENCE = 3
 
 #: characters per write in _write_text: at most 1 MiB once UTF-8 encoded
 _WRITE_CHUNK = 1 << 18
-
-
-def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
 
 
 def _parse_opt_float(s: str):
@@ -90,18 +81,12 @@ CONFIG_SPEC = {
     "graph.kind": (str, "chain"),
     "graph.n": (int, 50),
     "graph.anchor": (int, 0),
-    "graph.directed": (_parse_bool, False),
-    "graph.side": (float, 1.0),
     "graph.radius": (float, 0.3),
     "graph.erdos_p": (_parse_opt_float, None),
-    "graph.attempts": (int, 100),
     "graph.seed": (_parse_opt_int, None),  # defaults to run.seed
-    "duty.d_mean": (float, 1.0),
     "duty.d_var": (float, 0.0),
-    "duty.t_c": (float, 1.0),
-    "duty.p": (float, 0.0),
-    "duty.q": (float, 0.0),
-    "duty.mode": (ActivationMode, ActivationMode.ALTERNATING),
+    "duty.p": (float, 1.0),
+    "duty.q": (float, 1.0),
     "rule.variant": (str, "neighborhood_set"),
     "rule.alpha": (float, 0.5),
     "run.backend": (_parse_backend, "agent"),
@@ -122,8 +107,8 @@ PRESETS = {
     "chain": {"graph.kind": "chain", "graph.n": "50", "run.max_iterations": "1200"},
     "star": {"graph.kind": "star", "graph.n": "50", "run.max_iterations": "100"},
     "circular": {"graph.kind": "circular", "graph.n": "50", "run.max_iterations": "600"},
-    "circular_directed": {"graph.kind": "circular", "graph.n": "50",
-                          "graph.directed": "1", "run.max_iterations": "1200"},
+    "circular_directed": {"graph.kind": "circular_directed", "graph.n": "50",
+                          "run.max_iterations": "1200"},
     "random_geometric": {"graph.kind": "random_geometric", "graph.n": "50",
                          "graph.radius": "0.3", "run.max_iterations": "300"},
 }
@@ -180,20 +165,14 @@ def resolve_config(args: argparse.Namespace, extra_spec: dict | None = None) -> 
 def build_run_config(cfgd: dict) -> RunConfig:
     params = TopologyParams(
         anchor=cfgd["graph.anchor"],
-        directed=cfgd["graph.directed"],
-        side=cfgd["graph.side"],
         radius=cfgd["graph.radius"],
         erdos_p=cfgd["graph.erdos_p"],
-        max_attempts=cfgd["graph.attempts"],
     )
     gseed = cfgd["graph.seed"]
     if gseed is None:
         gseed = cfgd["run.seed"]
     graph = build_topology(cfgd["graph.kind"], cfgd["graph.n"], params, seed=gseed)
-    duty = DutyCycleParams(
-        d_mean=cfgd["duty.d_mean"], d_var=cfgd["duty.d_var"], t_c=cfgd["duty.t_c"],
-        p=cfgd["duty.p"], q=cfgd["duty.q"], mode=cfgd["duty.mode"],
-    )
+    duty = DutyCycleParams(d_var=cfgd["duty.d_var"], p=cfgd["duty.p"], q=cfgd["duty.q"])
     rule = UpdateRule.parse(cfgd["rule.variant"], cfgd["rule.alpha"])
     init = cfgd["run.initial_states"]
     return RunConfig(
@@ -226,10 +205,20 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text[start:start + _WRITE_CHUNK])
 
 
-def summarize(trace: analysis.Trace, tol: float) -> dict:
+def _write_csv(path: str, fields, rows: list[dict]) -> None:
+    """A CSV file of the given columns, one line per row dict; a column a
+    row lacks is left empty."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n", restval="")
+        w.writeheader()
+        w.writerows(rows)
+
+
+def summarize(trace: analysis.Trace, tol: float) -> dict[str, str]:
+    """The summary fields of a run, each formatted as its output cell."""
     rounds = analysis.convergence_rounds(trace, tol)
     d = trace.drifts
-    return {
+    fields = {
         "converged": trace.converged,
         "rows": trace.iterations,
         "rounds_to_tolerance": rounds if rounds is not None else "",
@@ -238,14 +227,7 @@ def summarize(trace: analysis.Trace, tol: float) -> dict:
         "final_disagreement": analysis.disagreement_of(trace.final_state, trace.graph),
         "messages_total": trace.total_messages(),
     }
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+    return {k: analysis.format_value(v) for k, v in fields.items()}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -260,7 +242,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         analysis.write_messages_csv(trace, mbuf)
         _write_text(os.path.join(args.out, "messages.csv"), mbuf.getvalue())
     summary = summarize(trace, cfgd["run.tolerance"])
-    lines = [f"{k}={_fmt(v)}" for k, v in summary.items()]
+    lines = [f"{k}={v}" for k, v in summary.items()]
     _write_text(os.path.join(args.out, "summary.txt"), "\n".join(lines) + "\n")
     for ln in lines:
         print(ln)
@@ -270,9 +252,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _sweep_worker(task: dict) -> dict:
     cfgd = dict(task["cfgd"])
     cfgd["graph.kind"] = task["topology"]
-    cfgd["graph.directed"] = task["topology"] == "circular_directed"
-    if task["topology"] == "circular_directed":
-        cfgd["graph.kind"] = "circular"
     cfgd["rule.variant"] = task["rule"]
     cfgd["run.seed"] = task["seed"]
     cfgd["graph.seed"] = task["seed"]
@@ -280,7 +259,7 @@ def _sweep_worker(task: dict) -> dict:
            "status": "ok", "error": ""}
     try:
         trace = execute_run(cfgd)
-        row.update({k: _fmt(v) for k, v in summarize(trace, cfgd["run.tolerance"]).items()})
+        row.update(summarize(trace, cfgd["run.tolerance"]))
     except (GossipSimError, MemoryError, OverflowError) as exc:
         row["status"] = "error"
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -298,8 +277,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rules = [r.strip() for r in cfgd["sweep.rules"].split(",") if r.strip()]
     seeds = cfgd["sweep.seeds"]
     for t in topologies:
-        base = "circular" if t == "circular_directed" else t
-        if base not in TOPOLOGY_KINDS:
+        if t not in TOPOLOGY_KINDS:
             raise ConfigError(f"unknown sweep topology {t!r}")
     for r in rules:
         UpdateRule.parse(r)
@@ -307,18 +285,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tasks = [{"cfgd": base_cfg, "topology": t, "rule": r, "seed": s}
              for t in topologies for r in rules for s in seeds]
     os.makedirs(args.out, exist_ok=True)
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a process pool starts all its workers at once, so start no more than
+    # there are tasks
+    jobs = min(args.jobs, len(tasks))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     else:
         rows = [_sweep_worker(t) for t in tasks]
     path = os.path.join(args.out, "sweep.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS, lineterminator="\n",
-                           restval="")
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
+    _write_csv(path, SWEEP_FIELDS, rows)
     print(f"wrote {len(rows)} rows to {path}")
     return EXIT_OK
 
@@ -336,16 +312,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
             mc["run.max_iterations"] = cfgd["run.max_iterations"] * cfgd["graph.n"]
         trace = execute_run(mc)
         row = {"method": method, "rule": mc["rule.variant"]}
-        row.update({k: _fmt(v) for k, v in summarize(trace, cfgd["run.tolerance"]).items()})
+        row.update(summarize(trace, cfgd["run.tolerance"]))
         rows.append(row)
     fields = ["method", "rule", "converged", "rows", "rounds_to_tolerance",
               "max_drift", "final_drift", "final_disagreement", "messages_total"]
-    path = os.path.join(args.out, "compare.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n", restval="")
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
+    _write_csv(os.path.join(args.out, "compare.csv"), fields, rows)
     widths = {f: max(len(f), *(len(str(r.get(f, ""))) for r in rows)) for f in fields}
     print("  ".join(f.ljust(widths[f]) for f in fields))
     for row in rows:
@@ -368,12 +339,8 @@ def cmd_spectra(args: argparse.Namespace) -> int:
         reports.append(analysis.check_consensus_conditions(w, label=label))
     text = "\n".join(r.to_text() for r in reports)
     _write_text(os.path.join(args.out, "spectra.txt"), text)
-    with open(os.path.join(args.out, "spectra.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(analysis.SpectralReport.CSV_FIELDS)
-        for r in reports:
-            w.writerow(r.to_csv_row())
+    _write_csv(os.path.join(args.out, "spectra.csv"), analysis.SpectralReport.CSV_FIELDS,
+               [r.to_csv_row() for r in reports])
     print(text, end="")
     return EXIT_OK
 

@@ -16,10 +16,10 @@ Both report closed-form message counts and, on request, the message
 log. step_matrix and closed_form_state write the same steps as explicit
 matrices, built from rules.single_active_matrix.
 
-Time: one tick is one hop slot of d_mean + t_c. A full sweep occupies L
-consecutive ticks. Delay variance stretches the beacon period (see
-duty_cycle.beacon_period); individual messages always travel at the mean
-delay, and the period never drops below one sweep.
+Time: one tick is one hop slot, so a full sweep occupies L consecutive
+ticks. Delay variance stretches the beacon period to L * d_var ticks (see
+ticks_per_cycle); individual messages always take one slot, and the
+period never drops below one sweep.
 
 Iteration accounting: trace rows are update events (one tick each).
 max_iterations counts beacon cycles for the agent backend and steps for
@@ -43,7 +43,7 @@ from math import ceil, isfinite
 import numpy as np
 
 from .analysis import Trace, convergence_time, disagreement_rows, make_trace, sustained_run
-from .duty_cycle import DutyCycleParams, beacon_period
+from .duty_cycle import DutyCycleParams
 from .errors import ConfigError, SimulationError
 from .graph import Graph, assign_layers
 from .rules import RuleVariant, UpdateRule, single_active_matrix
@@ -94,12 +94,13 @@ def initial_states(cfg: RunConfig) -> tuple[np.ndarray, np.random.Generator]:
 
 
 def ticks_per_cycle(duty: DutyCycleParams, layer_count: int, cycles: int = 1) -> int:
-    """Beacon period in integer ticks; at least one full sweep of layer_count
-    ticks. Raises ConfigError unless the last tick of cycles beacon cycles
-    fits in int64."""
-    ratio = beacon_period(layer_count, duty.d_mean, duty.t_c, duty.d_var) / duty.slot()
+    """Beacon period in integer ticks: layer_count * d_var, so higher delay
+    variance spaces beacons out, but never less than one full sweep of
+    layer_count ticks. Raises ConfigError unless the last tick of cycles
+    beacon cycles fits in int64."""
+    ratio = layer_count * duty.d_var
     if not isfinite(ratio):
-        raise ConfigError("d_mean, t_c and d_var give a beacon cycle of no finite tick count")
+        raise ConfigError("d_var gives a beacon cycle of no finite tick count")
     ticks = max(layer_count, ceil(ratio - 1e-12))
     if ticks * cycles > np.iinfo(np.int64).max:
         raise ConfigError(f"{cycles} beacon cycles of {ticks:.3g} ticks overflow int64 ticks")

@@ -4,7 +4,8 @@ A graph here is a node set 0..n-1 with boolean adjacency and one
 distinguished vertex, ``anchor_id``, where the resource-rich beacon node
 sits. Control traffic (beacons, wake-ups) travels over the undirected
 radio graph; the direction of an arc only restricts which states a node
-can overhear for averaging. Layers are breadth-first hop counts from the
+can overhear for averaging; the one directed kind, circular_directed, is
+the ring of arcs i -> i + 1 mod n. Layers are breadth-first hop counts from the
 anchor vertex, with the anchor's own vertex folded into layer 1 so that
 every node carries a layer in 1..L and the layer sizes sum to n.
 """
@@ -18,25 +19,26 @@ import numpy as np
 
 from .errors import ConfigError, TopologyError, UnconnectableTopologyError
 
-TOPOLOGY_KINDS = ("chain", "star", "circular", "complete", "random_geometric")
+TOPOLOGY_KINDS = ("chain", "star", "circular", "circular_directed", "complete",
+                  "random_geometric")
+
+#: samples a random kind draws before giving up on connecting the anchor
+MAX_ATTEMPTS = 100
 
 
 @dataclass(frozen=True)
 class TopologyParams:
     """Knobs shared by the topology builders.
 
-    Only the random geometric kind reads side/radius/max_attempts, and
-    only the circular kind honors directed. Setting erdos_p swaps the
+    Only the random geometric kind reads radius, the connection radius
+    of nodes drawn on the unit square. Setting erdos_p swaps the
     geometric sampler for an Erdos-Renyi one with that edge probability,
     under the same connectivity retry loop.
     """
 
     anchor: int = 0
-    directed: bool = False
-    side: float = 1.0
     radius: float = 0.3
     erdos_p: float | None = None
-    max_attempts: int = 100
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,8 @@ def build_topology(kind: str, n: int, params: TopologyParams | None = None,
                    seed: int | None = None) -> Graph:
     """Construct one of the named test topologies.
 
-    Random kinds resample up to params.max_attempts times until the
-    result is connected from the anchor, then fail with
+    Random kinds resample up to MAX_ATTEMPTS times until the result is
+    connected from the anchor, then fail with
     UnconnectableTopologyError. Everything is deterministic for a fixed
     (kind, n, params, seed).
     """
@@ -112,8 +114,6 @@ def build_topology(kind: str, n: int, params: TopologyParams | None = None,
         raise ConfigError(f"need at least 2 nodes, got {n}")
     if not (0 <= params.anchor < n):
         raise ConfigError(f"anchor {params.anchor} out of range for {n} nodes")
-    if params.directed and kind != "circular":
-        raise ConfigError("directed variant is only defined for the circular topology")
 
     adj = np.zeros((n, n), dtype=bool)
     if kind == "chain":
@@ -125,10 +125,10 @@ def build_topology(kind: str, n: int, params: TopologyParams | None = None,
         adj[hub, :] = True
         adj[:, hub] = True
         adj[hub, hub] = False
-    elif kind == "circular":
+    elif kind in ("circular", "circular_directed"):
         idx = np.arange(n)
         adj[idx, (idx + 1) % n] = True
-        if not params.directed:
+        if kind == "circular":
             adj |= adj.T
     elif kind == "complete":
         adj[:] = True
@@ -136,29 +136,29 @@ def build_topology(kind: str, n: int, params: TopologyParams | None = None,
     else:  # random_geometric, optionally Erdos-Renyi
         return _build_random(n, params, seed)
     return Graph(node_count=n, anchor_id=params.anchor, adjacency=adj,
-                 directed=params.directed and kind == "circular")
+                 directed=kind == "circular_directed")
 
 
 def _build_random(n: int, params: TopologyParams, seed: int | None) -> Graph:
-    if params.erdos_p is None and not (0.0 < params.radius and 0.0 < params.side):
-        raise ConfigError("random_geometric needs positive side and radius")
+    if params.erdos_p is None and not 0.0 < params.radius:
+        raise ConfigError("random_geometric needs a positive radius")
     if params.erdos_p is not None and not (0.0 < params.erdos_p <= 1.0):
         raise ConfigError(f"erdos_p must lie in (0, 1], got {params.erdos_p}")
     rng = np.random.default_rng(seed)
-    for _ in range(params.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         if params.erdos_p is not None:
             upper = np.triu(rng.random((n, n)) < params.erdos_p, k=1)
             adj = upper | upper.T
         else:
-            pts = rng.uniform(0.0, params.side, size=(n, 2))
+            pts = rng.uniform(0.0, 1.0, size=(n, 2))
             d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
             adj = d2 <= params.radius ** 2
             np.fill_diagonal(adj, False)
         if (_hops(adj, params.anchor) >= 0).all():
             return Graph(node_count=n, anchor_id=params.anchor, adjacency=adj)
     raise UnconnectableTopologyError(
-        f"no connected sample in {params.max_attempts} attempts "
-        f"(n={n}, radius={params.radius}, side={params.side}, erdos_p={params.erdos_p})")
+        f"no connected sample in {MAX_ATTEMPTS} attempts "
+        f"(n={n}, radius={params.radius}, erdos_p={params.erdos_p})")
 
 
 @dataclass(frozen=True)

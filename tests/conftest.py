@@ -3,23 +3,14 @@
 import numpy as np
 import pytest
 
-from gossipsim import Graph, TopologyParams, build_topology
+from gossipsim import Graph, TopologyParams, build_topology, cli
 
 # the five standard 50-node evaluation topologies
-FIFTY_NODE_SPECS = [
-    ("chain", "chain", TopologyParams()),
-    ("star", "star", TopologyParams()),
-    ("circular", "circular", TopologyParams()),
-    ("circular_directed", "circular", TopologyParams(directed=True)),
-    ("random_geometric", "random_geometric", TopologyParams(radius=0.3)),
-]
+FIFTY_NODE_KINDS = ["chain", "star", "circular", "circular_directed", "random_geometric"]
 
 
-def fifty_node_graph(name: str, seed: int = 1) -> Graph:
-    for label, kind, params in FIFTY_NODE_SPECS:
-        if label == name:
-            return build_topology(kind, 50, params, seed=seed)
-    raise KeyError(name)
+def fifty_node_graph(kind: str, seed: int = 1) -> Graph:
+    return build_topology(kind, 50, seed=seed)
 
 
 def small_graph_family(max_n: int = 10):
@@ -47,3 +38,26 @@ def random_connected_graph(rng: np.random.Generator) -> Graph:
         return build_topology(kind, max(n, 4), TopologyParams(radius=0.6),
                               seed=int(rng.integers(2 ** 31)))
     return build_topology(kind, n)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the sweep's process pool with one that maps in this process;
+    returns the max_workers of every pool the sweep opens."""
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return opened

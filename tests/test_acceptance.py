@@ -29,13 +29,13 @@ from gossipsim import (
 )
 from gossipsim.analysis import drift_series, single_active_matrix
 from gossipsim.cli import main as cli_main
-from gossipsim.duty_cycle import ActivationMode, activation_sequence
+from gossipsim.duty_cycle import activation_sequence
 from gossipsim.engine import initial_states
 from gossipsim.rules import RuleVariant
 
-from conftest import FIFTY_NODE_SPECS, fifty_node_graph, random_connected_graph, small_graph_family
+from conftest import FIFTY_NODE_KINDS, fifty_node_graph, random_connected_graph, small_graph_family
 
-LABELS = [label for label, _, _ in FIFTY_NODE_SPECS]
+LABELS = FIFTY_NODE_KINDS
 
 POLL_RULES = (RuleVariant.NEIGHBORHOOD_SET, RuleVariant.PURE_NEIGHBOR,
               RuleVariant.SELF_ADDITIVE)
@@ -203,7 +203,7 @@ def test_criterion_4_closed_form_oracle(variant):
 
 
 def test_criterion_5_alternating_exact_period_two():
-    duty = DutyCycleParams(mode=ActivationMode.ALTERNATING)
+    duty = DutyCycleParams()
     seq = activation_sequence(duty, n=10, steps=50, seed=0)
     period_two = np.array_equal(seq[2:], seq[:-2])
     toggles = (seq[1:] != seq[:-1]).all()
@@ -213,7 +213,7 @@ def test_criterion_5_alternating_exact_period_two():
 
 
 def test_criterion_5_stochastic_stationary_fraction():
-    duty = DutyCycleParams(p=0.2, q=0.1, mode=ActivationMode.STOCHASTIC)
+    duty = DutyCycleParams(p=0.2, q=0.1)
     seq = activation_sequence(duty, n=1, steps=100_000, seed=0)
     frac = float(seq.mean())
     target = 0.2 / 0.3

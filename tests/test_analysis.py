@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from gossipsim import (
-    ActivationMode,
     DutyCycleParams,
     RunConfig,
     TopologyParams,
@@ -91,8 +90,7 @@ class TestDisagreement:
             disagreement_of(x + 17.5, CHAIN3))
 
     def test_directed_counts_arcs_only(self):
-        from gossipsim import TopologyParams
-        g = build_topology("circular", 3, TopologyParams(directed=True))
+        g = build_topology("circular_directed", 3)
         x = np.array([0.0, 1.0, 0.0])
         # arcs 0->1, 1->2, 2->0 with gaps 1, 1, 0
         assert disagreement_of(x, g) == pytest.approx(np.sqrt(2 / 3))
@@ -314,7 +312,7 @@ def _pairwise_trace():
 
 def _stochastic_matrix_trace():
     g = build_topology("circular", 9)
-    duty = DutyCycleParams(mode=ActivationMode.STOCHASTIC, p=0.4, q=0.3)
+    duty = DutyCycleParams(p=0.4, q=0.3)
     cfg = RunConfig(graph=g, duty=duty, seed=6, max_iterations=120)
     return run_matrix_sim(cfg, activation_sequence(duty, 9, 120, seed=7))
 
@@ -334,7 +332,7 @@ def _special_values_trace():
 ORACLE_TRACES = {
     "agent_chain": lambda: _agent_trace("chain", 12),
     "agent_star": lambda: _agent_trace("star", 8),
-    "agent_ring_directed": lambda: _agent_trace("circular", 10, TopologyParams(directed=True)),
+    "agent_ring_directed": lambda: _agent_trace("circular_directed", 10),
     "pairwise": _pairwise_trace,
     "matrix_stochastic": _stochastic_matrix_trace,
     "special_values": _special_values_trace,
@@ -368,13 +366,13 @@ def sequential_disagreement(x, graph):
 SERIES_TRACES = {
     "chain": lambda: _agent_trace("chain", 10),
     "random_geometric": lambda: _agent_trace("random_geometric", 30, TopologyParams(radius=0.4)),
-    "ring_directed": lambda: _agent_trace("circular", 10, TopologyParams(directed=True)),
+    "ring_directed": lambda: _agent_trace("circular_directed", 10),
 }
 
 
 ONE_ROW_GRAPHS = [build_topology(kind, 40) for kind in ("chain", "star", "circular", "complete")]
 ONE_ROW_GRAPHS += [
-    build_topology("circular", 40, TopologyParams(directed=True)),
+    build_topology("circular_directed", 40),
     build_topology("random_geometric", 40, seed=1),
     build_topology("random_geometric", 300, TopologyParams(radius=0.1), seed=2),
 ]

@@ -118,10 +118,14 @@ class TestConfigHandling:
         ids = {row["node_id"] for row in read_csv(out / "trace.csv")}
         assert ids == {str(i) for i in range(7)}
 
-    def test_unknown_key_exits_one(self, tmp_path):
+    @pytest.mark.parametrize("key", ["graph.sides", "graph.directed", "graph.side",
+                                     "graph.attempts", "duty.d_mean", "duty.t_c",
+                                     "duty.mode"])
+    def test_unknown_key_exits_one(self, tmp_path, capsys, key):
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text("graph.sides = 3\n")
+        cfg.write_text(f"{key} = 3\n")
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
     def test_bad_value_exits_one(self, tmp_path):
         rc = run_cli("run", "--graph.kind", "star", "--graph.n", "about_fifty",
@@ -145,15 +149,7 @@ class TestConfigHandling:
         ids = {row["node_id"] for row in read_csv(out / "trace.csv")}
         assert len(ids) == 50
 
-    def test_unknown_duty_mode_exits_one(self, tmp_path, capsys):
-        rc = run_cli("run", *FAST, "--duty.mode", "bogus", "--out", str(tmp_path / "o"))
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: bad value for duty.mode")
-        assert err.count("\n") == 1
-
-    @pytest.mark.parametrize("flag,value", [("duty.d_var", "inf"), ("duty.d_mean", "nan"),
-                                            ("duty.t_c", "inf"), ("run.tolerance", "nan"),
+    @pytest.mark.parametrize("flag,value", [("duty.d_var", "inf"), ("run.tolerance", "nan"),
                                             ("run.tolerance", "inf")])
     def test_non_finite_timing_or_tolerance_exits_one(self, tmp_path, capsys, flag, value):
         rc = run_cli("run", *FAST, f"--{flag}", value, "--out", str(tmp_path / "o"))
@@ -162,7 +158,8 @@ class TestConfigHandling:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("flags", [("--duty.d_mean", "1e308", "--duty.t_c", "1e308"),
+    # the first case fits one cycle in int64 but not max_iterations of them
+    @pytest.mark.parametrize("flags", [("--duty.d_var", "1e17", "--run.max_iterations", "100"),
                                        ("--duty.d_var", "1e308"), ("--duty.d_var", "1e300")])
     def test_timing_overflow_exits_one(self, tmp_path, capsys, flags):
         rc = run_cli("run", "--graph.kind", "star", "--graph.n", "5",
@@ -213,10 +210,17 @@ class TestSweepCommand:
         assert run_cli("sweep", *self.GRID, "--jobs", "3", "--out", str(b)) == 0
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
+    def test_no_more_workers_than_tasks(self, tmp_path, serial_pool):
+        grid = ("--graph.n", "6", "--sweep.topologies", "star", "--sweep.seeds", "0:3")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("sweep", *grid, "--jobs", "50", "--out", str(a)) == 0
+        assert serial_pool == [3]
+        assert run_cli("sweep", *grid, "--jobs", "1", "--out", str(b)) == 0
+        assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
     def test_failed_cell_is_reported_not_fatal(self, tmp_path):
         out = tmp_path / "o"
         rc = run_cli("sweep", "--graph.n", "8", "--graph.radius", "0.01",
-                     "--graph.attempts", "3",
                      "--sweep.topologies", "star,random_geometric",
                      "--sweep.rules", "neighborhood_set",
                      "--sweep.seeds", "0", "--jobs", "1", "--out", str(out))
@@ -227,8 +231,8 @@ class TestSweepCommand:
         bad = next(r for r in rows if r["status"] == "error")
         assert bad["error"]
 
-    @pytest.mark.parametrize("flag,value", [("duty.t_c", "inf"), ("duty.d_var", "nan"),
-                                            ("run.tolerance", "nan"), ("rule.alpha", "2")])
+    @pytest.mark.parametrize("flag,value", [("duty.d_var", "nan"), ("run.tolerance", "nan"),
+                                            ("rule.alpha", "2")])
     def test_invalid_run_value_gives_error_rows(self, tmp_path, flag, value):
         out = tmp_path / "o"
         rc = run_cli("sweep", "--graph.n", "6", "--sweep.topologies", "star,chain",
@@ -334,8 +338,8 @@ class TestSpectraCommand:
 
     def test_directed_ring_skips_pairwise(self, tmp_path):
         out = tmp_path / "o"
-        rc = run_cli("spectra", "--graph.kind", "circular", "--graph.n", "6",
-                     "--graph.directed", "true", "--out", str(out))
+        rc = run_cli("spectra", "--graph.kind", "circular_directed", "--graph.n", "6",
+                     "--out", str(out))
         assert rc == 0
         rows = read_csv(out / "spectra.csv")
         assert len(rows) == 1

@@ -1,39 +1,11 @@
-"""Schedule arithmetic and activation process behavior."""
+"""Activation process behavior."""
 
 import numpy as np
 import pytest
 
-from gossipsim import (
-    ActivationMode,
-    DutyCycleParams,
-    activation_sequence,
-    beacon_period,
-    stationary_active_fraction,
-)
+from gossipsim import DutyCycleParams, activation_sequence, stationary_active_fraction
 from gossipsim import duty_cycle
 from gossipsim.errors import ConfigError
-
-
-class TestBeaconPeriod:
-    def test_zero_variance_floors_at_sweep(self):
-        assert beacon_period(3, 1.0, 1.0, 0.0) == 6.0
-
-    def test_unit_variance_is_sweep(self):
-        assert beacon_period(4, 1.0, 2.0, 1.0) == 12.0
-
-    def test_single_layer(self):
-        assert beacon_period(1, 0.0, 1.0, 1.0) == 1.0
-
-    def test_high_variance_stretches(self):
-        assert beacon_period(3, 1.0, 1.0, 2.5) == 15.0
-
-    def test_sub_unit_variance_floors(self):
-        # the literal product would re-beacon mid-sweep; floor wins
-        assert beacon_period(5, 1.0, 1.0, 0.3) == 10.0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            beacon_period(0, 1.0, 1.0, 1.0)
 
 
 class TestParams:
@@ -43,11 +15,7 @@ class TestParams:
         with pytest.raises(ConfigError):
             DutyCycleParams(q=-0.1)
 
-    def test_t_c_positive(self):
-        with pytest.raises(ConfigError):
-            DutyCycleParams(t_c=0.0)
-
-    @pytest.mark.parametrize("field", ["d_mean", "d_var", "t_c"])
+    @pytest.mark.parametrize("field", ["d_var"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_timing_must_be_finite(self, field, value):
         with pytest.raises(ConfigError):
@@ -55,14 +23,7 @@ class TestParams:
 
     def test_stochastic_needs_motion(self):
         with pytest.raises(ConfigError):
-            DutyCycleParams(mode=ActivationMode.STOCHASTIC, p=0.0, q=0.0)
-
-    def test_mode_coercion(self):
-        params = DutyCycleParams(mode="stochastic", p=0.5, q=0.5)
-        assert params.mode is ActivationMode.STOCHASTIC
-
-    def test_slot(self):
-        assert DutyCycleParams(d_mean=1.5, t_c=0.5).slot() == 2.0
+            DutyCycleParams(p=0.0, q=0.0)
 
 
 class TestAlternating:
@@ -83,23 +44,20 @@ class TestAlternating:
 
 class TestStochastic:
     def test_stationary_fraction_formula(self):
-        params = DutyCycleParams(mode=ActivationMode.STOCHASTIC, p=1.0, q=1.0)
-        assert stationary_active_fraction(params) == 0.5
-        params = DutyCycleParams(mode=ActivationMode.STOCHASTIC, p=0.2, q=0.1)
+        params = DutyCycleParams(p=0.2, q=0.1)
         assert stationary_active_fraction(params) == pytest.approx(2 / 3)
 
-    def test_fraction_undefined_for_alternating(self):
-        with pytest.raises(ConfigError):
-            stationary_active_fraction(DutyCycleParams())
+    def test_default_alternating_fraction_is_half(self):
+        assert stationary_active_fraction(DutyCycleParams()) == 0.5
 
     def test_long_run_matches_stationary(self):
-        params = DutyCycleParams(mode=ActivationMode.STOCHASTIC, p=0.2, q=0.1)
+        params = DutyCycleParams(p=0.2, q=0.1)
         rows = activation_sequence(params, 1, 10 ** 5, seed=0)
         frac = rows.mean()
         assert abs(frac - 2 / 3) < 0.02
 
     def test_transition_frequencies(self):
-        params = DutyCycleParams(mode=ActivationMode.STOCHASTIC, p=0.3, q=0.2)
+        params = DutyCycleParams(p=0.3, q=0.2)
         rows = activation_sequence(params, 1, 60_000, seed=7).ravel()
         prev, cur = rows[:-1], rows[1:]
         wake = ((prev == 0) & (cur == 1)).sum() / max((prev == 0).sum(), 1)
@@ -108,18 +66,15 @@ class TestStochastic:
         assert abs(sleep - 0.2) < 0.02
 
     def test_invalid_phi_vector(self):
-        params = DutyCycleParams(mode=ActivationMode.STOCHASTIC, p=0.2, q=0.1)
+        params = DutyCycleParams(p=0.2, q=0.1)
         with pytest.raises(ConfigError):
             activation_sequence(params, 2, 3, phi0=np.array([0, 2], dtype=np.uint8))
 
 
 def step_activation(phi, params, rng):
-    """One step of the activation process, written one node at a time:
-    alternating mode toggles every node; stochastic mode wakes a sleeping
-    node with probability p and puts an awake one to sleep with
-    probability q, on one rng.random(n) draw per step."""
-    if params.mode is ActivationMode.ALTERNATING:
-        return [1 - b for b in phi]
+    """One step of the activation process, written one node at a time: a
+    sleeping node wakes with probability p and an awake one falls asleep
+    with probability q, on one rng.random(n) draw per step."""
     u = rng.random(len(phi))
     return [int(u[i] < params.p) if b == 0 else int(u[i] >= params.q)
             for i, b in enumerate(phi)]
@@ -127,7 +82,7 @@ def step_activation(phi, params, rng):
 
 class TestSequence:
     def test_shape_and_determinism(self):
-        params = DutyCycleParams(mode=ActivationMode.STOCHASTIC, p=0.4, q=0.4)
+        params = DutyCycleParams(p=0.4, q=0.4)
         a = activation_sequence(params, 6, 50, seed=3)
         b = activation_sequence(params, 6, 50, seed=3)
         assert a.shape == (50, 6)
@@ -136,11 +91,12 @@ class TestSequence:
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    @pytest.mark.parametrize("mode", list(ActivationMode))
-    def test_matches_iterated_step_activation(self, mode, seed, monkeypatch):
+    @pytest.mark.parametrize("p,q", [pytest.param(1.0, 1.0, id="alternating"),
+                                     pytest.param(0.3, 0.6, id="stochastic")])
+    def test_matches_iterated_step_activation(self, p, q, seed, monkeypatch):
         # a few rows per block of draws, so block edges are crossed
         monkeypatch.setattr(duty_cycle, "_DRAW_CELLS", 20)
-        params = DutyCycleParams(mode=mode, p=0.3, q=0.6)
+        params = DutyCycleParams(p=p, q=q)
         phi0 = np.array([1, 0, 0, 1, 1], dtype=np.uint8)
         phi, rng, want = phi0.tolist(), np.random.default_rng(seed), []
         for _ in range(103):

@@ -80,8 +80,18 @@ class TestTicksPerCycle:
         assert ticks_per_cycle(duty, assign_layers(CHAIN4).layer_count) == 6
 
     def test_fractional_stretch_rounds_up(self):
-        duty = DutyCycleParams(d_mean=2.0, t_c=1.0, d_var=1.5)
+        duty = DutyCycleParams(d_var=1.5)
         assert ticks_per_cycle(duty, assign_layers(CHAIN4).layer_count) == 5
+
+    @pytest.mark.parametrize("layers,d_var,ticks", [
+        (3, 0.0, 3),   # no variance: one sweep
+        (4, 1.0, 4),   # unit variance: exactly one sweep
+        (1, 1.0, 1),
+        (3, 2.5, 8),   # 7.5 ticks, rounded up
+        (5, 0.3, 5),   # the product would re-beacon mid-sweep; the sweep wins
+    ])
+    def test_beacon_period(self, layers, d_var, ticks):
+        assert ticks_per_cycle(DutyCycleParams(d_var=d_var), layers) == ticks
 
 
 class TestFixedPointsAndBounds:
@@ -336,7 +346,7 @@ class TestPairwiseBaseline:
             assert abs(np.mean(tr.final_state) - tr.x_avg) <= 1e-12
 
     def test_directed_graph_rejected(self):
-        g = build_topology("circular", 5, TopologyParams(directed=True))
+        g = build_topology("circular_directed", 5)
         cfg = RunConfig(graph=g, rule=UpdateRule(RuleVariant.PAIRWISE_BASELINE))
         with pytest.raises(ConfigError):
             run_pairwise_baseline(cfg)
@@ -376,7 +386,7 @@ STOP_RUNS = {
     "chain20_1e-6": (build_topology("chain", 20), UpdateRule(), 1, 400, 1e-6, 0.0),
     "chain12_stretched": (build_topology("chain", 12), UpdateRule(), 2, 400, 1e-3, 2.5),
     "star8": (build_topology("star", 8), UpdateRule(), 3, 50, 1e-6, 0.0),
-    "ring10_directed": (build_topology("circular", 10, TopologyParams(directed=True)),
+    "ring10_directed": (build_topology("circular_directed", 10),
                         UpdateRule(), 4, 400, 1e-4, 0.0),
     "rgg30": (build_topology("random_geometric", 30, TopologyParams(radius=0.4), seed=2),
               UpdateRule(), 5, 200, 1e-8, 0.0),

@@ -48,7 +48,7 @@ class TestBuilders:
         assert not g.directed
 
     def test_circular_directed(self):
-        g = build_topology("circular", 5, TopologyParams(directed=True))
+        g = build_topology("circular_directed", 5)
         assert g.directed
         assert (g.adjacency.sum(axis=0) == 1).all()
         assert (g.adjacency.sum(axis=1) == 1).all()
@@ -58,10 +58,6 @@ class TestBuilders:
     def test_complete(self):
         g = build_topology("complete", 5)
         assert (control_degrees(g) == 4).all()
-
-    def test_directed_flag_restricted_to_circular(self):
-        with pytest.raises(ConfigError):
-            build_topology("chain", 5, TopologyParams(directed=True))
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -80,7 +76,7 @@ class TestBuilders:
     def test_rgg_unconnectable(self):
         with pytest.raises(UnconnectableTopologyError):
             build_topology("random_geometric", 40,
-                           TopologyParams(radius=0.01, max_attempts=5), seed=0)
+                           TopologyParams(radius=0.01), seed=0)
 
     def test_erdos_renyi_option(self):
         g = build_topology("random_geometric", 20,
@@ -220,7 +216,7 @@ class TestWeightMatrices:
                 assert np.abs(w.sum(axis=1) - held - 1.0).max() <= 1e-12
 
     def test_directed_uses_in_neighbors(self):
-        g = build_topology("circular", 4, TopologyParams(directed=True))
+        g = build_topology("circular_directed", 4)
         w = step_matrix(g, UpdateRule(RuleVariant.PURE_NEIGHBOR), np.ones(4))
         for i in range(4):
             assert w[i, (i - 1) % 4] == 1.0
@@ -233,6 +229,6 @@ class TestWeightMatrices:
             assert np.array_equal(off > 0, off.T > 0)
 
     def test_pairwise_rejects_directed(self):
-        g = build_topology("circular", 4, TopologyParams(directed=True))
+        g = build_topology("circular_directed", 4)
         with pytest.raises(ConfigError):
             expected_weight_matrix(g, UpdateRule(RuleVariant.PAIRWISE_BASELINE))

@@ -19,7 +19,7 @@ from gossipsim import (RunConfig, UpdateRule, assign_layers, run_agent_sim, run_
 from gossipsim.engine import ANCHOR_SRC, initial_states
 from gossipsim.rules import RuleVariant
 
-from conftest import FIFTY_NODE_SPECS, fifty_node_graph, small_graph_family
+from conftest import FIFTY_NODE_KINDS, fifty_node_graph, small_graph_family
 from node_protocol import (BROADCAST, Message, MessageKind, NodeState, on_beacon,
                            on_state_ack, on_state_request, on_wake_up)
 
@@ -128,7 +128,7 @@ def assert_same(oracle, trace):
 
 
 @pytest.mark.parametrize("variant", POLL_RULES, ids=lambda v: v.value)
-@pytest.mark.parametrize("name", [spec[0] for spec in FIFTY_NODE_SPECS])
+@pytest.mark.parametrize("name", FIFTY_NODE_KINDS)
 def test_beacon_wave_matches_handlers(name, variant):
     cfg = RunConfig(graph=fifty_node_graph(name), rule=UpdateRule(variant), seed=7,
                     max_iterations=3)
