@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import Graph
-from .rules import RuleVariant, UpdateRule, single_active_matrix
+from .rules import RuleVariant, UpdateRule, update_block
 
 #: treat eigenvalue moduli closer than this as one multiplicity cluster,
 #: and use the same tolerance for stochasticity checks
@@ -284,34 +284,24 @@ def check_consensus_conditions(w: np.ndarray, label: str = "",
 def expected_weight_matrix(g: Graph, rule: UpdateRule | None = None) -> np.ndarray:
     """Expected one-step matrix under the uniform activation model.
 
-    Exact enumeration, no sampling: for the poll-round rules each node is
-    the single active updater with probability 1/n; for the pairwise
-    baseline the initiator is uniform and its partner uniform among its
-    neighbors (that expectation is exactly the pairwise averaging
-    matrix of Boyd, Ghosh, Prabhakar and Shah, "Randomized Gossip
-    Algorithms", IEEE Trans. Inf. Theory, 2006).
+    Exact enumeration, no sampling: each node is the initiator with
+    probability 1/n, and its update block replaces its rows of the
+    identity. For the pairwise baseline the block is the mean exchange
+    over the initiator's neighbors, so the result is exactly the pairwise
+    averaging matrix of Boyd, Ghosh, Prabhakar and Shah, "Randomized
+    Gossip Algorithms", IEEE Trans. Inf. Theory, 2006.
     """
     if rule is None:
         rule = UpdateRule()
+    if rule.variant is RuleVariant.PAIRWISE_BASELINE and g.directed:
+        raise ConfigError("pairwise baseline is defined for undirected graphs only")
     n = g.node_count
-    if rule.variant is RuleVariant.PAIRWISE_BASELINE:
-        if g.directed:
-            raise ConfigError("pairwise baseline is defined for undirected graphs only")
-        w = np.eye(n)
-        a = rule.alpha
-        for i in range(n):
-            nbrs = np.flatnonzero(g.adjacency[i])
-            pick = 1.0 / (n * len(nbrs))
-            for j in nbrs:
-                w[i, i] -= pick * a
-                w[i, j] += pick * a
-                w[j, j] -= pick * a
-                w[j, i] += pick * a
-        return w
-    acc = np.zeros((n, n))
+    w = np.eye(n)
     for i in range(n):
-        acc += single_active_matrix(g, i, rule)
-    return acc / n
+        rows, cols, b = update_block(g, i, rule)
+        w[np.ix_(rows, cols)] += b / n
+        w[rows, rows] -= 1.0 / n
+    return w
 
 
 def write_trace_csv(trace: Trace, fh) -> None:

@@ -284,6 +284,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base_cfg = {k: v for k, v in cfgd.items() if not k.startswith("sweep.")}
     tasks = [{"cfgd": base_cfg, "topology": t, "rule": r, "seed": s}
              for t in topologies for r in rules for s in seeds]
+    if not tasks:
+        raise ConfigError("empty sweep grid: sweep.topologies, sweep.rules and "
+                          "sweep.seeds must each select at least one value")
     os.makedirs(args.out, exist_ok=True)
     # a process pool starts all its workers at once, so start no more than
     # there are tasks

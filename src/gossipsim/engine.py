@@ -14,7 +14,7 @@ folds each initiator of a tick with UpdateRule.fold:
 
 Both report closed-form message counts and, on request, the message
 log. step_matrix and closed_form_state write the same steps as explicit
-matrices, built from rules.single_active_matrix.
+matrices, built from rules.update_block.
 
 Time: one tick is one hop slot, so a full sweep occupies L consecutive
 ticks. Delay variance stretches the beacon period to L * d_var ticks (see
@@ -46,7 +46,7 @@ from .analysis import Trace, convergence_time, disagreement_rows, make_trace, su
 from .duty_cycle import DutyCycleParams
 from .errors import ConfigError, SimulationError
 from .graph import Graph, assign_layers
-from .rules import RuleVariant, UpdateRule, single_active_matrix
+from .rules import RuleVariant, UpdateRule, update_block
 
 ANCHOR_SRC = -1  # message src used by the anchor entity
 BROADCAST = -1  # message dst of a one-transmission broadcast
@@ -160,18 +160,8 @@ class _Recorder:
         return trace
 
 
-def _in_neighbors(g: Graph) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each node's averaging in-neighbors in ascending id, and the in-degrees."""
-    src, dst = g.arcs
-    in_deg = np.bincount(dst, minlength=g.node_count)
-    # arcs come in row-major order, so a stable sort by target keeps each
-    # node's sources ascending
-    by_dst = src[np.argsort(dst, kind="stable")]
-    return np.split(by_dst, np.cumsum(in_deg)[:-1]), in_deg
-
-
 def _apply_tick(x: np.ndarray, ids: list[int], rule: UpdateRule,
-                in_nbrs: list[np.ndarray], tick: int, log: list | None) -> None:
+                in_nbrs: tuple[np.ndarray, ...], tick: int, log: list | None) -> None:
     """Run one tick's poll rounds on x in place, initiators in ids order.
 
     Under the neighborhood-set rule the initiators go one after another,
@@ -204,12 +194,12 @@ def _apply_tick(x: np.ndarray, ids: list[int], rule: UpdateRule,
             log.extend((tick, _WAKE_UP, i, BROADCAST, 1) for i in ids)
 
 
-def _message_counts(trace: Trace, in_deg: np.ndarray, beacons: int) -> dict[str, int]:
+def _message_counts(trace: Trace, beacons: int) -> dict[str, int]:
     """Messages of a finished poll-round run, in closed form: each update
     sends one request to and gets one ack from every in-neighbor, then
     broadcasts one wake-up."""
     updates = trace.activations.sum(axis=0, dtype=np.int64)
-    polls = int(updates @ in_deg)
+    polls = sum(int(u) * len(nb) for u, nb in zip(updates, trace.graph.in_neighbors))
     return {_BEACON: beacons, _WAKE_UP: int(updates.sum()),
             _REQUEST: polls, _ACK: polls}
 
@@ -223,7 +213,6 @@ def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
     # row m - 1 flags hop layer m, the nodes tick m of every cycle updates
     waves = lay.layer_of == np.arange(1, lay.layer_count + 1)[:, None]
     wave_ids = [np.flatnonzero(w).tolist() for w in waves]
-    in_nbrs, in_deg = _in_neighbors(cfg.graph)
     x0, _ = initial_states(cfg)
     x = x0.copy()
     t_cycle = ticks_per_cycle(cfg.duty, lay.layer_count, cfg.max_iterations)
@@ -237,33 +226,34 @@ def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
         if log is not None:
             log.append((base + 1, _BEACON, ANCHOR_SRC, BROADCAST, None))
         for m in range(lay.layer_count):
-            _apply_tick(x, wave_ids[m], cfg.rule, in_nbrs, base + m + 1, log)
+            _apply_tick(x, wave_ids[m], cfg.rule, cfg.graph.in_neighbors, base + m + 1, log)
             rec.record(base + m + 1, x, waves[m])
         rec.judge()
     trace = rec.finish(log)
-    trace.message_counts = _message_counts(trace, in_deg, cycles)
+    trace.message_counts = _message_counts(trace, cycles)
     return trace
 
 
 def step_matrix(g: Graph, rule: UpdateRule, phi: np.ndarray) -> np.ndarray:
     """Explicit state matrix for one step under activation row phi.
 
-    Inactive rows keep their value. The neighborhood-set rule composes
-    its per-initiator exchange matrices in ascending id order, matching
-    the agent backend's sequential processing; the simultaneous rules
-    replace one row per active node.
+    Inactive rows keep their value. The neighborhood-set rule applies
+    its initiators' update blocks in ascending id order, each to the
+    earlier ones' result, matching the agent backend's sequential
+    processing; the simultaneous rules replace one row per active node.
     """
     n = g.node_count
     phi = np.asarray(phi).astype(bool)
     if phi.shape != (n,):
         raise ConfigError(f"phi shape {phi.shape} does not match {n} nodes")
+    if rule.variant is RuleVariant.PAIRWISE_BASELINE:
+        raise ValueError("the pairwise baseline has no step matrix; "
+                         "use expected_weight_matrix")
     w = np.eye(n)
+    src = w if rule.variant is RuleVariant.NEIGHBORHOOD_SET else np.eye(n)
     for i in np.flatnonzero(phi):
-        single = single_active_matrix(g, int(i), rule)
-        if rule.variant is RuleVariant.NEIGHBORHOOD_SET:
-            w = single @ w
-        else:
-            w[i] = single[i]
+        rows, cols, b = update_block(g, int(i), rule)
+        w[rows] = b @ src[cols]
     return w
 
 
@@ -283,16 +273,16 @@ def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray,
     if cfg.rule.variant is RuleVariant.PAIRWISE_BASELINE:
         raise ConfigError("scripted runs use the poll-round rules; "
                           "see run_pairwise_baseline")
-    in_nbrs, in_deg = _in_neighbors(cfg.graph)
     log: list | None = [] if collect_messages else None
     x, _ = initial_states(cfg)
     rec = _Recorder(cfg.graph, x, 1, cfg.tolerance)
     for k in range(cfg.max_iterations):
-        _apply_tick(x, np.flatnonzero(seq[k]).tolist(), cfg.rule, in_nbrs, k + 1, log)
+        _apply_tick(x, np.flatnonzero(seq[k]).tolist(), cfg.rule, cfg.graph.in_neighbors,
+                    k + 1, log)
         rec.record(k + 1, x, seq[k] != 0)
     trace = rec.finish(log)
     trace.converged = convergence_time(trace, cfg.tolerance) is not None
-    trace.message_counts = _message_counts(trace, in_deg, 0)
+    trace.message_counts = _message_counts(trace, 0)
     return trace
 
 
@@ -329,7 +319,7 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
     alpha = cfg.rule.alpha
     x, rng = initial_states(cfg)
     rec = _Recorder(g, x, n, cfg.tolerance)
-    nbrs = [np.flatnonzero(g.adjacency[i]) for i in range(n)]
+    nbrs = g.in_neighbors
     log: list | None = [] if collect_messages else None
     for k in range(1, cfg.max_iterations + 1):
         i = int(rng.integers(n))

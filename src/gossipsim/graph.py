@@ -62,25 +62,42 @@ class Graph:
             raise TopologyError("undirected graph has asymmetric adjacency")
         if not (0 <= self.anchor_id < n):
             raise TopologyError(f"anchor_id {self.anchor_id} out of range for {n} nodes")
-        if (_hops(self.control_adjacency(), self.anchor_id) < 0).any():
+        if (self.hops < 0).any():
             raise TopologyError("graph is not connected from the anchor vertex")
 
     def control_adjacency(self) -> np.ndarray:
         """Undirected radio view used for beacons, wake-ups, and layers."""
         return self.adjacency | self.adjacency.T
 
+    # Views of adjacency, computed on first use and shared read-only, so
+    # adjacency must not change in place after construction.
+
+    @cached_property
+    def hops(self) -> np.ndarray:
+        """Breadth-first hop count of every node from the anchor over the
+        radio graph, computed once by the connectivity check."""
+        hop = _hops(self.control_adjacency(), self.anchor_id)
+        hop.flags.writeable = False
+        return hop
+
     @cached_property
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arc endpoints (i, j), i.e. np.nonzero(adjacency) in row-major order.
-
-        Computed on first use and kept, since the recorder needs them on
-        every trace row, so adjacency must not be changed in place after
-        construction; the arrays are read-only because they are shared.
-        """
+        """Arc endpoints (i, j), i.e. np.nonzero(adjacency) in row-major order."""
         i, j = np.nonzero(self.adjacency)
         i.flags.writeable = False
         j.flags.writeable = False
         return i, j
+
+    @cached_property
+    def in_neighbors(self) -> tuple[np.ndarray, ...]:
+        """Each node's averaging in-neighbors (sources of its in-arcs), ascending."""
+        src, dst = self.arcs
+        # arcs come in row-major order, so a stable sort by target keeps
+        # each node's sources ascending
+        by_dst = src[np.argsort(dst, kind="stable")]
+        by_dst.flags.writeable = False
+        bounds = np.cumsum(np.bincount(dst, minlength=self.node_count))[:-1]
+        return tuple(np.split(by_dst, bounds))
 
 
 def _hops(und: np.ndarray, root: int) -> np.ndarray:
@@ -176,7 +193,7 @@ class LayerAssignment:
 
 def assign_layers(g: Graph) -> LayerAssignment:
     """Breadth-first layers over the radio graph, rooted at the anchor."""
-    layer_of = np.maximum(_hops(g.control_adjacency(), g.anchor_id), 1)
+    layer_of = np.maximum(g.hops, 1)
     count = int(layer_of.max())
     sizes = np.bincount(layer_of, minlength=count + 1)[1:]
     return LayerAssignment(layer_of=layer_of, layer_count=count, layer_sizes=sizes)

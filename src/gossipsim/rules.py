@@ -7,8 +7,8 @@ convergence properties, and comparing them is half the point of the
 simulator.
 
 Each poll rule is written down here twice and nowhere else: as the
-scalar UpdateRule.fold an initiator applies, and as single_active_matrix,
-the state matrix of one node's update. Every backend calls one of them.
+scalar UpdateRule.fold an initiator applies, and as update_block, the
+state-matrix block of one node's update. Every backend calls one of them.
 """
 
 from __future__ import annotations
@@ -81,31 +81,29 @@ class UpdateRule:
         raise ConfigError(f"rule {self.variant.value} is not a poll-round rule")
 
 
-def single_active_matrix(g: Graph, i: int, rule: UpdateRule) -> np.ndarray:
-    """Effective full-state matrix when only node i runs one update.
-
-    Inactive rows hold their value (identity), which is what the engine
-    does; the neighborhood-set variant also rewrites the polled
-    neighbors' rows with the common average.
+def update_block(g: Graph, i: int, rule: UpdateRule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node i's update as (rows, cols, b): rows of x become b @ x[cols],
+    every other row holds. For the pairwise baseline it is the mean
+    exchange I - alpha (e_i - e_j)(e_i - e_j)^T of initiator i over a
+    partner j drawn uniformly from its neighbors.
     """
-    n = g.node_count
-    nbrs = np.flatnonzero(g.adjacency[:, i])
-    if len(nbrs) == 0:
+    nbrs = g.in_neighbors[i]
+    k = len(nbrs)
+    if k == 0:
         raise ValueError(f"node {i} has no in-neighbors")
-    w = np.eye(n)
+    s = np.append(nbrs, i)
     if rule.variant is RuleVariant.NEIGHBORHOOD_SET:
-        s = np.append(nbrs, i)
-        w[np.ix_(s, s)] = 1.0 / len(s)
-        mask = np.ones(n, dtype=bool)
-        mask[s] = False
-        for r in s:
-            w[r, mask] = 0.0
-    elif rule.variant is RuleVariant.PURE_NEIGHBOR:
-        w[i, :] = 0.0
-        w[i, nbrs] = 1.0 / len(nbrs)
-    elif rule.variant is RuleVariant.SELF_ADDITIVE:
-        w[i, nbrs] = 1.0 / len(nbrs)
-    else:
-        raise ValueError("pairwise baseline has no single-active matrix; "
-                         "use expected_weight_matrix")
-    return w
+        return s, s, np.full((k + 1, k + 1), 1.0 / (k + 1))
+    if rule.variant is RuleVariant.PURE_NEIGHBOR:
+        return s[-1:], nbrs, np.full((1, k), 1.0 / k)
+    if rule.variant is RuleVariant.SELF_ADDITIVE:
+        b = np.full((1, k + 1), 1.0 / k)
+        b[0, k] = 1.0
+        return s[-1:], s, b
+    # pairwise: i moves alpha of the way to its neighbors' mean, and each
+    # neighbor, the partner with probability 1 / k, alpha / k toward x_i
+    a = rule.alpha
+    b = np.diag(np.full(k + 1, 1.0 - a / k))
+    b[:k, k] = b[k, :k] = a / k
+    b[k, k] = 1.0 - a
+    return s, s, b

@@ -27,7 +27,7 @@ from gossipsim import (
     second_eigenvalue_modulus,
     step_matrix,
 )
-from gossipsim.analysis import drift_series, single_active_matrix
+from gossipsim.analysis import drift_series
 from gossipsim.cli import main as cli_main
 from gossipsim.duty_cycle import activation_sequence
 from gossipsim.engine import initial_states
@@ -58,7 +58,7 @@ class CycleBound:
     """
 
     cfg: RunConfig
-    projections: list[np.ndarray]  # single_active_matrix of every node
+    projections: list[np.ndarray]  # the one-hot step_matrix of every node
     operator: np.ndarray  # P
     sigma2: float
     rounds: int
@@ -80,7 +80,8 @@ def cycle_bound(cfg: RunConfig) -> CycleBound:
     gap0 = c * float(np.linalg.norm(x0 - x0.mean()))
     rounds = 1 if sigma2 == 0.0 else max(1, ceil(log(cfg.tolerance / gap0) / log(sigma2)))
     return CycleBound(cfg=cfg,
-                      projections=[single_active_matrix(g, i, cfg.rule) for i in range(n)],
+                      projections=[step_matrix(g, cfg.rule, np.arange(n) == i)
+                                   for i in range(n)],
                       operator=p, sigma2=sigma2, rounds=rounds)
 
 

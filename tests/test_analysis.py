@@ -25,6 +25,7 @@ from gossipsim import (
     run_pairwise_baseline,
     second_eigenvalue_modulus,
     spectral_radius,
+    step_matrix,
 )
 from gossipsim.analysis import (
     Trace,
@@ -32,7 +33,6 @@ from gossipsim.analysis import (
     drift_series,
     make_trace,
     metrics_csv_text,
-    single_active_matrix,
     trace_csv_text,
 )
 from gossipsim.rules import RuleVariant, UpdateRule
@@ -223,15 +223,26 @@ class TestExpectedMatrix:
         assert np.allclose(w, w.T)
         assert np.allclose(w.sum(axis=1), 1.0)
 
-    def test_single_active_matrix_holds_inactive_rows(self):
-        w = single_active_matrix(CHAIN3, 1, UpdateRule(RuleVariant.PURE_NEIGHBOR))
+    def test_one_hot_step_holds_inactive_rows(self):
+        w = step_matrix(CHAIN3, UpdateRule(RuleVariant.PURE_NEIGHBOR), np.array([0, 1, 0]))
         assert np.allclose(w[0], [1.0, 0.0, 0.0])
         assert np.allclose(w[2], [0.0, 0.0, 1.0])
         assert np.allclose(w[1], [0.5, 0.0, 0.5])
 
+    @pytest.mark.parametrize("variant", [RuleVariant.NEIGHBORHOOD_SET,
+                                         RuleVariant.PURE_NEIGHBOR, RuleVariant.SELF_ADDITIVE])
+    def test_equals_mean_of_one_hot_steps(self, variant):
+        from conftest import small_graph_family
+        rule = UpdateRule(variant)
+        for _, g in [*small_graph_family(), ("ring", build_topology("circular_directed", 7))]:
+            n = g.node_count
+            want = sum(step_matrix(g, rule, np.arange(n) == i) for i in range(n)) / n
+            assert np.abs(expected_weight_matrix(g, rule) - want).max() <= 1e-14
+
     def test_matches_monte_carlo_average(self):
-        # empirical mean of uniformly drawn single-active matrices must
-        # land within 3 sigma of the exact enumeration, entrywise
+        # empirical mean of the step matrices of a uniformly drawn single
+        # active node must land within 3 sigma of the exact enumeration,
+        # entrywise
         g = build_topology("random_geometric", 8, seed=5)
         rule = UpdateRule(RuleVariant.NEIGHBORHOOD_SET)
         exact = expected_weight_matrix(g, rule)
@@ -240,7 +251,7 @@ class TestExpectedMatrix:
         acc = np.zeros_like(exact)
         acc2 = np.zeros_like(exact)
         for _ in range(draws):
-            w = single_active_matrix(g, int(rng.integers(g.node_count)), rule)
+            w = step_matrix(g, rule, np.arange(g.node_count) == rng.integers(g.node_count))
             acc += w
             acc2 += w * w
         mean = acc / draws

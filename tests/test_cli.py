@@ -278,16 +278,17 @@ class TestSweepCommand:
         assert [r["status"] for r in rows] == ["error", "ok"]
         assert rows[0]["error"].startswith("OverflowError")
 
-    def test_empty_seed_list_writes_header_only(self, tmp_path):
+    @pytest.mark.parametrize("flag, value", [
+        ("--sweep.seeds", ""), ("--sweep.seeds", "5:2"), ("--sweep.topologies", ","),
+    ], ids=["empty_seed_list", "empty_seed_range", "empty_topology_list"])
+    def test_empty_grid_exits_one(self, tmp_path, capsys, flag, value):
         out = tmp_path / "o"
         rc = run_cli("sweep", "--sweep.topologies", "star",
-                     "--sweep.rules", "neighborhood_set",
-                     "--sweep.seeds", "", "--jobs", "1", "--out", str(out))
-        assert rc == 0
-        with open(out / "sweep.csv", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("topology,rule,seed,status")
+                     "--sweep.rules", "neighborhood_set", "--sweep.seeds", "0",
+                     flag, value, "--jobs", "1", "--out", str(out))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: empty sweep grid")
+        assert not out.exists()
 
     def test_directed_ring_pseudo_topology(self, tmp_path):
         out = tmp_path / "o"

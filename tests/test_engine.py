@@ -159,6 +159,16 @@ class TestStepMatrix:
         w = step_matrix(CHAIN3, UpdateRule(), np.array([1, 1, 0]))
         assert np.allclose(w, np.full((3, 3), 1 / 3), atol=1e-15)
 
+    def test_neighborhood_set_is_the_product_of_one_hot_steps(self):
+        g = build_topology("random_geometric", 12, TopologyParams(radius=0.5), seed=3)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            phi = rng.random(12) < 0.5
+            want = np.eye(12)
+            for i in np.flatnonzero(phi):  # ascending id
+                want = step_matrix(g, UpdateRule(), np.arange(12) == i) @ want
+            assert np.abs(step_matrix(g, UpdateRule(), phi) - want).max() <= 1e-15
+
     def test_poll_rule_replaces_active_rows_only(self):
         w = step_matrix(CHAIN3, UpdateRule(RuleVariant.PURE_NEIGHBOR),
                         np.array([0, 1, 0]))

@@ -14,8 +14,9 @@ from gossipsim import (
     expected_weight_matrix,
     step_matrix,
 )
+from gossipsim import graph as graph_module
 from gossipsim.errors import ConfigError
-from gossipsim.rules import RuleVariant, UpdateRule, single_active_matrix
+from gossipsim.rules import RuleVariant, UpdateRule
 
 from conftest import small_graph_family
 
@@ -129,6 +130,33 @@ class TestNeighborhoods:
                 Graph(node_count=3, anchor_id=anchor, adjacency=adj)
 
 
+class TestDerivedViews:
+    @pytest.mark.parametrize("kind", graph_module.TOPOLOGY_KINDS)
+    def test_in_neighbors_are_column_scans(self, kind):
+        g = build_topology(kind, 9, TopologyParams(radius=0.6), seed=2)
+        for i in range(g.node_count):
+            assert np.array_equal(g.in_neighbors[i], np.flatnonzero(g.adjacency[:, i]))
+        assert g.in_neighbors is g.in_neighbors
+        assert not any(nb.flags.writeable for nb in g.in_neighbors)
+
+    def test_in_neighbors_of_uneven_in_degrees(self):
+        rng = np.random.default_rng(3)
+        adj = rng.random((12, 12)) < 0.3
+        np.fill_diagonal(adj, False)
+        adj[np.arange(11), np.arange(1, 12)] = True  # connected from node 0
+        g = Graph(node_count=12, anchor_id=0, adjacency=adj, directed=True)
+        for i in range(12):
+            assert np.array_equal(g.in_neighbors[i], np.flatnonzero(adj[:, i]))
+
+    def test_layers_reuse_the_connectivity_bfs(self, monkeypatch):
+        g = build_topology("random_geometric", 30, TopologyParams(radius=0.4), seed=1)
+        dist = nx.single_source_shortest_path_length(to_networkx(g), g.anchor_id)
+        assert list(g.hops) == [dist[i] for i in range(g.node_count)]
+        assert not g.hops.flags.writeable
+        monkeypatch.setattr(graph_module, "_hops", None)  # a second BFS would fail
+        assert np.array_equal(assign_layers(g).layer_of, np.maximum(g.hops, 1))
+
+
 class TestLayers:
     def test_chain4_layers(self):
         lay = assign_layers(build_topology("chain", 4))
@@ -184,12 +212,12 @@ class TestLayers:
 class TestWeightMatrices:
     def test_neighborhood_set_chain3(self):
         g = build_topology("chain", 3)
-        assert np.allclose(single_active_matrix(g, 1, UpdateRule())[1], [1 / 3, 1 / 3, 1 / 3])
-        assert np.allclose(single_active_matrix(g, 0, UpdateRule())[0], [1 / 2, 1 / 2, 0])
+        assert np.allclose(step_matrix(g, UpdateRule(), [0, 1, 0])[1], [1 / 3, 1 / 3, 1 / 3])
+        assert np.allclose(step_matrix(g, UpdateRule(), [1, 0, 0])[0], [1 / 2, 1 / 2, 0])
 
     def test_pure_neighbor_chain3(self):
-        w = single_active_matrix(build_topology("chain", 3), 1,
-                                 UpdateRule(RuleVariant.PURE_NEIGHBOR))
+        w = step_matrix(build_topology("chain", 3), UpdateRule(RuleVariant.PURE_NEIGHBOR),
+                        [0, 1, 0])
         assert np.allclose(w[1], [1 / 2, 0, 1 / 2])
         assert w[1, 1] == 0.0
 

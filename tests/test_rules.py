@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gossipsim import ConfigError, TopologyParams, build_topology
-from gossipsim.rules import RuleVariant, UpdateRule, single_active_matrix
+from gossipsim import ConfigError, TopologyParams, build_topology, step_matrix
+from gossipsim.rules import RuleVariant, UpdateRule
 
 POLL_RULES = (RuleVariant.NEIGHBORHOOD_SET, RuleVariant.PURE_NEIGHBOR,
               RuleVariant.SELF_ADDITIVE)
@@ -48,10 +48,11 @@ class TestMatrixForm:
             want[i] = rule.fold(x[i], x[nbrs])
             if variant is RuleVariant.NEIGHBORHOOD_SET:
                 want[nbrs] = want[i]
-            assert np.allclose(single_active_matrix(g, i, rule) @ x, want,
+            one_hot = np.arange(g.node_count) == i
+            assert np.allclose(step_matrix(g, rule, one_hot) @ x, want,
                                rtol=1e-14, atol=0.0)
 
-    def test_pairwise_baseline_has_no_single_active_matrix(self):
+    def test_pairwise_baseline_has_no_step_matrix(self):
         with pytest.raises(ValueError):
-            single_active_matrix(build_topology("chain", 3), 1,
-                                 UpdateRule(RuleVariant.PAIRWISE_BASELINE))
+            step_matrix(build_topology("chain", 3), UpdateRule(RuleVariant.PAIRWISE_BASELINE),
+                        np.array([0, 1, 0]))
