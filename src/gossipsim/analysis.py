@@ -189,22 +189,23 @@ def convergence_rounds(trace: Trace, tol: float) -> int | None:
     return -(-t // trace.cycle_ticks)
 
 
-def spectral_radius(m: np.ndarray) -> float:
-    """Largest eigenvalue modulus."""
+def _square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"need a square matrix, got shape {m.shape}")
-    return float(np.abs(np.linalg.eigvals(m)).max())
+    return m
 
 
-def second_eigenvalue_modulus(m: np.ndarray, tol: float = SPECTRAL_TOL) -> float:
-    """Modulus of the second-largest eigenvalue.
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Spectrum of a square float matrix: the symmetric solver when m
+    equals its transpose bit for bit, the general one otherwise."""
+    if np.array_equal(m, m.T):
+        return np.linalg.eigvalsh(m)
+    return np.linalg.eigvals(m)
 
-    Moduli within tol of the top value are treated as one multiplicity
-    cluster: the identity reports 1 (its top cluster is everything), a
-    rank-one projector reports 0.
-    """
-    mods = np.sort(np.abs(np.linalg.eigvals(np.asarray(m, dtype=float))))[::-1]
+
+def _second_modulus(eigs: np.ndarray, tol: float) -> float:
+    mods = np.sort(np.abs(eigs))[::-1]
     if len(mods) < 2:
         return 0.0
     top = mods[0]
@@ -212,6 +213,22 @@ def second_eigenvalue_modulus(m: np.ndarray, tol: float = SPECTRAL_TOL) -> float
     if len(below) == 0:
         return float(mods[1])
     return float(below[0])
+
+
+def spectral_radius(m: np.ndarray) -> float:
+    """Largest eigenvalue modulus."""
+    return float(np.abs(_eigenvalues(_square(m))).max())
+
+
+def second_eigenvalue_modulus(m: np.ndarray, tol: float = SPECTRAL_TOL) -> float:
+    """Modulus of the second-largest eigenvalue.
+
+    Moduli within tol of the top value are treated as one multiplicity
+    cluster: the identity reports 1 (its top cluster is everything), a
+    rank-one projector reports 0. A negative eigenvalue counts by its
+    modulus.
+    """
+    return _second_modulus(_eigenvalues(_square(m)), tol)
 
 
 def format_value(v) -> str:
@@ -258,17 +275,24 @@ def check_consensus_conditions(w: np.ndarray, label: str = "",
     Row stochasticity and lambda2 < 1 certify consensus on some value;
     column stochasticity and rho(W - J) < 1 upgrade that to consensus on
     the exact initial average.
+
+    W's spectrum is solved once. A doubly stochastic W commutes with J
+    and leaves the complement of the ones vector invariant, so
+    spec(W - J) is spec(W) with one eigenvalue 1 replaced by 0; only a
+    matrix that is not doubly stochastic has W - J solved as well.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {w.shape}")
+    w = _square(w)
     n = w.shape[0]
     ones = np.ones(n)
     row_ok = bool(np.abs(w @ ones - ones).max() <= tol)
     col_ok = bool(np.abs(ones @ w - ones).max() <= tol)
-    lam2 = second_eigenvalue_modulus(w, tol)
-    jmat = np.full((n, n), 1.0 / n)
-    rho_c = spectral_radius(w - jmat)
+    eigs = _eigenvalues(w)
+    lam2 = _second_modulus(eigs, tol)
+    if row_ok and col_ok:
+        centered = np.delete(eigs, np.argmin(np.abs(eigs - 1.0)))
+        rho_c = float(np.abs(centered).max()) if len(centered) else 0.0
+    else:
+        rho_c = spectral_radius(w - np.full((n, n), 1.0 / n))
     lam2_ok = lam2 < 1.0 - tol
     rho_ok = rho_c < 1.0 - tol
     consensus = row_ok and lam2_ok

@@ -75,8 +75,11 @@ class Graph:
     @cached_property
     def hops(self) -> np.ndarray:
         """Breadth-first hop count of every node from the anchor over the
-        radio graph, computed once by the connectivity check."""
-        hop = _hops(self.control_adjacency(), self.anchor_id)
+        radio graph, computed once by the connectivity check. An
+        undirected adjacency, checked symmetric before this runs, is
+        already the radio graph."""
+        und = self.control_adjacency() if self.directed else self.adjacency
+        hop = _hops(und, self.anchor_id)
         hop.flags.writeable = False
         return hop
 
