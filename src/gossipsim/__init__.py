@@ -20,7 +20,6 @@ from .duty_cycle import (
 )
 from .engine import (
     RunConfig,
-    closed_form_state,
     run_agent_sim,
     run_matrix_sim,
     run_pairwise_baseline,

@@ -40,7 +40,7 @@ _BLOCK_CELLS = 1 << 18
 _MAX_TEMPLATES = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trace:
     """Recorded run: one row per update event plus the initial row.
 
@@ -48,7 +48,10 @@ class Trace:
     (states[0] is the initial vector), activations[k] flags the nodes
     that updated in that event, and ticks[k] is the integer wall-clock
     slot it happened in. cycle_ticks is the width of one beacon cycle in
-    ticks; sustained convergence is judged over that window.
+    ticks; sustained convergence is judged over that window against
+    tolerance. A trace is built once and never changes: its fields cannot
+    be rebound and its row arrays are read-only, so everything derived
+    from its rows is computed on first use and kept.
     """
 
     graph: Graph
@@ -56,10 +59,13 @@ class Trace:
     activations: np.ndarray  # (rows, n) uint8
     ticks: np.ndarray        # (rows,) int64
     cycle_ticks: int
-    x_avg: float
-    converged: bool = False
+    tolerance: float
     message_counts: dict[str, int] = field(default_factory=dict)
     messages: list[tuple[int, str, int, int, float | int | None]] | None = None
+
+    def __post_init__(self) -> None:
+        for rows in (self.states, self.activations, self.ticks):
+            rows.flags.writeable = False
 
     @property
     def iterations(self) -> int:
@@ -69,9 +75,19 @@ class Trace:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    # drift_series and disagreement_series, computed on first use and
-    # kept read-only, so that metrics.csv and the run summary share one
-    # pass; the rows of a trace must not change once either is read.
+    @cached_property
+    def x_avg(self) -> float:
+        """Exact mean of the initial states."""
+        return fsum(self.states[0]) / self.graph.node_count
+
+    @cached_property
+    def converged(self) -> bool:
+        """Whether disagreement ever stays below tolerance for a full
+        beacon cycle, by convergence_time's window rule."""
+        return convergence_time(self, self.tolerance) is not None
+
+    # drift_series and disagreement_series, kept read-only, so that
+    # metrics.csv and the run summary share one pass
 
     @cached_property
     def drifts(self) -> np.ndarray:
@@ -87,20 +103,6 @@ class Trace:
 
     def total_messages(self) -> int:
         return sum(self.message_counts.values())
-
-
-def make_trace(graph: Graph, x0: np.ndarray, cycle_ticks: int) -> Trace:
-    """Fresh trace holding only the initial row."""
-    x0 = np.asarray(x0, dtype=float)
-    n = graph.node_count
-    return Trace(
-        graph=graph,
-        states=x0.reshape(1, n).copy(),
-        activations=np.zeros((1, n), dtype=np.uint8),
-        ticks=np.zeros(1, dtype=np.int64),
-        cycle_ticks=max(1, int(cycle_ticks)),
-        x_avg=fsum(x0) / n,
-    )
 
 
 def drift(trace: Trace, k: int) -> float:
@@ -149,28 +151,23 @@ def disagreement_series(trace: Trace) -> np.ndarray:
     return disagreement_rows(trace.states, trace.graph)
 
 
-def sustained_run(ok: np.ndarray, ticks: np.ndarray, cycle_ticks: int,
-                  last_counts: bool = False) -> tuple[int, int] | None:
+def sustained_run(ok: np.ndarray, ticks: np.ndarray,
+                  cycle_ticks: int) -> tuple[int, int] | None:
     """First run of ok rows whose ticks span cycle_ticks: its first row s
-    and the first row k with ticks[k] - ticks[s] >= cycle_ticks - 1, or
-    None. With last_counts, a final run of ok rows counts as spanning."""
+    and the first row k with ticks[k] - ticks[s] >= cycle_ticks - 1."""
     rows = np.arange(len(ok))
     start = np.maximum.accumulate(np.where(ok, 0, rows + 1))  # of each ok row's run
     spans = ok & (ticks - ticks[np.minimum(start, rows[-1])] >= cycle_ticks - 1)
-    spans[-1] |= last_counts and ok[-1]
     hit = np.flatnonzero(spans)
     return (int(start[hit[0]]), int(hit[0])) if len(hit) else None
 
 
 def convergence_time(trace: Trace, tol: float) -> int | None:
     """First row from which disagreement stays below tol for a full
-    beacon cycle, by sustained_run; None if it never does. A final run
-    shorter than one cycle counts only if the engine stopped the run as
-    converged."""
+    beacon cycle, by sustained_run; None if it never does."""
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    run = sustained_run(trace.disagreements < tol, trace.ticks, trace.cycle_ticks,
-                        trace.converged)
+    run = sustained_run(trace.disagreements < tol, trace.ticks, trace.cycle_ticks)
     return None if run is None else run[0]
 
 

@@ -254,7 +254,6 @@ def _sweep_worker(task: dict) -> dict:
     cfgd["graph.kind"] = task["topology"]
     cfgd["rule.variant"] = task["rule"]
     cfgd["run.seed"] = task["seed"]
-    cfgd["graph.seed"] = task["seed"]
     row = {"topology": task["topology"], "rule": task["rule"], "seed": task["seed"],
            "status": "ok", "error": ""}
     try:

@@ -42,19 +42,15 @@ class DutyCycleParams:
 
 
 def activation_sequence(params: DutyCycleParams, n: int, steps: int,
-                        seed: int | None = None,
-                        phi0: np.ndarray | None = None) -> np.ndarray:
-    """Materialize (steps, n) activation rows, starting from phi0 (all
-    asleep by default), by running the wake/sleep chain on one
-    rng.random(n) per step, taken in blocks of steps."""
+                        seed: int | None = None) -> np.ndarray:
+    """Materialize (steps, n) activation rows, starting with every node
+    asleep, by running the wake/sleep chain on one rng.random(n) per step,
+    taken in blocks of steps."""
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
-    phi = np.zeros(n, dtype=np.uint8) if phi0 is None else np.asarray(phi0)
-    if phi.shape != (n,) or not np.isin(phi, (0, 1)).all():
-        raise ConfigError(f"phi0 must be a 0/1 vector of {n} entries")
     rows = np.empty((steps, n), dtype=np.uint8)
     rng = np.random.default_rng(seed)
-    awake = phi.astype(bool)
+    awake = np.zeros(n, dtype=bool)
     block = max(1, _DRAW_CELLS // max(n, 1))
     for b in range(0, steps, block):
         u = rng.random((min(block, steps - b), n))

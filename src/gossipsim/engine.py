@@ -12,9 +12,13 @@ folds each initiator of a tick with UpdateRule.fold:
 * run_matrix_sim is the one scripted runner: it wakes the nodes of
   activation row k at tick k + 1.
 
-Both report closed-form message counts and, on request, the message
-log. step_matrix and closed_form_state write the same steps as explicit
-matrices, built from rules.update_block.
+Each runner records its rows in a _Recorder, which stops the run by
+the window rule of analysis.sustained_run and, when the run ends, builds
+its frozen Trace in one call: the rows kept, their closed-form message
+counts and, on request, the message log up to the last row's tick. The
+trace reads converged off those rows by the same rule for every backend.
+step_matrix writes the same steps as explicit matrices, built from
+rules.update_block.
 
 Time: one tick is one hop slot, so a full sweep occupies L consecutive
 ticks. Delay variance stretches the beacon period to L * d_var ticks (see
@@ -37,12 +41,13 @@ diag(phi) A + (I - diag(phi)): inactive rows hold their value.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import ceil, isfinite
 
 import numpy as np
 
-from .analysis import Trace, convergence_time, disagreement_rows, make_trace, sustained_run
+from .analysis import Trace, disagreement_rows, sustained_run
 from .duty_cycle import DutyCycleParams
 from .errors import ConfigError, SimulationError
 from .graph import Graph, assign_layers
@@ -111,12 +116,15 @@ class _Recorder:
     """Trace rows of a run, judged a block at a time with the reduction
     and window rule of the finished trace's metrics, so that the run
     stops on the numbers metrics.csv reports. Each block starts with the
-    row judged last: only x0 is ever judged alone."""
+    row judged last: only x0 is ever judged alone. log, when messages
+    are collected, is the list the run appends its messages to."""
 
-    def __init__(self, graph: Graph, x0: np.ndarray, cycle_ticks: int, tol: float):
+    def __init__(self, graph: Graph, x0: np.ndarray, cycle_ticks: int, tol: float,
+                 collect_messages: bool):
         self.graph = graph
         self.cycle_ticks = cycle_ticks
         self.tol = tol
+        self.log: list | None = [] if collect_messages else None
         self.states = [np.asarray(x0, dtype=float).copy()]
         self.acts = [np.zeros(graph.node_count, dtype=np.uint8)]
         self.ticks = [0]
@@ -146,18 +154,17 @@ class _Recorder:
         self.judged = len(self.states)
         return self.converged
 
-    def finish(self, messages: list | None) -> Trace:
-        """The trace of the rows kept, and of the messages sent up to the
-        last row's tick."""
-        trace = make_trace(self.graph, self.states[0], self.cycle_ticks)
-        trace.states = np.vstack(self.states)
-        trace.activations = np.vstack(self.acts)
-        trace.ticks = np.asarray(self.ticks, dtype=np.int64)
-        trace.converged = self.converged
-        while messages and messages[-1][0] > self.ticks[-1]:
-            messages.pop()
-        trace.messages = messages
-        return trace
+    def finish(self, counts: Callable[[np.ndarray], dict[str, int]]) -> Trace:
+        """The trace of the rows kept, with counts(activation rows) as its
+        message counts and the messages sent up to the last row's tick."""
+        log = self.log
+        while log and log[-1][0] > self.ticks[-1]:
+            log.pop()
+        acts = np.vstack(self.acts)
+        return Trace(graph=self.graph, states=np.vstack(self.states), activations=acts,
+                     ticks=np.asarray(self.ticks, dtype=np.int64),
+                     cycle_ticks=self.cycle_ticks, tolerance=self.tol,
+                     message_counts=counts(acts), messages=log)
 
 
 def _apply_tick(x: np.ndarray, ids: list[int], rule: UpdateRule,
@@ -194,12 +201,12 @@ def _apply_tick(x: np.ndarray, ids: list[int], rule: UpdateRule,
             log.extend((tick, _WAKE_UP, i, BROADCAST, 1) for i in ids)
 
 
-def _message_counts(trace: Trace, beacons: int) -> dict[str, int]:
-    """Messages of a finished poll-round run, in closed form: each update
-    sends one request to and gets one ack from every in-neighbor, then
-    broadcasts one wake-up."""
-    updates = trace.activations.sum(axis=0, dtype=np.int64)
-    polls = sum(int(u) * len(nb) for u, nb in zip(updates, trace.graph.in_neighbors))
+def _message_counts(graph: Graph, activations: np.ndarray, beacons: int) -> dict[str, int]:
+    """Messages of a poll-round run's activation rows, in closed form: each
+    update sends one request to and gets one ack from every in-neighbor,
+    then broadcasts one wake-up."""
+    updates = activations.sum(axis=0, dtype=np.int64)
+    polls = sum(int(u) * len(nb) for u, nb in zip(updates, graph.in_neighbors))
     return {_BEACON: beacons, _WAKE_UP: int(updates.sum()),
             _REQUEST: polls, _ACK: polls}
 
@@ -208,7 +215,6 @@ def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
     """Agent-level simulation: max_iterations beacon cycles of the full
     protocol, or fewer once disagreement holds below tolerance for one
     full beacon period."""
-    log: list | None = [] if collect_messages else None
     lay = assign_layers(cfg.graph)
     # row m - 1 flags hop layer m, the nodes tick m of every cycle updates
     waves = lay.layer_of == np.arange(1, lay.layer_count + 1)[:, None]
@@ -216,22 +222,20 @@ def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
     x0, _ = initial_states(cfg)
     x = x0.copy()
     t_cycle = ticks_per_cycle(cfg.duty, lay.layer_count, cfg.max_iterations)
-    rec = _Recorder(cfg.graph, x0, t_cycle, cfg.tolerance)
+    rec = _Recorder(cfg.graph, x0, t_cycle, cfg.tolerance, collect_messages)
     if t_cycle <= 1:  # x0 alone can end the run, as a one-row trace's series judges it
         rec.judge()
     cycles = 0
     while not rec.converged and cycles < cfg.max_iterations:
         base = cycles * t_cycle
         cycles += 1
-        if log is not None:
-            log.append((base + 1, _BEACON, ANCHOR_SRC, BROADCAST, None))
+        if rec.log is not None:
+            rec.log.append((base + 1, _BEACON, ANCHOR_SRC, BROADCAST, None))
         for m in range(lay.layer_count):
-            _apply_tick(x, wave_ids[m], cfg.rule, cfg.graph.in_neighbors, base + m + 1, log)
+            _apply_tick(x, wave_ids[m], cfg.rule, cfg.graph.in_neighbors, base + m + 1, rec.log)
             rec.record(base + m + 1, x, waves[m])
         rec.judge()
-    trace = rec.finish(log)
-    trace.message_counts = _message_counts(trace, cycles)
-    return trace
+    return rec.finish(lambda acts: _message_counts(cfg.graph, acts, cycles))
 
 
 def step_matrix(g: Graph, rule: UpdateRule, phi: np.ndarray) -> np.ndarray:
@@ -261,8 +265,8 @@ def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray,
                    collect_messages: bool = False) -> Trace:
     """Scripted run: wake the nodes of activation row k at tick k + 1, for
     max_iterations steps, with no beacons. Every step records a row, so
-    rows align one-to-one with the scripted steps. The run never stops
-    early, so its rows are judged once, at the end.
+    rows align one-to-one with the scripted steps, and the run never stops
+    early.
     """
     n = cfg.graph.node_count
     seq = np.asarray(activation_sequence)
@@ -273,35 +277,13 @@ def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray,
     if cfg.rule.variant is RuleVariant.PAIRWISE_BASELINE:
         raise ConfigError("scripted runs use the poll-round rules; "
                           "see run_pairwise_baseline")
-    log: list | None = [] if collect_messages else None
     x, _ = initial_states(cfg)
-    rec = _Recorder(cfg.graph, x, 1, cfg.tolerance)
+    rec = _Recorder(cfg.graph, x, 1, cfg.tolerance, collect_messages)
     for k in range(cfg.max_iterations):
         _apply_tick(x, np.flatnonzero(seq[k]).tolist(), cfg.rule, cfg.graph.in_neighbors,
-                    k + 1, log)
+                    k + 1, rec.log)
         rec.record(k + 1, x, seq[k] != 0)
-    trace = rec.finish(log)
-    trace.converged = convergence_time(trace, cfg.tolerance) is not None
-    trace.message_counts = _message_counts(trace, 0)
-    return trace
-
-
-def closed_form_state(cfg: RunConfig, activation_sequence: np.ndarray,
-                      k: int) -> np.ndarray:
-    """State vector at step k via the explicit product (W_k ... W_1) x0,
-    W_j the step_matrix of activation row j, instead of the recursion.
-
-    Mathematically equal to run_matrix_sim's row k; numerically it takes
-    an entirely different path, which is what makes it a useful
-    cross-check.
-    """
-    seq = np.asarray(activation_sequence)
-    if not (0 <= k <= seq.shape[0]):
-        raise ConfigError(f"step {k} outside the scripted sequence of {seq.shape[0]}")
-    w = np.eye(cfg.graph.node_count)
-    for phi in seq[:k]:
-        w = step_matrix(cfg.graph, cfg.rule, phi) @ w
-    return w @ initial_states(cfg)[0]
+    return rec.finish(lambda acts: _message_counts(cfg.graph, acts, 0))
 
 
 def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Trace:
@@ -318,9 +300,9 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
     n = g.node_count
     alpha = cfg.rule.alpha
     x, rng = initial_states(cfg)
-    rec = _Recorder(g, x, n, cfg.tolerance)
+    rec = _Recorder(g, x, n, cfg.tolerance, collect_messages)
+    log = rec.log
     nbrs = g.in_neighbors
-    log: list | None = [] if collect_messages else None
     for k in range(1, cfg.max_iterations + 1):
         i = int(rng.integers(n))
         j = int(nbrs[i][rng.integers(len(nbrs[i]))])
@@ -335,6 +317,5 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
         rec.record(k, x, active)
         if (k % n == 0 or k == cfg.max_iterations) and rec.judge():
             break
-    trace = rec.finish(log)
-    trace.message_counts = dict.fromkeys((_REQUEST, _ACK), trace.iterations - 1)
-    return trace
+    # one request and one ack per exchange, one exchange per row after x0
+    return rec.finish(lambda acts: dict.fromkeys((_REQUEST, _ACK), len(acts) - 1))

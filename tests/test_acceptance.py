@@ -18,7 +18,6 @@ from gossipsim import (
     assign_layers,
     build_topology,
     check_consensus_conditions,
-    closed_form_state,
     convergence_rounds,
     expected_weight_matrix,
     run_agent_sim,
@@ -33,6 +32,7 @@ from gossipsim.duty_cycle import activation_sequence
 from gossipsim.engine import initial_states
 from gossipsim.rules import RuleVariant
 
+from closed_form import closed_form_state
 from conftest import FIFTY_NODE_KINDS, fifty_node_graph, random_connected_graph, small_graph_family
 
 LABELS = FIFTY_NODE_KINDS

@@ -290,6 +290,21 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("config error: empty sweep grid")
         assert not out.exists()
 
+    def test_graph_seed_is_honoured(self, tmp_path):
+        # every row runs on the graph of seed 5, whatever its run seed
+        out = tmp_path / "o"
+        common = ("--graph.n", "20", "--graph.seed", "5")
+        assert run_cli("sweep", *common, "--sweep.topologies", "random_geometric",
+                       "--sweep.seeds", "0:3", "--jobs", "1", "--out", str(out)) == 0
+        rows = read_csv(out / "sweep.csv")
+        assert [r["seed"] for r in rows] == ["0", "1", "2"]
+        for row in rows:
+            one = tmp_path / f"run{row['seed']}"
+            assert run_cli("run", *common, "--graph.kind", "random_geometric",
+                           "--run.seed", row["seed"], "--out", str(one)) in (0, 3)
+            summary = read_kv(one / "summary.txt")
+            assert summary == {k: row[k] for k in summary}
+
     def test_directed_ring_pseudo_topology(self, tmp_path):
         out = tmp_path / "o"
         rc = run_cli("sweep", "--graph.n", "6", "--run.max_iterations", "60",

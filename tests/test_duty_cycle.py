@@ -32,13 +32,12 @@ class TestAlternating:
         assert rows.tolist() == [[1, 1, 1], [0, 0, 0]]
 
     def test_exact_period_two(self):
-        phi0 = np.array([0, 1, 0, 1], dtype=np.uint8)
-        rows = activation_sequence(DutyCycleParams(), 4, 6, phi0=phi0)
-        assert np.array_equal(rows[1::2], np.tile(phi0, (3, 1)))
-        assert np.array_equal(rows[0::2], np.tile(1 - phi0, (3, 1)))
+        rows = activation_sequence(DutyCycleParams(), 4, 6)
+        assert np.array_equal(rows[1::2], np.zeros((3, 4)))
+        assert np.array_equal(rows[0::2], np.ones((3, 4)))
 
     def test_confined_to_bits(self):
-        rows = activation_sequence(DutyCycleParams(), 2, 5, phi0=np.array([0, 1]))
+        rows = activation_sequence(DutyCycleParams(), 2, 5)
         assert set(np.unique(rows)) <= {0, 1}
 
 
@@ -64,11 +63,6 @@ class TestStochastic:
         sleep = ((prev == 1) & (cur == 0)).sum() / max((prev == 1).sum(), 1)
         assert abs(wake - 0.3) < 0.02
         assert abs(sleep - 0.2) < 0.02
-
-    def test_invalid_phi_vector(self):
-        params = DutyCycleParams(p=0.2, q=0.1)
-        with pytest.raises(ConfigError):
-            activation_sequence(params, 2, 3, phi0=np.array([0, 2], dtype=np.uint8))
 
 
 def step_activation(phi, params, rng):
@@ -97,18 +91,13 @@ class TestSequence:
         # a few rows per block of draws, so block edges are crossed
         monkeypatch.setattr(duty_cycle, "_DRAW_CELLS", 20)
         params = DutyCycleParams(p=p, q=q)
-        phi0 = np.array([1, 0, 0, 1, 1], dtype=np.uint8)
-        phi, rng, want = phi0.tolist(), np.random.default_rng(seed), []
+        phi, rng, want = [0] * 5, np.random.default_rng(seed), []
         for _ in range(103):
             phi = step_activation(phi, params, rng)
             want.append(phi)
-        got = activation_sequence(params, 5, 103, seed=seed, phi0=phi0)
+        got = activation_sequence(params, 5, 103, seed=seed)
         assert got.dtype == np.uint8
         assert np.array_equal(got, np.array(want))
-
-    def test_phi0_length_must_match(self):
-        with pytest.raises(ConfigError):
-            activation_sequence(DutyCycleParams(), 3, 4, phi0=np.zeros(2, dtype=np.uint8))
 
     def test_alternating_sequence(self):
         rows = activation_sequence(DutyCycleParams(), 3, 4)

@@ -1,6 +1,8 @@
 """Engine backends: agent wave, matrix recursion, closed form, pairwise."""
 
-from dataclasses import replace
+from argparse import Namespace
+from dataclasses import FrozenInstanceError, replace
+from math import fsum
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from gossipsim import (
     assign_layers,
     build_topology,
     analysis,
-    closed_form_state,
+    cli,
     convergence_time,
     engine,
     run_agent_sim,
@@ -24,8 +26,11 @@ from gossipsim import (
     run_pairwise_baseline,
     step_matrix,
 )
+from gossipsim.analysis import sustained_run
 from gossipsim.engine import initial_states, ticks_per_cycle
 from gossipsim.rules import RuleVariant
+
+from closed_form import closed_form_state
 
 CHAIN3 = build_topology("chain", 3)
 CHAIN4 = build_topology("chain", 4)
@@ -474,9 +479,86 @@ class TestStopRule:
         rows = tr.iterations
         if len(blocks[0]) == 1:  # x0 judged alone, as a one-row trace reports it
             assert tr.cycle_ticks <= 1
-            one_row = analysis.make_trace(tr.graph, tr.states[0], tr.cycle_ticks)
+            one_row = replace(tr, states=tr.states[:1], activations=tr.activations[:1],
+                              ticks=tr.ticks[:1])
             assert judged[0] == analysis.disagreement_series(one_row)[0]
             judged, series = judged[1:], series[1:]
             rows -= 1
         assert all(len(b) >= 2 for b in blocks[1:])
         assert np.array_equal(judged[:rows], series)
+
+
+def preset_cfgd(preset, rule, **keys):
+    """The CLI's resolved config of a preset under rule, with keys set."""
+    cfgd = cli.resolve_config(Namespace(preset=preset, config=None))
+    cfgd["rule.variant"] = rule
+    cfgd.update(keys)
+    return cfgd
+
+
+VERDICT_RUNS = {
+    f"{preset}/{rule}": preset_cfgd(preset, rule)
+    for preset in cli.PRESETS
+    for rule in ("neighborhood_set", "pure_neighbor", "pairwise_baseline")
+    if not (rule == "pairwise_baseline" and preset == "circular_directed")
+}
+# the budget compare gives the baseline, enough for it to converge
+VERDICT_RUNS["random_geometric/pairwise_long"] = preset_cfgd(
+    "random_geometric", "pairwise_baseline", **{"run.max_iterations": 300 * 50})
+VERDICT_RUNS["chain/stretched"] = preset_cfgd("chain", "neighborhood_set", **{"duty.d_var": 1.7})
+# hub-anchored star: one layer, one-tick cycles, and x0 already at consensus
+VERDICT_RUNS["star/constant"] = preset_cfgd("star", "neighborhood_set",
+                                            **{"run.initial_states": [3.25] * 50})
+
+
+class TestOneVerdict:
+    """A trace's converged is read off its rows by the window rule alone,
+    and the runs that stop early stop where that rule first holds."""
+
+    @pytest.mark.parametrize("name", sorted(VERDICT_RUNS))
+    def test_stopped_runs_end_on_their_spanning_row(self, name):
+        cfgd = VERDICT_RUNS[name]
+        tr = cli.execute_run(cfgd)
+        run = sustained_run(tr.disagreements < tr.tolerance, tr.ticks, tr.cycle_ticks)
+        assert tr.tolerance == cfgd["run.tolerance"]
+        assert tr.converged == (run is not None)
+        if tr.converged:
+            assert run[1] == tr.iterations - 1
+        elif cfgd["rule.variant"] == "pairwise_baseline":
+            assert tr.iterations - 1 == cfgd["run.max_iterations"]
+        else:
+            assert tr.message_counts["beacon"] == cfgd["run.max_iterations"]
+
+    def test_constant_star_stops_on_x0(self):
+        tr = cli.execute_run(VERDICT_RUNS["star/constant"])
+        assert tr.cycle_ticks == 1
+        assert tr.converged and tr.iterations == 1
+        assert tr.message_counts["beacon"] == 0
+
+    @pytest.mark.parametrize("name", sorted(n for n in VERDICT_RUNS if "pairwise" not in n))
+    def test_scripted_runs_converge_on_any_row_below_tolerance(self, name):
+        tr = cli.execute_run(dict(VERDICT_RUNS[name], **{"run.backend": "matrix"}))
+        assert tr.iterations == VERDICT_RUNS[name]["run.max_iterations"] + 1
+        assert tr.converged == bool((tr.disagreements < tr.tolerance).any())
+
+
+class TestFrozenTrace:
+    def test_fields_cannot_be_assigned(self):
+        tr = run_agent_sim(RunConfig(graph=CHAIN4, max_iterations=3))
+        for name in ("states", "converged", "x_avg", "message_counts"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(tr, name, None)
+
+    def test_rows_are_read_only(self):
+        tr = run_agent_sim(RunConfig(graph=CHAIN4, max_iterations=3))
+        for rows in (tr.states, tr.activations, tr.ticks):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[-1] = 0
+
+    def test_verdict_and_mean_are_derived_from_the_rows(self):
+        tr = run_agent_sim(RunConfig(graph=CHAIN4, seed=2, max_iterations=200))
+        assert tr.converged
+        assert tr.x_avg == fsum(tr.states[0]) / 4
+        tight = replace(tr, tolerance=1e-300)
+        assert not tight.converged
+        assert tight.x_avg == tr.x_avg
