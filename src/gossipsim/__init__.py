@@ -5,10 +5,7 @@ from .analysis import (
     SpectralReport,
     Trace,
     check_consensus_conditions,
-    convergence_rounds,
-    convergence_time,
     disagreement_of,
-    drift,
     expected_weight_matrix,
     second_eigenvalue_modulus,
     spectral_radius,

@@ -81,38 +81,49 @@ class Trace:
         return fsum(self.states[0]) / self.graph.node_count
 
     @cached_property
-    def converged(self) -> bool:
-        """Whether disagreement ever stays below tolerance for a full
-        beacon cycle, by convergence_time's window rule."""
-        return convergence_time(self, self.tolerance) is not None
-
-    # drift_series and disagreement_series, kept read-only, so that
-    # metrics.csv and the run summary share one pass
-
-    @cached_property
     def drifts(self) -> np.ndarray:
-        d = drift_series(self)
+        """|mean(x) - x_avg| of every row, each mean an exact fsum;
+        read-only."""
+        n, avg = self.graph.node_count, self.x_avg
+        d = np.array([abs(fsum(x) / n - avg) for x in self.states])
         d.flags.writeable = False
         return d
 
     @cached_property
     def disagreements(self) -> np.ndarray:
-        e = disagreement_series(self)
+        """Disagreement of every row, read-only, so that metrics.csv and
+        the run's verdict share one pass."""
+        e = disagreement_rows(self.states, self.graph)
         e.flags.writeable = False
         return e
 
+    @cached_property
+    def convergence_row(self) -> int | None:
+        """First row from which disagreement stays below tolerance for a
+        full beacon cycle, by sustained_run; None if it never does."""
+        run = sustained_run(self.disagreements < self.tolerance, self.ticks,
+                            self.cycle_ticks)
+        return None if run is None else run[0]
+
+    @property
+    def converged(self) -> bool:
+        """Whether the trace has a convergence row."""
+        return self.convergence_row is not None
+
+    @property
+    def rounds_to_tolerance(self) -> int | None:
+        """Convergence row counted in beacon cycles (per-node update rounds).
+
+        Updates of cycle c land on ticks c * cycle_ticks + 1 onward, so the
+        round count is ceil(tick / cycle_ticks): a run converging inside the
+        first cycle reports 1, and an initial row already below tolerance
+        reports 0. None when the trace never converged.
+        """
+        k = self.convergence_row
+        return None if k is None else -(-int(self.ticks[k]) // self.cycle_ticks)
+
     def total_messages(self) -> int:
         return sum(self.message_counts.values())
-
-
-def drift(trace: Trace, k: int) -> float:
-    """Absolute deviation of the mean at row k from the initial mean."""
-    x = trace.states[k]
-    return abs(fsum(x) / len(x) - trace.x_avg)
-
-
-def drift_series(trace: Trace) -> np.ndarray:
-    return np.array([drift(trace, k) for k in range(trace.iterations)])
 
 
 def disagreement_of(x: np.ndarray, graph: Graph) -> float:
@@ -135,8 +146,6 @@ def disagreement_rows(states: np.ndarray, graph: Graph) -> np.ndarray:
     """
     i, j = graph.arcs
     rows = states.shape[0]
-    if len(i) == 0:
-        return np.zeros(rows)
     step = max(2, _BLOCK_CELLS // len(i))
     parts = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -145,10 +154,6 @@ def disagreement_rows(states: np.ndarray, graph: Graph) -> np.ndarray:
             diff = np.take(cols, i, axis=0) - np.take(cols, j, axis=0)
             parts.append(np.sqrt((diff * diff).sum(axis=0) / graph.node_count))
     return np.concatenate(parts)
-
-
-def disagreement_series(trace: Trace) -> np.ndarray:
-    return disagreement_rows(trace.states, trace.graph)
 
 
 def sustained_run(ok: np.ndarray, ticks: np.ndarray,
@@ -160,30 +165,6 @@ def sustained_run(ok: np.ndarray, ticks: np.ndarray,
     spans = ok & (ticks - ticks[np.minimum(start, rows[-1])] >= cycle_ticks - 1)
     hit = np.flatnonzero(spans)
     return (int(start[hit[0]]), int(hit[0])) if len(hit) else None
-
-
-def convergence_time(trace: Trace, tol: float) -> int | None:
-    """First row from which disagreement stays below tol for a full
-    beacon cycle, by sustained_run; None if it never does."""
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    run = sustained_run(trace.disagreements < tol, trace.ticks, trace.cycle_ticks)
-    return None if run is None else run[0]
-
-
-def convergence_rounds(trace: Trace, tol: float) -> int | None:
-    """Convergence time counted in beacon cycles (per-node update rounds).
-
-    Updates of cycle c land on ticks c * cycle_ticks + 1 onward, so the
-    round count is ceil(tick / cycle_ticks): a run converging inside the
-    first cycle reports 1, and an initial row already at tol reports 0.
-    Returns None when the trace never converged.
-    """
-    k = convergence_time(trace, tol)
-    if k is None:
-        return None
-    t = int(trace.ticks[k])
-    return -(-t // trace.cycle_ticks)
 
 
 def _square(m: np.ndarray) -> np.ndarray:

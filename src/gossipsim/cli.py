@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -128,7 +127,7 @@ def load_config_file(path: str, allowed: dict) -> dict[str, str]:
                 if key not in allowed:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 raw[key] = val
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     return raw
 
@@ -214,34 +213,41 @@ def _write_csv(path: str, fields, rows: list[dict]) -> None:
         w.writerows(rows)
 
 
-def summarize(trace: analysis.Trace, tol: float) -> dict[str, str]:
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}")
+
+
+#: the columns of a run's summary, in summary.txt, sweep.csv and compare.csv
+SUMMARY_FIELDS = ("converged", "rows", "rounds_to_tolerance", "max_drift",
+                  "final_drift", "final_disagreement", "messages_total")
+
+
+def summarize(trace: analysis.Trace) -> dict[str, str]:
     """The summary fields of a run, each formatted as its output cell."""
-    rounds = analysis.convergence_rounds(trace, tol)
+    rounds = trace.rounds_to_tolerance
     d = trace.drifts
-    fields = {
-        "converged": trace.converged,
-        "rows": trace.iterations,
-        "rounds_to_tolerance": rounds if rounds is not None else "",
-        "max_drift": float(d.max()),
-        "final_drift": float(d[-1]),
-        "final_disagreement": analysis.disagreement_of(trace.final_state, trace.graph),
-        "messages_total": trace.total_messages(),
-    }
-    return {k: analysis.format_value(v) for k, v in fields.items()}
+    values = (trace.converged, trace.iterations, "" if rounds is None else rounds,
+              float(d.max()), float(d[-1]),
+              analysis.disagreement_of(trace.final_state, trace.graph),
+              trace.total_messages())
+    return {k: analysis.format_value(v) for k, v in zip(SUMMARY_FIELDS, values, strict=True)}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfgd = resolve_config(args)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     trace = execute_run(cfgd, collect_messages=args.dump_messages)
     _write_text(os.path.join(args.out, "trace.csv"), analysis.trace_csv_text(trace))
     buf = analysis.metrics_csv_text(trace)
     _write_text(os.path.join(args.out, "metrics.csv"), buf)
     if args.dump_messages:
-        mbuf = io.StringIO()
-        analysis.write_messages_csv(trace, mbuf)
-        _write_text(os.path.join(args.out, "messages.csv"), mbuf.getvalue())
-    summary = summarize(trace, cfgd["run.tolerance"])
+        with open(os.path.join(args.out, "messages.csv"), "w", encoding="utf-8",
+                  newline="") as fh:
+            analysis.write_messages_csv(trace, fh)
+    summary = summarize(trace)
     lines = [f"{k}={v}" for k, v in summary.items()]
     _write_text(os.path.join(args.out, "summary.txt"), "\n".join(lines) + "\n")
     for ln in lines:
@@ -258,16 +264,14 @@ def _sweep_worker(task: dict) -> dict:
            "status": "ok", "error": ""}
     try:
         trace = execute_run(cfgd)
-        row.update(summarize(trace, cfgd["run.tolerance"]))
+        row.update(summarize(trace))
     except (GossipSimError, MemoryError, OverflowError) as exc:
         row["status"] = "error"
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
-SWEEP_FIELDS = ["topology", "rule", "seed", "status", "converged", "rows",
-                "rounds_to_tolerance", "max_drift", "final_drift",
-                "final_disagreement", "messages_total", "error"]
+SWEEP_FIELDS = ("topology", "rule", "seed", "status", *SUMMARY_FIELDS, "error")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -286,7 +290,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not tasks:
         raise ConfigError("empty sweep grid: sweep.topologies, sweep.rules and "
                           "sweep.seeds must each select at least one value")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     # a process pool starts all its workers at once, so start no more than
     # there are tasks
     jobs = min(args.jobs, len(tasks))
@@ -303,7 +307,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfgd = resolve_config(args)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     rows = []
     for method in ("protocol", "pairwise"):
         mc = dict(cfgd)
@@ -314,10 +318,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             mc["run.max_iterations"] = cfgd["run.max_iterations"] * cfgd["graph.n"]
         trace = execute_run(mc)
         row = {"method": method, "rule": mc["rule.variant"]}
-        row.update(summarize(trace, cfgd["run.tolerance"]))
+        row.update(summarize(trace))
         rows.append(row)
-    fields = ["method", "rule", "converged", "rows", "rounds_to_tolerance",
-              "max_drift", "final_drift", "final_disagreement", "messages_total"]
+    fields = ("method", "rule", *SUMMARY_FIELDS)
     _write_csv(os.path.join(args.out, "compare.csv"), fields, rows)
     widths = {f: max(len(f), *(len(str(r.get(f, ""))) for r in rows)) for f in fields}
     print("  ".join(f.ljust(widths[f]) for f in fields))
@@ -328,7 +331,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_spectra(args: argparse.Namespace) -> int:
     cfgd = resolve_config(args)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     cfg = build_run_config(cfgd)
     reports = []
     main_rule = cfg.rule

@@ -27,8 +27,8 @@ period never drops below one sweep.
 
 Iteration accounting: trace rows are update events (one tick each).
 max_iterations counts beacon cycles for the agent backend and steps for
-the matrix/pairwise backends. analysis.convergence_rounds converts a
-trace back to per-node update rounds.
+the matrix/pairwise backends. Trace.rounds_to_tolerance converts a
+trace's convergence row back to per-node update rounds.
 
 Within one tick the neighborhood-set rule processes initiators
 sequentially in ascending node id, each full poll round atomic, so the

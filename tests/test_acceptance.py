@@ -18,7 +18,6 @@ from gossipsim import (
     assign_layers,
     build_topology,
     check_consensus_conditions,
-    convergence_rounds,
     expected_weight_matrix,
     run_agent_sim,
     run_matrix_sim,
@@ -26,7 +25,6 @@ from gossipsim import (
     second_eigenvalue_modulus,
     step_matrix,
 )
-from gossipsim.analysis import drift_series
 from gossipsim.cli import main as cli_main
 from gossipsim.duty_cycle import activation_sequence
 from gossipsim.engine import initial_states
@@ -110,7 +108,7 @@ def standard_traces(cycle_bounds):
 @pytest.mark.parametrize("label", LABELS)
 def test_criterion_1_drift_reproduction(standard_traces, label):
     trace = standard_traces[label]
-    worst = float(drift_series(trace).max())
+    worst = float(trace.drifts.max())
     print(f"criterion 1 [{label}]: max drift {worst:.3e} (bound 1e-12)")
     assert worst < 1e-12, f"{label}: max drift {worst:.3e} not below 1e-12"
 
@@ -140,7 +138,8 @@ def test_criterion_2_convergence_within_400_rounds(standard_traces, cycle_bounds
     assert np.array_equal(trace.ticks[1:],
                           r // layers.layer_count * trace.cycle_ticks
                           + r % layers.layer_count + 1)
-    rounds = convergence_rounds(trace, 1e-6)
+    assert trace.tolerance == 1e-6
+    rounds = trace.rounds_to_tolerance
     budget = bound.rounds + 1
     print(f"criterion 2 [{label}]: converged in "
           f"{rounds if rounds is not None else 'more than ' + str(budget)} rounds "
@@ -156,7 +155,7 @@ def test_criterion_2_random_geometric_majority_within_100():
     for seed in range(20):
         g = fifty_node_graph("random_geometric", seed=seed)
         cfg = RunConfig(graph=g, seed=seed, max_iterations=300, tolerance=1e-6)
-        counts.append(convergence_rounds(run_agent_sim(cfg), 1e-6))
+        counts.append(run_agent_sim(cfg).rounds_to_tolerance)
     fast = sum(1 for r in counts if r is not None and r <= 100)
     print(f"criterion 2 [random_geometric sweep]: rounds per seed = {counts}; "
           f"{fast}/20 within 100 rounds")

@@ -15,10 +15,7 @@ from gossipsim import (
     analysis,
     build_topology,
     check_consensus_conditions,
-    convergence_rounds,
-    convergence_time,
     disagreement_of,
-    drift,
     expected_weight_matrix,
     run_agent_sim,
     run_matrix_sim,
@@ -29,8 +26,6 @@ from gossipsim import (
 )
 from gossipsim.analysis import (
     Trace,
-    disagreement_series,
-    drift_series,
     metrics_csv_text,
     trace_csv_text,
 )
@@ -55,12 +50,12 @@ def synthetic_trace(graph, rows, ticks=None, cycle_ticks=1, tolerance=1e-6, acti
 class TestDrift:
     def test_mean_preserving_row_has_zero_drift(self):
         tr = synthetic_trace(CHAIN3, [[0.0, 6.0, 0.0], [2.0, 2.0, 2.0]])
-        assert drift(tr, 0) == 0.0
-        assert drift(tr, 1) == 0.0
+        assert tr.drifts[0] == 0.0
+        assert tr.drifts[1] == 0.0
 
     def test_constant_shift_shows_up_exactly(self):
         tr = synthetic_trace(CHAIN3, [[0.0, 6.0, 0.0], [1.0, 7.0, 1.0]])
-        assert drift(tr, 1) == pytest.approx(1.0, abs=1e-15)
+        assert tr.drifts[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_x_avg_is_exact_initial_mean(self):
         tr = synthetic_trace(CHAIN3, [[0.0, 6.0, 0.0]])
@@ -68,7 +63,7 @@ class TestDrift:
 
     def test_series_shape(self):
         tr = synthetic_trace(CHAIN3, [[0.0, 6.0, 0.0], [2.0, 2.0, 2.0]])
-        assert drift_series(tr).shape == (2,)
+        assert tr.drifts.shape == (2,)
 
 
 class TestDisagreement:
@@ -96,7 +91,7 @@ class TestDisagreement:
 
     def test_trace_accessor_matches_series(self):
         tr = synthetic_trace(CHAIN3, [[0.0, 6.0, 0.0], [2.0, 2.0, 2.0]])
-        series = disagreement_series(tr)
+        series = tr.disagreements
         assert disagreement_of(tr.states[0], CHAIN3) == pytest.approx(series[0])
         assert series[1] == 0.0
 
@@ -104,36 +99,33 @@ class TestDisagreement:
 class TestConvergenceTime:
     def test_already_converged_reports_zero(self):
         tr = synthetic_trace(CHAIN3, [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-        assert convergence_time(tr, 1e-6) == 0
-        assert convergence_rounds(tr, 1e-6) == 0
+        assert tr.convergence_row == 0
+        assert tr.rounds_to_tolerance == 0
 
     def test_never_converged_reports_none(self):
         tr = synthetic_trace(PAIR, [[0.0, 8.0], [0.0, 4.0], [0.0, 2.0]])
-        assert convergence_time(tr, 1e-6) is None
+        assert tr.convergence_row is None
+        assert tr.rounds_to_tolerance is None
 
     def test_dip_shorter_than_cycle_does_not_count(self):
         # disagreement on the 2-node chain equals the gap |x0 - x1|
         rows = [[0.0, 1.0], [0.0, 0.1], [0.0, 1.0],
                 [0.0, 0.1], [0.0, 0.1], [0.0, 0.1], [0.0, 0.1]]
-        tr = synthetic_trace(PAIR, rows, cycle_ticks=3)
-        assert convergence_time(tr, 0.5) == 3
+        tr = synthetic_trace(PAIR, rows, cycle_ticks=3, tolerance=0.5)
+        assert tr.convergence_row == 3
 
     def test_window_needs_coverage(self):
         rows = [[0.0, 1.0], [0.0, 0.1]]
         tr = synthetic_trace(PAIR, rows, cycle_ticks=5, tolerance=0.5)
-        assert convergence_time(tr, 0.5) is None
+        assert tr.convergence_row is None
         assert not tr.converged
 
     def test_rounds_use_cycle_arithmetic(self):
         rows = [[0.0, 1.0], [0.0, 1.0], [0.0, 0.01], [0.0, 0.01], [0.0, 0.01]]
-        tr = synthetic_trace(PAIR, rows, ticks=[0, 1, 2, 3, 4], cycle_ticks=2)
+        tr = synthetic_trace(PAIR, rows, ticks=[0, 1, 2, 3, 4], cycle_ticks=2,
+                             tolerance=0.5)
         # first good row at tick 2 -> cycle ceil(2/2) = 1
-        assert convergence_rounds(tr, 0.5) == 1
-
-    def test_bad_tol_rejected(self):
-        tr = synthetic_trace(PAIR, [[0.0, 1.0]])
-        with pytest.raises(ValueError):
-            convergence_time(tr, 0.0)
+        assert tr.rounds_to_tolerance == 1
 
 
 class TestSpectral:
@@ -402,7 +394,7 @@ class TestSeriesAgainstRecorder:
             monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
         tr = SERIES_TRACES[name]()
         g = tr.graph
-        series = disagreement_series(tr)
+        series = tr.disagreements
         i, j = np.nonzero(g.adjacency)
         whole = tr.states[:, i] - tr.states[:, j]
         assert np.array_equal(series, np.sqrt((whole * whole).sum(axis=1) / g.node_count))
@@ -427,4 +419,4 @@ class TestSeriesAgainstRecorder:
             diff = x[i] - x[j]
             want = float(np.sqrt((diff * diff).sum() / g.node_count))
             assert disagreement_of(x, g) == want
-            assert disagreement_series(synthetic_trace(g, [x]))[0] == want
+            assert synthetic_trace(g, [x]).disagreements[0] == want

@@ -180,6 +180,28 @@ class TestConfigHandling:
             assert err.startswith("config error: bad value for run.backend")
             assert err.count("\n") == 1
 
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_bytes(b"graph.n = 10\n# caf\xe9\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {cfg}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare", "spectra"])
+    def test_unusable_out_exits_one(self, tmp_path, capsys, command):
+        blocker = tmp_path / "f"
+        blocker.write_text("kept\n")
+        grid = ("--sweep.topologies", "star", "--sweep.seeds", "0", "--jobs", "1")
+        for out in (blocker, blocker / "sub"):
+            rc = run_cli(command, *FAST, *(grid if command == "sweep" else ()),
+                         "--out", str(out))
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: cannot create output directory {out}: ")
+            assert err.count("\n") == 1
+        assert blocker.read_text() == "kept\n"
+
     def test_unknown_preset_exits_one(self, tmp_path):
         assert run_cli("run", "--preset", "moebius", "--out", str(tmp_path / "o")) == 1
 

@@ -2,7 +2,7 @@
 
 from argparse import Namespace
 from dataclasses import FrozenInstanceError, replace
-from math import fsum
+from math import ceil, fsum
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from gossipsim import (
     build_topology,
     analysis,
     cli,
-    convergence_time,
     engine,
     run_agent_sim,
     run_matrix_sim,
@@ -428,7 +427,7 @@ class TestStopRule:
         assert tr.converged
         ok = tr.disagreements < tol
         last = tr.iterations - 1
-        k = convergence_time(tr, tol)
+        k = tr.convergence_row
         assert first_stop(ok, tr.ticks, tr.cycle_ticks) == (k, last)
         assert ok[k:].all()
         assert tr.ticks[last] - tr.ticks[k] >= tr.cycle_ticks - 1
@@ -441,7 +440,7 @@ class TestStopRule:
         tr = (run_pairwise_baseline if rule is PAIRWISE else run_agent_sim)(cfg)
         assert not tr.converged
         assert first_stop(tr.disagreements < tol, tr.ticks, tr.cycle_ticks) is None
-        assert convergence_time(tr, tol) is None
+        assert tr.convergence_row is None
 
     @pytest.mark.parametrize("name", sorted(STOP_RUNS))
     def test_messages_end_at_the_stop_row(self, name):
@@ -454,6 +453,22 @@ class TestStopRule:
         for m in tr.messages:
             kinds[m[1]] = kinds.get(m[1], 0) + 1
         assert kinds == {k: v for k, v in tr.message_counts.items() if v}
+
+    @pytest.mark.parametrize("tol", [pytest.param(None, id="own"), 1e-3, 1e-9])
+    @pytest.mark.parametrize("name", sorted(STOP_RUNS))
+    def test_rejudged_trace_reads_its_new_tolerance(self, name, tol):
+        tr, own = stop_run(name)
+        t = own if tol is None else tol
+        again = replace(tr, tolerance=t)
+        run = first_stop(tr.disagreements < t, tr.ticks, tr.cycle_ticks)
+        row = None if run is None else run[0]
+        assert again.convergence_row == row
+        assert again.converged == (row is not None)
+        rounds = None if row is None else ceil(int(tr.ticks[row]) / tr.cycle_ticks)
+        assert again.rounds_to_tolerance == rounds
+        summary = cli.summarize(again)
+        assert summary["converged"] == ("true" if row is not None else "false")
+        assert summary["rounds_to_tolerance"] == ("" if rounds is None else str(rounds))
 
     def test_pairwise_counts_come_from_rows_kept(self):
         tr, _ = stop_run("pairwise_ring12")
@@ -475,13 +490,13 @@ class TestStopRule:
         tr, _ = stop_run(name)
         # each block starts with the last row of the one before it
         judged = np.concatenate([blocks[0]] + [b[1:] for b in blocks[1:]])
-        series = analysis.disagreement_series(tr)
+        series = tr.disagreements
         rows = tr.iterations
         if len(blocks[0]) == 1:  # x0 judged alone, as a one-row trace reports it
             assert tr.cycle_ticks <= 1
             one_row = replace(tr, states=tr.states[:1], activations=tr.activations[:1],
                               ticks=tr.ticks[:1])
-            assert judged[0] == analysis.disagreement_series(one_row)[0]
+            assert judged[0] == one_row.disagreements[0]
             judged, series = judged[1:], series[1:]
             rows -= 1
         assert all(len(b) >= 2 for b in blocks[1:])
