@@ -197,9 +197,18 @@ def execute_run(cfgd: dict, collect_messages: bool = False) -> analysis.Trace:
     return run_agent_sim(cfg, collect_messages=collect_messages)
 
 
+def _open_output(path: str):
+    """path opened for writing text; a file that cannot be opened is a
+    configuration error, like an unusable --out."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot open output file {path}: {exc}")
+
+
 def _write_text(path: str, text: str) -> None:
     # in slices, so the encoder never holds a second copy of a large text
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         for start in range(0, len(text), _WRITE_CHUNK):
             fh.write(text[start:start + _WRITE_CHUNK])
 
@@ -207,7 +216,7 @@ def _write_text(path: str, text: str) -> None:
 def _write_csv(path: str, fields, rows: list[dict]) -> None:
     """A CSV file of the given columns, one line per row dict; a column a
     row lacks is left empty."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         w = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n", restval="")
         w.writeheader()
         w.writerows(rows)
@@ -244,8 +253,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     buf = analysis.metrics_csv_text(trace)
     _write_text(os.path.join(args.out, "metrics.csv"), buf)
     if args.dump_messages:
-        with open(os.path.join(args.out, "messages.csv"), "w", encoding="utf-8",
-                  newline="") as fh:
+        with _open_output(os.path.join(args.out, "messages.csv")) as fh:
             analysis.write_messages_csv(trace, fh)
     summary = summarize(trace)
     lines = [f"{k}={v}" for k, v in summary.items()]

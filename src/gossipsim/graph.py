@@ -1,6 +1,6 @@
 """Sensor network topologies and anchor-rooted layers.
 
-A graph here is a node set 0..n-1 with boolean adjacency and one
+A graph here is a node set 0..n-1, stored as its sorted arcs, and one
 distinguished vertex, ``anchor_id``, where the resource-rich beacon node
 sits. Control traffic (beacons, wake-ups) travels over the undirected
 radio graph; the direction of an arc only restricts which states a node
@@ -12,6 +12,7 @@ every node carries a layer in 1..L and the layer sizes sum to n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +25,9 @@ TOPOLOGY_KINDS = ("chain", "star", "circular", "circular_directed", "complete",
 
 #: samples a random kind draws before giving up on connecting the anchor
 MAX_ATTEMPTS = 100
+
+#: rows of the Erdos-Renyi uniform draw held at once
+ER_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -43,53 +47,65 @@ class TopologyParams:
 
 @dataclass(frozen=True)
 class Graph:
+    """A connected graph stored as its arcs.
+
+    arcs is (src, dst), the endpoints of every arc src -> dst in
+    row-major order: arc keys src * n + dst strictly increase, which is
+    the order np.nonzero gives for a dense adjacency. An undirected
+    graph holds both arcs of every edge.
+    """
+
     node_count: int
     anchor_id: int
-    adjacency: np.ndarray  # (n, n) bool, adjacency[i, j] means arc i -> j
+    arcs: tuple[np.ndarray, np.ndarray]
     directed: bool = False
 
     def __post_init__(self) -> None:
-        adj = np.asarray(self.adjacency, dtype=bool)
-        object.__setattr__(self, "adjacency", adj)
         n = self.node_count
         if n < 2:
             raise TopologyError(f"need at least 2 nodes, got {n}")
-        if adj.shape != (n, n):
-            raise TopologyError(f"adjacency shape {adj.shape} does not match node_count {n}")
-        if adj.diagonal().any():
+        src, dst = (np.array(a, dtype=np.int64, ndmin=1) for a in self.arcs)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise TopologyError(f"arc arrays of shapes {src.shape} and {dst.shape}")
+        if ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).any():
+            raise TopologyError(f"arc endpoint out of range for {n} nodes")
+        if (src == dst).any():
             raise TopologyError("self-loops are not allowed")
-        if not self.directed and not np.array_equal(adj, adj.T):
-            raise TopologyError("undirected graph has asymmetric adjacency")
+        keys = src * n + dst
+        if (np.diff(keys) <= 0).any():
+            raise TopologyError("arcs are not in strictly increasing row-major order")
+        if not self.directed and not np.array_equal(np.sort(dst * n + src), keys):
+            raise TopologyError("undirected graph has an arc without its reverse")
+        src.flags.writeable = False
+        dst.flags.writeable = False
+        object.__setattr__(self, "arcs", (src, dst))
         if not (0 <= self.anchor_id < n):
             raise TopologyError(f"anchor_id {self.anchor_id} out of range for {n} nodes")
         if (self.hops < 0).any():
             raise TopologyError("graph is not connected from the anchor vertex")
 
-    def control_adjacency(self) -> np.ndarray:
-        """Undirected radio view used for beacons, wake-ups, and layers."""
-        return self.adjacency | self.adjacency.T
-
-    # Views of adjacency, computed on first use and shared read-only, so
-    # adjacency must not change in place after construction.
+    # Views of the arcs, computed on first use and shared read-only.
 
     @cached_property
     def hops(self) -> np.ndarray:
         """Breadth-first hop count of every node from the anchor over the
         radio graph, computed once by the connectivity check. An
-        undirected adjacency, checked symmetric before this runs, is
-        already the radio graph."""
-        und = self.control_adjacency() if self.directed else self.adjacency
-        hop = _hops(und, self.anchor_id)
+        undirected graph, checked symmetric before this runs, is already
+        the radio graph; a directed one adds the reverse of every arc."""
+        n = self.node_count
+        src, dst = _undirected(*self.arcs, n) if self.directed else self.arcs
+        hop = _hops(_offsets(src, n), dst, self.anchor_id)
         hop.flags.writeable = False
         return hop
 
     @cached_property
-    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arc endpoints (i, j), i.e. np.nonzero(adjacency) in row-major order."""
-        i, j = np.nonzero(self.adjacency)
-        i.flags.writeable = False
-        j.flags.writeable = False
-        return i, j
+    def adjacency(self) -> np.ndarray:
+        """Dense (n, n) bool view, adjacency[i, j] meaning arc i -> j. It
+        costs n * n bytes, so no run path reads it."""
+        adj = np.zeros((self.node_count, self.node_count), dtype=bool)
+        adj[self.arcs] = True
+        adj.flags.writeable = False
+        return adj
 
     @cached_property
     def in_neighbors(self) -> tuple[np.ndarray, ...]:
@@ -103,18 +119,38 @@ class Graph:
         return tuple(np.split(by_dst, bounds))
 
 
-def _hops(und: np.ndarray, root: int) -> np.ndarray:
+def _undirected(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major arcs of the undirected graph on n nodes with edges (a, b),
+    each edge as both of its arcs, repeated edges once."""
+    keys = np.sort(np.concatenate([a * n + b, b * n + a]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return keys // n, keys % n
+
+
+def _offsets(src: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets of row-major arcs: node i's arcs are offsets[i]:offsets[i + 1]."""
+    return np.searchsorted(src, np.arange(n + 1))
+
+
+def _hops(offsets: np.ndarray, dst: np.ndarray, root: int) -> np.ndarray:
     """Breadth-first hop count of every node from root over the symmetric
-    adjacency und; -1 for a node root cannot reach."""
-    hop = np.full(und.shape[0], -1, dtype=np.int64)
+    graph with CSR offsets and arc targets dst; -1 for a node root cannot
+    reach. Plain Python over lists: O(n + arcs), with no per-level numpy
+    calls, which would dominate on small graphs and long chains."""
+    off, nbr = offsets.tolist(), dst.tolist()
+    hop = [-1] * (len(off) - 1)
     hop[root] = 0
-    frontier = np.array([root])
-    h = 0
-    while len(frontier):
+    frontier, h = [root], 0
+    while frontier:
         h += 1
-        frontier = np.flatnonzero(und[frontier].any(axis=0) & (hop < 0))
-        hop[frontier] = h
-    return hop
+        reached = []
+        for u in frontier:
+            for v in nbr[off[u]:off[u + 1]]:
+                if hop[v] < 0:
+                    hop[v] = h
+                    reached.append(v)
+        frontier = reached
+    return np.array(hop, dtype=np.int64)
 
 
 def build_topology(kind: str, n: int, params: TopologyParams | None = None,
@@ -135,27 +171,21 @@ def build_topology(kind: str, n: int, params: TopologyParams | None = None,
     if not (0 <= params.anchor < n):
         raise ConfigError(f"anchor {params.anchor} out of range for {n} nodes")
 
-    adj = np.zeros((n, n), dtype=bool)
+    idx = np.arange(n)
     if kind == "chain":
-        idx = np.arange(n - 1)
-        adj[idx, idx + 1] = True
-        adj |= adj.T
+        arcs = _undirected(idx[:-1], idx[1:], n)
     elif kind == "star":
-        hub = params.anchor
-        adj[hub, :] = True
-        adj[:, hub] = True
-        adj[hub, hub] = False
-    elif kind in ("circular", "circular_directed"):
-        idx = np.arange(n)
-        adj[idx, (idx + 1) % n] = True
-        if kind == "circular":
-            adj |= adj.T
+        arcs = _undirected(np.full(n - 1, params.anchor), np.delete(idx, params.anchor), n)
+    elif kind == "circular":
+        arcs = _undirected(idx, (idx + 1) % n, n)
+    elif kind == "circular_directed":
+        arcs = (idx, (idx + 1) % n)
     elif kind == "complete":
-        adj[:] = True
-        np.fill_diagonal(adj, False)
+        src, dst = np.divmod(np.arange(n * n), n)
+        arcs = (src[src != dst], dst[src != dst])
     else:  # random_geometric, optionally Erdos-Renyi
         return _build_random(n, params, seed)
-    return Graph(node_count=n, anchor_id=params.anchor, adjacency=adj,
+    return Graph(node_count=n, anchor_id=params.anchor, arcs=arcs,
                  directed=kind == "circular_directed")
 
 
@@ -167,18 +197,71 @@ def _build_random(n: int, params: TopologyParams, seed: int | None) -> Graph:
     rng = np.random.default_rng(seed)
     for _ in range(MAX_ATTEMPTS):
         if params.erdos_p is not None:
-            upper = np.triu(rng.random((n, n)) < params.erdos_p, k=1)
-            adj = upper | upper.T
+            src, dst = _erdos_renyi_arcs(rng, n, params.erdos_p)
         else:
-            pts = rng.uniform(0.0, 1.0, size=(n, 2))
-            d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            adj = d2 <= params.radius ** 2
-            np.fill_diagonal(adj, False)
-        if (_hops(adj, params.anchor) >= 0).all():
-            return Graph(node_count=n, anchor_id=params.anchor, adjacency=adj)
+            # any radius of 2 or more joins every pair of the unit square;
+            # capped there so that radius ** 2 cannot overflow
+            src, dst = _geometric_arcs(rng.uniform(0.0, 1.0, size=(n, 2)),
+                                       min(params.radius, 2.0))
+        if (_hops(_offsets(src, n), dst, params.anchor) >= 0).all():
+            return Graph(node_count=n, anchor_id=params.anchor, arcs=(src, dst))
     raise UnconnectableTopologyError(
         f"no connected sample in {MAX_ATTEMPTS} attempts "
         f"(n={n}, radius={params.radius}, erdos_p={params.erdos_p})")
+
+
+def _erdos_renyi_arcs(rng: np.random.Generator, n: int,
+                      p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs of the graph with edge i < j where u[i, j] < p, u being the
+    (n, n) uniform draw rng.random((n, n)), drawn ER_BLOCK_ROWS rows at a
+    time: the same numbers from the same stream."""
+    a, b = [], []
+    for lo in range(0, n, ER_BLOCK_ROWS):
+        i, j = np.nonzero(rng.random((min(ER_BLOCK_ROWS, n - lo), n)) < p)
+        i += lo
+        a.append(i[j > i])
+        b.append(j[j > i])
+    return _undirected(np.concatenate(a), np.concatenate(b), n)
+
+
+def _geometric_arcs(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs between the points of pts, (n, 2) in the unit square, whose
+    squared distance is at most radius ** 2.
+
+    Each point is bucketed into a grid of m x m square cells and compared
+    only with the points of the 3 x 3 block of cells around its own. The
+    radius spans at most 1 - 1/(isqrt(n) + 2) of a cell's side 1/m, a
+    margin far above rounding, so two points within reach always lie in
+    the same or adjacent cells. m is capped near sqrt(n), so no array
+    grows with 1 / radius, and only occupied cells are indexed.
+    """
+    n = len(pts)
+    m = max(1, int(min(1.0 / radius, math.isqrt(n) + 2)) - 1)
+    cell = np.minimum((pts * m).astype(np.int64), m - 1)
+    key = cell[:, 0] * m + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    # the occupied cells, ascending, and where each one's points start in order
+    sorted_key = key[order]
+    first = np.flatnonzero(np.diff(sorted_key, prepend=-1))
+    occupied, size = sorted_key[first], np.diff(first, append=n)
+    # each unordered pair once: from every point, the later points of its
+    # own cell and all points of four of the eight neighbouring cells
+    nbr = cell[order][:, None, :] + np.array([[0, 0], [0, 1], [1, -1], [1, 0], [1, 1]])
+    nx, ny = nbr[..., 0], nbr[..., 1]
+    want = nx * m + ny
+    slot = np.minimum(np.searchsorted(occupied, want), len(occupied) - 1)
+    hit = (nx < m) & (0 <= ny) & (ny < m) & (occupied[slot] == want)
+    starts = np.where(hit, first[slot], 0)
+    counts = np.where(hit, size[slot], 0)
+    own = np.arange(n)
+    counts[:, 0] += starts[:, 0] - own - 1
+    starts[:, 0] = own + 1
+    i = order[np.repeat(own, counts.sum(axis=1))]
+    starts, counts = starts.ravel(), counts.ravel()
+    # the sorted positions starts[k] .. starts[k] + counts[k] - 1, for every k
+    j = order[np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+    near = ((pts[i] - pts[j]) ** 2).sum(axis=-1) <= radius ** 2
+    return _undirected(i[near], j[near], n)
 
 
 @dataclass(frozen=True)

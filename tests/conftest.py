@@ -13,6 +13,13 @@ def fifty_node_graph(kind: str, seed: int = 1) -> Graph:
     return build_topology(kind, 50, seed=seed)
 
 
+def graph_of(adj, anchor: int = 0, directed: bool = False) -> Graph:
+    """The Graph whose arcs are the true entries of the dense matrix adj."""
+    adj = np.asarray(adj, dtype=bool)
+    return Graph(node_count=len(adj), anchor_id=anchor, arcs=np.nonzero(adj),
+                 directed=directed)
+
+
 def small_graph_family(max_n: int = 10):
     """Assorted small connected undirected graphs for property tests."""
     out = []

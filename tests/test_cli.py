@@ -202,6 +202,19 @@ class TestConfigHandling:
             assert err.count("\n") == 1
         assert blocker.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command, name", [
+        ("run", "trace.csv"), ("run", "messages.csv"), ("sweep", "sweep.csv"),
+        ("compare", "compare.csv"), ("spectra", "spectra.txt")])
+    def test_unopenable_output_file_exits_one(self, tmp_path, capsys, command, name):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        extra = {"run": ("--dump-messages",),
+                 "sweep": ("--sweep.topologies", "star", "--sweep.seeds", "0", "--jobs", "1")}
+        assert run_cli(command, *FAST, *extra.get(command, ()), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot open output file {out / name}: ")
+        assert err.count("\n") == 1
+
     def test_unknown_preset_exits_one(self, tmp_path):
         assert run_cli("run", "--preset", "moebius", "--out", str(tmp_path / "o")) == 1
 

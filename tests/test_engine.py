@@ -216,8 +216,7 @@ class TestMatrixBackend:
 
 class TestNodeWithoutInNeighbors:
     # directed chain 0 -> 1 -> 2: node 0 hears nobody
-    G = Graph(node_count=3, anchor_id=0, directed=True,
-              adjacency=np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=bool))
+    G = Graph(node_count=3, anchor_id=0, directed=True, arcs=([0, 1], [1, 2]))
 
     def test_beacon_run_raises_simulation_error(self):
         with pytest.raises(SimulationError, match="node 0 has nobody to poll"):

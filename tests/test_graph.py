@@ -1,5 +1,8 @@
 """Topology construction, layers and weight matrices."""
 
+import time
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -18,11 +21,17 @@ from gossipsim import graph as graph_module
 from gossipsim.errors import ConfigError
 from gossipsim.rules import RuleVariant, UpdateRule
 
-from conftest import small_graph_family
+from conftest import graph_of, small_graph_family
+from dense_graph import dense_hops, dense_random_graph
+
+
+def radio(g: Graph) -> np.ndarray:
+    """Undirected radio view used for beacons, wake-ups, and layers."""
+    return g.adjacency | g.adjacency.T
 
 
 def to_networkx(g: Graph):
-    und = g.control_adjacency()
+    und = radio(g)
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.node_count))
     nxg.add_edges_from(zip(*np.nonzero(und)))
@@ -30,7 +39,7 @@ def to_networkx(g: Graph):
 
 
 def control_degrees(g: Graph) -> np.ndarray:
-    return g.control_adjacency().sum(axis=1)
+    return radio(g).sum(axis=1)
 
 
 class TestBuilders:
@@ -92,6 +101,77 @@ class TestBuilders:
             build_topology("chain", 4, TopologyParams(anchor=4))
 
 
+def assert_built_as_dense(params, n, seed):
+    """build_topology's random graph is the dense builder's, arcs and hops."""
+    adj, attempts = dense_random_graph(n, params, seed)
+    if adj is None:
+        with pytest.raises(UnconnectableTopologyError):
+            build_topology("random_geometric", n, params, seed=seed)
+        return attempts
+    g = build_topology("random_geometric", n, params, seed=seed)
+    i, j = np.nonzero(adj)
+    assert np.array_equal(g.arcs[0], i) and np.array_equal(g.arcs[1], j)
+    assert np.array_equal(g.hops, dense_hops(adj, params.anchor))
+    return attempts
+
+
+def traced_peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRandomBuilders:
+    # (n, radius, anchor): radii of exactly 1/k, at and beyond the unit
+    # square's side, anchors other than 0, and draws that need retries
+    @pytest.mark.parametrize("n, radius, anchor", [
+        (60, 0.25, 0), (40, 0.25, 7), (90, 1 / 6, 3), (30, 1 / 3, 29), (160, 0.125, 11),
+        (25, 1.0, 4), (20, 1.7, 0), (50, 0.2, 17),
+    ])
+    def test_cell_grid_matches_dense_builder(self, n, radius, anchor):
+        params = TopologyParams(anchor=anchor, radius=radius)
+        for seed in range(50):
+            assert_built_as_dense(params, n, seed)
+
+    def test_second_attempt_matches_dense_builder(self):
+        params = TopologyParams(anchor=7, radius=0.25)
+        assert assert_built_as_dense(params, 40, 8) == 2
+        assert assert_built_as_dense(params, 40, 15) == 6
+
+    @pytest.mark.parametrize("block_rows", [1, 7, graph_module.ER_BLOCK_ROWS])
+    @pytest.mark.parametrize("n, p", [(10, 0.5), (50, 0.1), (150, 0.03)])
+    def test_erdos_renyi_matches_one_dense_draw(self, monkeypatch, block_rows, n, p):
+        monkeypatch.setattr(graph_module, "ER_BLOCK_ROWS", block_rows)
+        attempts = [assert_built_as_dense(TopologyParams(anchor=seed % n, erdos_p=p), n, seed)
+                    for seed in range(6)]
+        assert max(attempts) > 1 or n == 10
+
+    def test_huge_radius_joins_every_pair(self):
+        for radius in (2.0, 1e300, float("inf")):
+            g = build_topology("random_geometric", 6, TopologyParams(radius=radius), seed=0)
+            assert np.array_equal(g.arcs, build_topology("complete", 6).arcs)
+
+    def test_tiny_radius_fails_fast_in_little_memory(self):
+        def build():
+            with pytest.raises(UnconnectableTopologyError):
+                build_topology("random_geometric", 2000, TopologyParams(radius=1e-9), seed=0)
+
+        t0 = time.perf_counter()
+        assert traced_peak_bytes(build) < 4 * 2 ** 20
+        assert time.perf_counter() - t0 < 10
+
+    def test_ten_thousand_nodes_in_bounded_memory(self):
+        # the dense builder would hold 1.6 GB of pairwise differences
+        g = []
+        peak = traced_peak_bytes(lambda: g.append(build_topology(
+            "random_geometric", 10_000, TopologyParams(radius=0.022), seed=0)))
+        assert peak < 64 * 2 ** 20
+        assert (g[0].hops >= 0).all() and len(g[0].arcs[0]) > 10 * 10_000
+
+
 class TestGraphValidation:
     def test_self_loop_rejected(self):
         adj = np.zeros((3, 3), dtype=bool)
@@ -99,21 +179,42 @@ class TestGraphValidation:
         adj[1, 2] = adj[2, 1] = True
         adj[0, 0] = True
         with pytest.raises(TopologyError):
-            Graph(node_count=3, anchor_id=0, adjacency=adj)
+            graph_of(adj)
 
     def test_asymmetric_undirected_rejected(self):
         adj = np.zeros((3, 3), dtype=bool)
         adj[0, 1] = True
         adj[1, 2] = adj[2, 1] = True
         with pytest.raises(TopologyError):
-            Graph(node_count=3, anchor_id=0, adjacency=adj)
+            graph_of(adj)
 
     def test_disconnected_rejected(self):
         adj = np.zeros((4, 4), dtype=bool)
         adj[0, 1] = adj[1, 0] = True
         adj[2, 3] = adj[3, 2] = True
         with pytest.raises(TopologyError):
-            Graph(node_count=4, anchor_id=0, adjacency=adj)
+            graph_of(adj)
+
+    @pytest.mark.parametrize("arcs", [
+        ([1, 0, 1, 2], [0, 1, 2, 1]),  # unsorted
+        ([0, 0, 1, 1, 1, 2], [1, 1, 0, 0, 2, 1]),  # a repeated edge
+        ([0, 0, 1, 1, 2], [0, 1, 0, 2, 1]),  # a self-loop
+        ([0, 1, 1, 2, 2], [1, 0, 2, 1, 3]),  # an endpoint out of range
+        ([0, 1, 1, 2], [1, 0, 2]),  # arc arrays of different lengths
+    ])
+    def test_malformed_arcs_rejected(self, arcs):
+        with pytest.raises(TopologyError):
+            Graph(node_count=3, anchor_id=0, arcs=arcs)
+        Graph(node_count=3, anchor_id=0, arcs=([0, 1, 1, 2], [1, 0, 2, 1]))
+
+    def test_arcs_are_a_read_only_copy(self):
+        src, dst = np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1])
+        g = Graph(node_count=3, anchor_id=0, arcs=(src, dst))
+        src[0] = 2
+        assert list(g.arcs[0]) == [0, 1, 1, 2]
+        assert not g.arcs[0].flags.writeable and not g.arcs[1].flags.writeable
+        assert g.arcs[0].dtype == np.intp
+        assert not g.adjacency.flags.writeable
 
 
 class TestNeighborhoods:
@@ -121,13 +222,13 @@ class TestNeighborhoods:
         g = build_topology("chain", 3)
         assert list(np.flatnonzero(g.adjacency[1])) == [0, 2]
         assert list(np.flatnonzero(g.adjacency[:, 1])) == [0, 2]
-        assert list(np.flatnonzero(g.control_adjacency()[0])) == [1]
+        assert list(np.flatnonzero(radio(g)[0])) == [1]
 
     def test_bad_index(self):
         adj = build_topology("chain", 3).adjacency
         for anchor in (3, -1):
             with pytest.raises(TopologyError):
-                Graph(node_count=3, anchor_id=anchor, adjacency=adj)
+                graph_of(adj, anchor)
 
 
 class TestDerivedViews:
@@ -144,7 +245,7 @@ class TestDerivedViews:
         adj = rng.random((12, 12)) < 0.3
         np.fill_diagonal(adj, False)
         adj[np.arange(11), np.arange(1, 12)] = True  # connected from node 0
-        g = Graph(node_count=12, anchor_id=0, adjacency=adj, directed=True)
+        g = graph_of(adj, directed=True)
         for i in range(12):
             assert np.array_equal(g.in_neighbors[i], np.flatnonzero(adj[:, i]))
 
@@ -187,8 +288,7 @@ class TestLayers:
     def test_adjacent_layers_differ_by_at_most_one(self):
         for _, g in small_graph_family():
             lay = assign_layers(g).layer_of
-            und = g.control_adjacency()
-            i, j = np.nonzero(und)
+            i, j = np.nonzero(radio(g))
             assert (np.abs(lay[i] - lay[j]) <= 1).all()
 
     def test_permutation_equivariance(self):
@@ -197,8 +297,7 @@ class TestLayers:
         perm = rng.permutation(g.node_count)
         padj = np.zeros_like(g.adjacency)
         padj[np.ix_(perm, perm)] = g.adjacency
-        pg = Graph(node_count=g.node_count, anchor_id=int(perm[g.anchor_id]),
-                   adjacency=padj)
+        pg = graph_of(padj, int(perm[g.anchor_id]))
         lay = assign_layers(g).layer_of
         play = assign_layers(pg).layer_of
         assert np.array_equal(play[perm], lay)

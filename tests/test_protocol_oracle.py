@@ -32,7 +32,7 @@ class ProtocolOracle:
 
     def __init__(self, cfg: RunConfig):
         g = cfg.graph
-        und = g.control_adjacency()
+        und = g.adjacency | g.adjacency.T
         self.rule = cfg.rule
         self.layer = assign_layers(g).layer_of
         self.avg = [tuple(np.flatnonzero(g.adjacency[:, i])) for i in range(g.node_count)]

@@ -56,6 +56,13 @@ INVOCATIONS = [
      "--sweep.topologies", "chain,star,circular_directed,random_geometric",
      "--sweep.rules", "neighborhood_set,self_additive,pairwise_baseline",
      "--sweep.seeds", "0:6", "--jobs", "1"],
+    # the Erdos-Renyi sampler over more than one block of rows, and a
+    # geometric graph rooted away from node 0; both graph seeds draw two
+    # samples before one is connected
+    ["run", "--graph.kind", "random_geometric", "--graph.n", "100", "--graph.erdos_p", "0.05",
+     "--graph.seed", "1", "--run.max_iterations", "100"],
+    ["run", "--graph.kind", "random_geometric", "--graph.n", "40", "--graph.radius", "0.25",
+     "--graph.anchor", "7", "--graph.seed", "8", "--run.max_iterations", "100"],
     ["spectra", "--preset", "chain"],
     ["spectra", "--graph.kind", "random_geometric", "--graph.n", "200", "--graph.radius", "0.15"],
 ]
