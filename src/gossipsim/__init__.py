@@ -25,6 +25,7 @@ from .engine import (
 )
 from .errors import (
     ConfigError,
+    DisconnectedTopologyError,
     GossipSimError,
     SimulationError,
     TopologyError,

@@ -249,9 +249,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfgd = resolve_config(args)
     _make_out_dir(args.out)
     trace = execute_run(cfgd, collect_messages=args.dump_messages)
-    _write_text(os.path.join(args.out, "trace.csv"), analysis.trace_csv_text(trace))
-    buf = analysis.metrics_csv_text(trace)
-    _write_text(os.path.join(args.out, "metrics.csv"), buf)
+    # streamed, so that no copy of the largest file is held as text
+    with _open_output(os.path.join(args.out, "trace.csv")) as fh:
+        analysis.write_trace_csv(trace, fh)
+    _write_text(os.path.join(args.out, "metrics.csv"), analysis.metrics_csv_text(trace))
     if args.dump_messages:
         with _open_output(os.path.join(args.out, "messages.csv")) as fh:
             analysis.write_messages_csv(trace, fh)

@@ -16,7 +16,11 @@ Each runner records its rows in a _Recorder, which stops the run by
 the window rule of analysis.sustained_run and, when the run ends, builds
 its frozen Trace in one call: the rows kept, their closed-form message
 counts and, on request, the message log up to the last row's tick. The
-trace reads converged off those rows by the same rule for every backend.
+recorder writes rows into preallocated chunks of about 2 MiB of states
+and copies them into the trace's arrays once, releasing each chunk as it
+goes, so a run holds its trace and one chunk, not two copies of the
+trace. The trace reads converged off those rows by the same rule for
+every backend.
 step_matrix writes the same steps as explicit matrices, built from
 rules.update_block.
 
@@ -47,7 +51,7 @@ from math import ceil, isfinite
 
 import numpy as np
 
-from .analysis import Trace, disagreement_rows, sustained_run
+from .analysis import _BLOCK_CELLS, Trace, disagreement_rows, sustained_run
 from .duty_cycle import DutyCycleParams
 from .errors import ConfigError, SimulationError
 from .graph import Graph, assign_layers
@@ -117,7 +121,15 @@ class _Recorder:
     and window rule of the finished trace's metrics, so that the run
     stops on the numbers metrics.csv reports. Each block starts with the
     row judged last: only x0 is ever judged alone. log, when messages
-    are collected, is the list the run appends its messages to."""
+    are collected, is the list the run appends its messages to.
+
+    Rows are written into chunks of chunk_rows preallocated rows, about
+    _BLOCK_CELLS cells of states each, so that recording a row allocates
+    nothing; a block to judge is a view when it lies in one chunk and is
+    joined from its pieces when it spans several. finish copies the
+    chunks into the trace's arrays one at a time, releasing each once it
+    is copied, so the run holds at most the trace and one chunk more.
+    """
 
     def __init__(self, graph: Graph, x0: np.ndarray, cycle_ticks: int, tol: float,
                  collect_messages: bool):
@@ -125,45 +137,75 @@ class _Recorder:
         self.cycle_ticks = cycle_ticks
         self.tol = tol
         self.log: list | None = [] if collect_messages else None
-        self.states = [np.asarray(x0, dtype=float).copy()]
-        self.acts = [np.zeros(graph.node_count, dtype=np.uint8)]
-        self.ticks = [0]
+        self.chunk_rows = max(1, _BLOCK_CELLS // graph.node_count)
+        # chunk k of each list holds rows k * chunk_rows onward
+        self.states: list[np.ndarray] = []
+        self.acts: list[np.ndarray] = []
+        self.ticks: list[np.ndarray] = []
+        self.rows = 0  # rows recorded and kept
         self.judged = self.run_from = 0  # rows judged; first row of the ok run they end in
         self.converged = False
+        self.record(0, x0, np.zeros(graph.node_count, dtype=np.uint8))
 
     def record(self, tick: int, x: np.ndarray, active: np.ndarray) -> None:
-        self.states.append(x.copy())
-        self.acts.append(active.astype(np.uint8))
-        self.ticks.append(tick)
+        k, r = divmod(self.rows, self.chunk_rows)
+        if k == len(self.states):
+            shape = (self.chunk_rows, self.graph.node_count)
+            self.states.append(np.empty(shape))
+            self.acts.append(np.empty(shape, dtype=np.uint8))
+            self.ticks.append(np.empty(self.chunk_rows, dtype=np.int64))
+        self.states[k][r] = x
+        self.acts[k][r] = active
+        self.ticks[k][r] = tick
+        self.rows += 1
+
+    def _span(self, chunks: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi (lo < hi) of chunks: a view when they lie in one chunk."""
+        c = self.chunk_rows
+        first, last = lo // c, (hi - 1) // c
+        if first == last:
+            return chunks[first][lo - first * c:hi - first * c]
+        return np.concatenate([chunks[k][max(lo - k * c, 0):hi - k * c]
+                               for k in range(first, last + 1)])
 
     def judge(self) -> bool:
         """Judge the rows recorded since the last call. Once a run of ok
         rows spans a cycle, drop the rows after the row where it does and
         return True."""
-        new = len(self.states) - self.judged
-        block = np.array(self.states[max(self.judged - 1, 0):])
-        ok = np.ones(len(self.states) - self.run_from, dtype=bool)
+        new = self.rows - self.judged
+        block = self._span(self.states, max(self.judged - 1, 0), self.rows)
+        ok = np.ones(self.rows - self.run_from, dtype=bool)
         ok[-new:] = disagreement_rows(block, self.graph)[-new:] < self.tol
-        run = sustained_run(ok, np.array(self.ticks[self.run_from:]), self.cycle_ticks)
+        run = sustained_run(ok, self._span(self.ticks, self.run_from, self.rows),
+                            self.cycle_ticks)
         if run is not None:
-            end = self.run_from + run[1] + 1
-            del self.states[end:], self.acts[end:], self.ticks[end:]
+            self.rows = self.run_from + run[1] + 1
+            kept = -(-self.rows // self.chunk_rows)
+            del self.states[kept:], self.acts[kept:], self.ticks[kept:]
             self.converged = True
         elif not ok.all():
             self.run_from += int(np.flatnonzero(~ok)[-1]) + 1
-        self.judged = len(self.states)
+        self.judged = self.rows
         return self.converged
+
+    def _gather(self, chunks: list[np.ndarray]) -> np.ndarray:
+        """The rows kept, as one array; each chunk is released once copied."""
+        out = np.empty((self.rows, *chunks[0].shape[1:]), dtype=chunks[0].dtype)
+        for k, lo in enumerate(range(0, self.rows, self.chunk_rows)):
+            out[lo:lo + self.chunk_rows] = chunks[k][:self.rows - lo]
+            chunks[k] = None
+        return out
 
     def finish(self, counts: Callable[[np.ndarray], dict[str, int]]) -> Trace:
         """The trace of the rows kept, with counts(activation rows) as its
         message counts and the messages sent up to the last row's tick."""
+        ticks = self._gather(self.ticks)
         log = self.log
-        while log and log[-1][0] > self.ticks[-1]:
+        while log and log[-1][0] > ticks[-1]:
             log.pop()
-        acts = np.vstack(self.acts)
-        return Trace(graph=self.graph, states=np.vstack(self.states), activations=acts,
-                     ticks=np.asarray(self.ticks, dtype=np.int64),
-                     cycle_ticks=self.cycle_ticks, tolerance=self.tol,
+        acts = self._gather(self.acts)
+        return Trace(graph=self.graph, states=self._gather(self.states), activations=acts,
+                     ticks=ticks, cycle_ticks=self.cycle_ticks, tolerance=self.tol,
                      message_counts=counts(acts), messages=log)
 
 
@@ -303,6 +345,7 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
     rec = _Recorder(g, x, n, cfg.tolerance, collect_messages)
     log = rec.log
     nbrs = g.in_neighbors
+    active = np.zeros(n, dtype=np.uint8)  # the exchanging pair's flags, cleared after each row
     for k in range(1, cfg.max_iterations + 1):
         i = int(rng.integers(n))
         j = int(nbrs[i][rng.integers(len(nbrs[i]))])
@@ -312,9 +355,9 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
         if log is not None:
             log.append((k, _REQUEST, i, j, None))
             log.append((k, _ACK, j, i, float(x[j])))
-        active = np.zeros(n, dtype=np.uint8)
-        active[[i, j]] = 1
+        active[i] = active[j] = 1
         rec.record(k, x, active)
+        active[i] = active[j] = 0
         if (k % n == 0 or k == cfg.max_iterations) and rec.judge():
             break
     # one request and one ack per exchange, one exchange per row after x0

@@ -17,6 +17,10 @@ class TopologyError(GossipSimError):
     """Graph construction or validation failed."""
 
 
+class DisconnectedTopologyError(TopologyError):
+    """A graph is not connected from its anchor vertex."""
+
+
 class UnconnectableTopologyError(TopologyError):
     """Random topology sampling exhausted its attempt budget without
     producing a graph that is connected from the anchor vertex."""

@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, TopologyError, UnconnectableTopologyError
+from .errors import (ConfigError, DisconnectedTopologyError, TopologyError,
+                     UnconnectableTopologyError)
 
 TOPOLOGY_KINDS = ("chain", "star", "circular", "circular_directed", "complete",
                   "random_geometric")
@@ -82,7 +83,7 @@ class Graph:
         if not (0 <= self.anchor_id < n):
             raise TopologyError(f"anchor_id {self.anchor_id} out of range for {n} nodes")
         if (self.hops < 0).any():
-            raise TopologyError("graph is not connected from the anchor vertex")
+            raise DisconnectedTopologyError("graph is not connected from the anchor vertex")
 
     # Views of the arcs, computed on first use and shared read-only.
 
@@ -203,8 +204,12 @@ def _build_random(n: int, params: TopologyParams, seed: int | None) -> Graph:
             # capped there so that radius ** 2 cannot overflow
             src, dst = _geometric_arcs(rng.uniform(0.0, 1.0, size=(n, 2)),
                                        min(params.radius, 2.0))
-        if (_hops(_offsets(src, n), dst, params.anchor) >= 0).all():
+        if not np.bincount(src, minlength=n).all():
+            continue  # a node without arcs: disconnected, with no search
+        try:  # the graph's own connectivity check is the sample's one search
             return Graph(node_count=n, anchor_id=params.anchor, arcs=(src, dst))
+        except DisconnectedTopologyError:
+            continue
     raise UnconnectableTopologyError(
         f"no connected sample in {MAX_ATTEMPTS} attempts "
         f"(n={n}, radius={params.radius}, erdos_p={params.erdos_p})")

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from gossipsim import cli
+from gossipsim import analysis, cli
 from gossipsim.cli import PRESETS, _parse_seeds, main
 
 
@@ -53,6 +53,27 @@ class TestRunCommand:
         assert run_cli(*args, "--out", str(b)) == 0
         for name in ("trace.csv", "metrics.csv", "summary.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("cells", [None, 7])
+    @pytest.mark.parametrize("argv", [
+        ("--preset", "random_geometric"),
+        ("--preset", "circular_directed", "--run.max_iterations", "40"),
+    ], ids=["random_geometric", "circular_directed"])
+    def test_trace_csv_is_streamed_as_its_text(self, tmp_path, monkeypatch, argv, cells):
+        # the run writes trace.csv row by row and never builds its text
+        if cells is not None:  # blocks of one row each
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+        text = analysis.trace_csv_text
+
+        def unused(trace):
+            raise AssertionError("trace_csv_text called on the run path")
+
+        monkeypatch.setattr(analysis, "trace_csv_text", unused)
+        out = tmp_path / "o"
+        assert run_cli("run", *argv, "--dump-messages", "--out", str(out)) in (0, 3)
+        cfgd = cli.resolve_config(cli.build_parser().parse_args(["run", *argv]))
+        want = text(cli.execute_run(cfgd)).encode("utf-8")
+        assert (out / "trace.csv").read_bytes() == want
 
     def test_dump_messages(self, tmp_path):
         out = tmp_path / "o"

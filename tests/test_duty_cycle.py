@@ -99,6 +99,25 @@ class TestSequence:
         assert got.dtype == np.uint8
         assert np.array_equal(got, np.array(want))
 
+    @pytest.mark.parametrize("steps", [0, 1, 2, 5, 103])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("p,q", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+    def test_certain_chains_match_the_stepped_chain(self, p, q, seed, steps, monkeypatch):
+        # p and q of 0 or 1 fix every draw's outcome, so no draw is taken
+        params = DutyCycleParams(p=p, q=q)
+        phi, rng, want = [0] * 5, np.random.default_rng(seed), []
+        for _ in range(steps):
+            phi = step_activation(phi, params, rng)
+            want.append(phi)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a deterministic chain drew random numbers")
+
+        monkeypatch.setattr(duty_cycle.np.random, "default_rng", no_draws)
+        got = activation_sequence(params, 5, steps, seed=seed)
+        assert got.dtype == np.uint8 and got.shape == (steps, 5)
+        assert np.array_equal(got, np.array(want, dtype=np.uint8).reshape(steps, 5))
+
     def test_alternating_sequence(self):
         rows = activation_sequence(DutyCycleParams(), 3, 4)
         assert np.array_equal(rows[0], [1, 1, 1])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gossipsim import (
+    DisconnectedTopologyError,
     Graph,
     TopologyParams,
     TopologyError,
@@ -149,6 +150,22 @@ class TestRandomBuilders:
                     for seed in range(6)]
         assert max(attempts) > 1 or n == 10
 
+    @pytest.mark.parametrize("anchor, seed, attempts", [(7, 8, 2), (7, 15, 6), (0, 0, 1)])
+    def test_each_sample_is_searched_at_most_once(self, monkeypatch, anchor, seed, attempts):
+        searched = []
+
+        def counted(offsets, dst, root):
+            searched.append(root)
+            return hops(offsets, dst, root)
+
+        hops = graph_module._hops
+        monkeypatch.setattr(graph_module, "_hops", counted)
+        params = TopologyParams(anchor=anchor, radius=0.25)
+        assert assert_built_as_dense(params, 40, seed) == attempts
+        # the graph's own check searches the sample it keeps; a rejected
+        # sample is searched only when it has no node without arcs
+        assert 1 <= len(searched) <= attempts
+
     def test_huge_radius_joins_every_pair(self):
         for radius in (2.0, 1e300, float("inf")):
             g = build_topology("random_geometric", 6, TopologyParams(radius=radius), seed=0)
@@ -192,7 +209,7 @@ class TestGraphValidation:
         adj = np.zeros((4, 4), dtype=bool)
         adj[0, 1] = adj[1, 0] = True
         adj[2, 3] = adj[3, 2] = True
-        with pytest.raises(TopologyError):
+        with pytest.raises(DisconnectedTopologyError):
             graph_of(adj)
 
     @pytest.mark.parametrize("arcs", [

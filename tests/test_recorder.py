@@ -1,0 +1,164 @@
+"""The chunked trace recorder against the list-based one it replaced.
+
+Every runner's trace must be the one tests/list_recorder.py records, bit
+for bit: states, activations, ticks, message counts and message log, at
+the default chunk size and at chunks of a few rows, where judged blocks
+span chunk boundaries and the rows a converged run drops can fill whole
+chunks.
+"""
+
+import weakref
+from argparse import Namespace
+
+import numpy as np
+import pytest
+
+from gossipsim import DutyCycleParams, RunConfig, UpdateRule, build_topology, cli, engine
+from gossipsim.engine import run_agent_sim, run_pairwise_baseline
+
+from list_recorder import ListRecorder
+
+
+def cfgd_of(preset, **keys):
+    cfgd = cli.resolve_config(Namespace(preset=preset, config=None))
+    cfgd.update(keys)
+    return cfgd
+
+
+# the five presets on the agent backend, the scripted runner and the baseline
+CLI_RUNS = {
+    **{preset: cfgd_of(preset) for preset in cli.PRESETS},
+    "matrix/chain": cfgd_of("chain", **{"run.backend": "matrix"}),
+    "matrix/stochastic": cfgd_of("circular", **{"run.backend": "matrix", "duty.p": 0.3,
+                                                "duty.q": 0.6, "run.max_iterations": 300}),
+    "pairwise/random_geometric": cfgd_of("random_geometric", **{
+        "rule.variant": "pairwise_baseline", "run.max_iterations": 300 * 50}),
+    "pairwise/star": cfgd_of("star", **{"rule.variant": "pairwise_baseline"}),
+}
+# runs small enough to log every message
+MESSAGE_RUNS = ["star", "random_geometric", "matrix/stochastic", "pairwise/star"]
+
+PAIRWISE = UpdateRule.parse("pairwise_baseline")
+# (graph, rule, seed, max_iterations, tolerance, d_var): runs that stop
+# after a few hundred rows
+SMALL_RUNS = {
+    "chain6": (build_topology("chain", 6), UpdateRule(), 1, 200, 1e-3, 0.0),
+    "chain5_stretched": (build_topology("chain", 5), UpdateRule(), 2, 200, 1e-3, 2.5),
+    "star8": (build_topology("star", 8), UpdateRule(), 3, 50, 1e-6, 0.0),
+    "ring6_directed": (build_topology("circular_directed", 6), UpdateRule(), 4, 200,
+                       1e-2, 0.0),
+    "pairwise_ring8": (build_topology("circular", 8), PAIRWISE, 6, 2000, 1e-2, 0.0),
+}
+
+
+def run_small(name, **kw):
+    g, rule, seed, steps, tol, d_var = SMALL_RUNS[name]
+    cfg = RunConfig(graph=g, rule=rule, seed=seed, max_iterations=steps, tolerance=tol,
+                    duty=DutyCycleParams(d_var=d_var))
+    run = run_pairwise_baseline if rule is PAIRWISE else run_agent_sim
+    return run(cfg, **kw)
+
+
+def with_list_recorder(run):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_Recorder", ListRecorder)
+        return run()
+
+
+def with_chunk_rows(rows, n, run):
+    """run() with recorder chunks of the given number of rows, or the
+    default chunks when rows is None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(engine, "_BLOCK_CELLS", rows * n)
+        return run()
+
+
+def assert_same_trace(got, want):
+    for field in ("states", "activations", "ticks"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    assert got.message_counts == want.message_counts
+    # repr tells -0.0 from 0.0 and a float payload from an int one
+    assert repr(got.messages) == repr(want.messages)
+    assert (got.cycle_ticks, got.tolerance) == (want.cycle_ticks, want.tolerance)
+    assert got.converged == want.converged
+
+
+class TestAgainstListRecorder:
+    @pytest.mark.parametrize("name", sorted(CLI_RUNS))
+    def test_cli_runs(self, name):
+        cfgd = CLI_RUNS[name]
+        want = with_list_recorder(lambda: cli.execute_run(cfgd))
+        for rows in (None, 3):
+            got = with_chunk_rows(rows, cfgd["graph.n"], lambda: cli.execute_run(cfgd))
+            assert_same_trace(got, want)
+
+    @pytest.mark.parametrize("name", MESSAGE_RUNS)
+    def test_cli_runs_with_messages(self, name):
+        cfgd = CLI_RUNS[name]
+        want = with_list_recorder(lambda: cli.execute_run(cfgd, collect_messages=True))
+        assert want.messages
+        for rows in (None, 2):
+            got = with_chunk_rows(rows, cfgd["graph.n"],
+                                  lambda: cli.execute_run(cfgd, collect_messages=True))
+            assert_same_trace(got, want)
+
+    @pytest.mark.parametrize("collect", [False, True])
+    @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+    def test_chunks_of_a_few_rows_and_of_the_trace(self, name, collect):
+        want = with_list_recorder(lambda: run_small(name, collect_messages=collect))
+        assert want.converged
+        n, rows = want.graph.node_count, want.iterations
+        # chunks of a few rows, which every judged block spans; chunks of
+        # rows rows, which the rows kept fill exactly; and chunks of
+        # rows - 1 rows, whose second holds just the last row kept
+        for c in sorted({*range(1, 9), rows - 1, rows, rows + 1}):
+            got = with_chunk_rows(c, n, lambda: run_small(name, collect_messages=collect))
+            assert_same_trace(got, want)
+
+    # star8's one-tick cycles end on their spanning row, so it drops none
+    @pytest.mark.parametrize("name", sorted(set(SMALL_RUNS) - {"star8"}))
+    def test_converged_runs_drop_recorded_rows(self, name, monkeypatch):
+        # the premise of the chunk sweep above: each run stops with rows
+        # recorded past its spanning row, which the stop then drops
+        recorded = []
+
+        class Spy(engine._Recorder):
+            def judge(self):
+                recorded.append(self.rows)
+                return super().judge()
+
+        monkeypatch.setattr(engine, "_Recorder", Spy)
+        tr = run_small(name)
+        assert recorded[-1] > tr.iterations
+
+
+class TestChunks:
+    def test_chunks_hold_about_block_cells(self):
+        g = build_topology("chain", 50)
+        rec = engine._Recorder(g, np.zeros(50), 50, 1e-6, False)
+        assert rec.chunk_rows == engine._BLOCK_CELLS // 50
+        assert rec.states[0].shape == (rec.chunk_rows, 50)
+
+    def test_a_chunk_holds_at_least_one_row(self, monkeypatch):
+        monkeypatch.setattr(engine, "_BLOCK_CELLS", 49)
+        g = build_topology("chain", 50)
+        assert engine._Recorder(g, np.zeros(50), 50, 1e-6, False).chunk_rows == 1
+
+    def test_trace_keeps_no_chunk(self, monkeypatch):
+        # the trace's arrays are copies: no chunk outlives finish
+        monkeypatch.setattr(engine, "_BLOCK_CELLS", 6 * 3)
+        chunks = []
+
+        class Spy(engine._Recorder):
+            def finish(self, counts):
+                chunks.extend(weakref.ref(c) for c in self.states + self.acts + self.ticks)
+                return super().finish(counts)
+
+        monkeypatch.setattr(engine, "_Recorder", Spy)
+        tr = run_small("chain6")
+        assert len(chunks) == 3 * -(-tr.iterations // 3)
+        assert all(ref() is None for ref in chunks)
+        assert all(a.base is None for a in (tr.states, tr.activations, tr.ticks))
