@@ -36,8 +36,8 @@ SPECTRAL_TOL = 1e-9
 #: (rows, n) and (rows, arcs) work arrays stay near 2 MiB of float64 each
 _BLOCK_CELLS = 1 << 18
 
-#: trace row templates kept at once, one per distinct activation row
-_MAX_TEMPLATES = 4096
+#: characters of trace.csv joined into one write, 256 KiB of its ASCII text
+_WRITE_CHARS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,10 @@ class Trace:
 
     @cached_property
     def drifts(self) -> np.ndarray:
-        """|mean(x) - x_avg| of every row, each mean an exact fsum;
-        read-only."""
-        n, avg = self.graph.node_count, self.x_avg
-        d = np.array([abs(fsum(x) / n - avg) for x in self.states])
+        """|mean(x) - x_avg| of every row, each mean from a correctly
+        rounded sum, bit for bit as math.fsum gives it; read-only."""
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+            d = np.abs(_row_fsums(self.states) / self.graph.node_count - self.x_avg)
         d.flags.writeable = False
         return d
 
@@ -154,6 +154,73 @@ def disagreement_rows(states: np.ndarray, graph: Graph) -> np.ndarray:
             diff = np.take(cols, i, axis=0) - np.take(cols, j, axis=0)
             parts.append(np.sqrt((diff * diff).sum(axis=0) / graph.node_count))
     return np.concatenate(parts)
+
+
+def _two_sum_tree(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float sum down axis 0 of an (m, rows) array, adding its halves
+    pairwise in about log2(m) levels, with Knuth's TwoSum error of every
+    addition: (total, errors), errors an (m - 1, rows) array. While no
+    addition overflows, total plus the exact sum of the errors is the
+    exact sum of the column. Overwrites cols with partial sums.
+    """
+    m, rows = cols.shape
+    errors = np.empty((max(m - 1, 0), rows))
+    done = 0
+    while m > 1:
+        h = m // 2
+        a, b = cols[:h], cols[h:2 * h]
+        s = a + b
+        z = s - a
+        e = errors[done:done + h]
+        np.subtract(s, z, out=e)
+        np.subtract(a, e, out=e)  # a - (s - z)
+        np.subtract(b, z, out=z)
+        e += z
+        cols[:h] = s
+        if m % 2:  # the odd column moves up a level unpaired
+            cols[h] = cols[2 * h]
+        done += h
+        m = h + m % 2
+    return (cols[0] if m else np.zeros(rows)), errors
+
+
+def _row_fsums(states: np.ndarray) -> np.ndarray:
+    """math.fsum of every row of a (rows, n) array, in blocks of rows.
+
+    A TwoSum tree gives each row's float sum hi and its errors; a second
+    tree sums those to lo and leaves m errors of its own, whose exact sum
+    E2 is at most m times the largest, and so at most the bound 2 m max|e|
+    however that product rounds. The exact sum is hi + lo + E2 (Ogita,
+    Rump and Oishi, "Accurate Sum and Dot Product", SIAM J. Sci. Comput.,
+    2005). With c = fl(hi + lo) and r its exact rounding error, c is the
+    correctly rounded sum when E2 is zero, or when |r| plus the bound is
+    below half the gap from |c| down to the next float (the smaller gap
+    at a power of two). Every other row, and every row with a value that
+    is not finite or large enough that a sum could overflow, goes to
+    fsum, so the values and the exceptions (OverflowError, ValueError)
+    are fsum's.
+    """
+    rows, n = states.shape
+    sums = np.empty(rows)
+    step = max(1, _BLOCK_CELLS // (4 * n))  # its four (n, step) work arrays share the budget
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(0, rows, step):
+            block = states[b:b + step]
+            cols = np.array(block.T, dtype=np.float64, order="C")
+            small = np.abs(cols).max(axis=0) < 2.0 ** 1020 / n  # False at nan and inf
+            hi, errors = _two_sum_tree(cols)
+            lo, rest = _two_sum_tree(errors)
+            c = hi + lo
+            z = c - hi
+            r = (hi - (c - z)) + (lo - z)
+            bound = 2.0 * len(rest) * np.abs(rest).max(axis=0, initial=0.0)
+            mag = np.abs(c)
+            half_gap = 0.5 * (mag - np.nextafter(mag, 0.0))
+            exact = small & ((bound == 0.0) | (np.abs(r) + bound < half_gap))
+            sums[b:b + step] = c
+            for k in np.flatnonzero(~exact).tolist():
+                sums[b + k] = fsum(block[k])
+    return sums
 
 
 def sustained_run(ok: np.ndarray, ticks: np.ndarray,
@@ -309,48 +376,42 @@ def expected_weight_matrix(g: Graph, rule: UpdateRule | None = None) -> np.ndarr
 def write_trace_csv(trace: Trace, fh) -> None:
     """trace CSV in long form: iteration, node_id, x, phi.
 
-    Each x cell is f"{x:.17g}". A chain row changes only a few of its
-    values, so one formatted cell per node is kept and reformatted only
-    where the row's float64 bit pattern differs from the previous row's
-    (comparing bits, not values, keeps -0.0 after 0.0 and NaN payload
-    changes exact). Every other field is an integer, so no field ever
-    needs CSV quoting, and each row is one %-substitution into a template
-    cached by the row's activation bytes.
+    Each row joins one f"{i},{x:.17g},{phi}" part per node. A part is
+    reformatted only where the node's float64 bit pattern or activation
+    flag differs from the previous row's (comparing bits, not values,
+    keeps -0.0 after 0.0 and NaN payload changes exact); a chain row
+    changes about 3 of its 50. Every field but x is an integer, so no
+    field ever needs CSV quoting. Rows are written about _WRITE_CHARS at
+    a time.
     """
     fh.write("iteration,node_id,x,phi\n")
     n = trace.graph.node_count
     states = np.ascontiguousarray(trace.states, dtype=np.float64)
     bits = states.view(np.int64)
     acts = trace.activations
-    templates: dict[bytes, str] = {}
-    # the iteration goes into the even slots, node i's cell into slot 2i + 1
-    args = [""] * (2 * n)
+    parts = [""] * n
+    batch, size = [], 0
     step = max(1, _BLOCK_CELLS // n)
     for b in range(0, trace.iterations, step):
         e = min(trace.iterations, b + step)
         if b:
-            changed = bits[b:e] != bits[b - 1:e - 1]
-        else:  # the first row formats every cell
+            changed = (bits[b:e] != bits[b - 1:e - 1]) | (acts[b:e] != acts[b - 1:e - 1])
+        else:  # the first row formats every part
             changed = np.ones((e, n), dtype=bool)
-            changed[1:] = bits[1:e] != bits[:e - 1]
+            changed[1:] = (bits[1:e] != bits[:e - 1]) | (acts[1:e] != acts[:e - 1])
         r, c = np.nonzero(changed)
-        vals = states[b:e][r, c].tolist()
-        slots = (2 * c + 1).tolist()
-        ends = np.searchsorted(r, np.arange(1, e - b + 1)).tolist()
-        lo = 0
-        for k, hi in zip(range(b, e), ends):
-            for slot, x in zip(slots[lo:hi], vals[lo:hi]):
-                args[slot] = f"{x:.17g}"
-            lo = hi
-            key = acts[k].tobytes()
-            tmpl = templates.get(key)
-            if tmpl is None:
-                if len(templates) >= _MAX_TEMPLATES:  # rows that rarely repeat
-                    templates.clear()
-                tmpl = templates[key] = "".join(
-                    f"%s,{i},%s,{int(a)}\n" for i, a in enumerate(acts[k].tolist()))
-            args[0::2] = [str(k)] * n
-            fh.write(tmpl % tuple(args))
+        cells = zip(c.tolist(), states[b:e][r, c].tolist(), acts[b:e][r, c].tolist())
+        counts = np.bincount(r, minlength=e - b).tolist()
+        for k, m in zip(range(b, e), counts):
+            for _, (i, x, a) in zip(range(m), cells):
+                parts[i] = f"{i},{x:.17g},{a}"
+            row = f"{k}," + f"\n{k},".join(parts) + "\n"
+            batch.append(row)
+            size += len(row)
+            if size >= _WRITE_CHARS:
+                fh.write("".join(batch))
+                batch, size = [], 0
+    fh.write("".join(batch))
 
 
 def write_messages_csv(trace: Trace, fh) -> None:
@@ -362,10 +423,17 @@ def write_messages_csv(trace: Trace, fh) -> None:
 
 
 def metrics_csv_text(trace: Trace) -> str:
-    """metrics CSV: iteration, drift, disagreement (one row per event)."""
-    rows = zip(trace.drifts.tolist(), trace.disagreements.tolist())
+    """metrics CSV: iteration, drift, disagreement (one row per event).
+
+    Drift takes few distinct values (4 over the chain preset's 46,969
+    rows), so each is formatted once; being an absolute value, it is
+    never -0.0, which would share a cell with 0.0.
+    """
+    values, index = np.unique(trace.drifts, return_inverse=True)
+    cells = [f"{d:.17g}" for d in values.tolist()]
+    rows = zip(index.tolist(), trace.disagreements.tolist())
     return "iteration,drift,disagreement\n" + "".join(
-        f"{k},{d:.17g},{e:.17g}\n" for k, (d, e) in enumerate(rows))
+        f"{k},{cells[d]},{e:.17g}\n" for k, (d, e) in enumerate(rows))
 
 
 def trace_csv_text(trace: Trace) -> str:

@@ -31,6 +31,8 @@ from gossipsim.analysis import (
 )
 from gossipsim.rules import RuleVariant, UpdateRule
 
+from fsum_drifts import fsum_drifts
+
 CHAIN3 = build_topology("chain", 3)
 PAIR = build_topology("chain", 2)
 
@@ -324,8 +326,17 @@ def _special_values_trace():
     rows = [[0.0, 1.5, 2.0], [-0.0, 1.5, 2.0], [0.0, float("nan"), 2.0],
             [0.0, -float("nan"), float("inf")], [0.0, 1.5, -float("inf")],
             [5e-324, 1.5, -0.0], [5e-324, 1.5, -0.0], [1e300, 0.1, 0.0]]
-    acts = [[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 0, 0],
+    acts = [[0, 0, 0], [0, 0, 0], [0, 1, 1], [1, 0, 0],
             [0, 1, 1], [0, 0, 0], [1, 1, 1], [1, 0, 0]]
+    return synthetic_trace(CHAIN3, rows, activations=acts)
+
+
+def _flag_flips_trace():
+    """Rows whose states repeat bit for bit while activation flags flip,
+    and a node (node 1) whose phi changes while its x holds."""
+    rows = [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0],
+            [1.5, 2.0, 2.5], [1.5, 2.0, 2.5], [2.0, 2.0, 2.0]]
+    acts = [[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1], [1, 0, 1]]
     return synthetic_trace(CHAIN3, rows, activations=acts)
 
 
@@ -336,6 +347,7 @@ ORACLE_TRACES = {
     "pairwise": _pairwise_trace,
     "matrix_stochastic": _stochastic_matrix_trace,
     "special_values": _special_values_trace,
+    "flag_flips": _flag_flips_trace,
 }
 
 
@@ -346,12 +358,152 @@ class TestTraceCsvOracle:
         assert trace_csv_text(tr) == reference_trace_csv(tr)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
-    def test_matches_with_tiny_blocks_and_template_cache(self, name, monkeypatch):
-        # one row per block, and a template cache that keeps a single row
+    def test_matches_with_tiny_blocks(self, name, monkeypatch):
+        # one row per block, and one write per row
         monkeypatch.setattr(analysis, "_BLOCK_CELLS", 1)
-        monkeypatch.setattr(analysis, "_MAX_TEMPLATES", 1)
+        monkeypatch.setattr(analysis, "_WRITE_CHARS", 1)
         tr = ORACLE_TRACES[name]()
         assert trace_csv_text(tr) == reference_trace_csv(tr)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _fsum_or_error(row):
+    """fsum of the row, or the class of the exception it raises."""
+    try:
+        return math.fsum(row)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+MAX, TINY, INF, NAN = np.finfo(float).max, 5e-324, float("inf"), float("nan")
+
+#: rows whose correctly rounded sums are hard to certify, by kind
+CRAFTED_ROWS = {
+    "cancellation": [[1e16, 1.0, -1e16], [1.0, 1e100, 1.0, -1e100],
+                     [1e308, -1e308, TINY], [0.1, 0.2, -0.3], [1e-300, 1e300, 1e-300, -1e300]],
+    # exact ties round to even, one down and one up; a far term breaks them
+    "ties": [[1.0, 2**-53], [1.0 + 2**-52, 2**-53], [2.0**53, 1.0], [2.0**53 + 2, 1.0],
+             [1.0, 2**-53, 2**-105], [1.0, 2**-53, -2**-105], [1.0 + 2**-52, 2**-53, -2**-300],
+             [3.0, 2**-52, 2**-80, -2**-80]],
+    # just below a power of two the gap is half the one above it
+    "powers_of_two": [[0.5, 0.25, 0.25], [1.0, -2**-54], [1.0, -2**-54, -2**-80],
+                      [1.0, -2**-54, 2**-80], [1.0, -2**-55], [1.0, -2**-55, -2**-90],
+                      [2.0**-1022, -TINY], [4.0, -2**-51, -2**-60, 2**-61],
+                      [0.75, 0.25, -2**-54, 2**-200],
+                      # fl(hi + lo) is the tie below 2.0 and the second tree's
+                      # remainder is negative: half the gap above would accept 2.0
+                      [1 + 2**-51, 1 - 2**-51, -2**-53, -2**-120]],
+    "subnormal_and_zero": [[TINY, TINY, -2 * TINY], [TINY, 3 * TINY], [2.0**-1023, 2.0**-1023],
+                           [2.0**-1022, -TINY, TINY], [0.0, 0.0], [-0.0, -0.0],
+                           [-0.0, 0.0], [0.0, -0.0, -0.0]],
+    # fsum returns nan or inf, raises ValueError on inf + -inf, and
+    # OverflowError when a partial sum overflows, even one whose exact
+    # total is finite
+    "non_finite": [[NAN, 1.0], [1.0, INF], [-INF, 2.0], [INF, -INF], [NAN, INF, -INF],
+                   [-NAN, INF], [MAX, MAX], [-MAX, -MAX, 1.0], [MAX, MAX, -MAX],
+                   [1.0, MAX, MAX, -MAX, -MAX], [MAX, -MAX, MAX], [MAX, 2.0**970]],
+}
+
+
+def _arrangements(row):
+    """The row, reversed, and padded with zeros to odd and even widths:
+    equal sums through trees of other shapes."""
+    out = [list(row), list(row)[::-1]]
+    for width in (5, 8, 9, 16):
+        if width > len(row):
+            out.append(list(row) + [0.0] * (width - len(row)))
+            out.append([0.0] * (width - len(row)) + list(row)[::-1])
+    return out
+
+
+def _random_rows(rows, n, seed):
+    """Rows of mixed signs and magnitudes, half of them followed by the
+    negation of their first half, so that most of their sum cancels."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, n)) * 2.0 ** rng.integers(-40, 40, size=(rows, n))
+    h = n // 2
+    x[::2, n - h:] = -x[::2, :h] * (1.0 + rng.integers(-2, 3, size=(len(x[::2]), h)) * 2**-52)
+    return x
+
+
+#: _BLOCK_CELLS for the drift tests: row sums take _BLOCK_CELLS // (4 n)
+#: rows per block, so 1 and 7 make one-row blocks and 100 blocks of a few
+DRIFT_BLOCK_CELLS = [None, 1, 7, 100]
+
+
+class TestDriftOracle:
+    """Trace.drifts against one fsum per row, bit for bit."""
+
+    @pytest.mark.parametrize("cells", DRIFT_BLOCK_CELLS)
+    @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
+    def test_matches_fsum_loop(self, name, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+        tr = ORACLE_TRACES[name]()
+        assert np.array_equal(_bits(tr.drifts), _bits(fsum_drifts(tr)))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
+    def test_metrics_csv_matches_per_row_loop(self, name):
+        tr = ORACLE_TRACES[name]()
+        rows = zip(fsum_drifts(tr).tolist(), tr.disagreements.tolist())
+        assert metrics_csv_text(tr) == "iteration,drift,disagreement\n" + "".join(
+            f"{k},{d:.17g},{e:.17g}\n" for k, (d, e) in enumerate(rows))
+
+    @pytest.mark.parametrize("cells", DRIFT_BLOCK_CELLS)
+    @pytest.mark.parametrize("kind", sorted(CRAFTED_ROWS))
+    def test_crafted_rows(self, kind, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+        for row in CRAFTED_ROWS[kind]:
+            for x in _arrangements(row):
+                want = _fsum_or_error(x)
+                # a zero first row makes x_avg 0, so the drift is |sum / n|
+                tr = synthetic_trace(build_topology("chain", len(x)), [[0.0] * len(x), x])
+                if isinstance(want, type):
+                    with pytest.raises(want):
+                        analysis._row_fsums(np.array([x]))
+                    with pytest.raises(want):
+                        tr.drifts
+                    continue
+                # fsum gives 0.0 for every zero sum; + 0.0 clears a -0.0
+                assert _bits(analysis._row_fsums(np.array([x]))[0] + 0.0) == _bits(want + 0.0), x
+                assert np.array_equal(_bits(tr.drifts), _bits(fsum_drifts(tr))), x
+
+    @pytest.mark.parametrize("cells", DRIFT_BLOCK_CELLS)
+    def test_crafted_rows_in_one_trace(self, cells, monkeypatch):
+        # every finite crafted row as one row of a 9-node trace, so that
+        # rows the tree certifies and rows fsum sums share blocks
+        if cells is not None:
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+        rows = [x for kind, crafted in sorted(CRAFTED_ROWS.items()) if kind != "non_finite"
+                for row in crafted for x in _arrangements(row) if len(x) <= 9]
+        rows = [[0.5] * 9] + [x + [0.0] * (9 - len(x)) for x in rows]
+        tr = synthetic_trace(build_topology("chain", 9), rows)
+        assert np.array_equal(_bits(tr.drifts), _bits(fsum_drifts(tr)))
+        assert np.array_equal(_bits(analysis._row_fsums(tr.states) + 0.0),
+                              _bits([math.fsum(x) + 0.0 for x in rows]))
+
+    def test_non_finite_initial_row(self):
+        # x_avg is inf, so rows give inf - inf and inf - x without a warning
+        tr = synthetic_trace(CHAIN3, [[INF, 0.0, 0.0], [INF, 1.0, 0.0], [1.0, 2.0, 3.0]])
+        assert np.array_equal(_bits(tr.drifts), _bits(fsum_drifts(tr)))
+
+    def test_one_column(self):
+        values = [1.5, -0.0, TINY, -MAX, 2.0**-1022, 0.1, INF, -INF, NAN]
+        got = analysis._row_fsums(np.array(values)[:, None])
+        assert np.array_equal(_bits(got + 0.0), _bits([math.fsum([v]) + 0.0 for v in values]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 50])
+    def test_random_rows(self, n):
+        x = _random_rows(400, n, seed=n)
+        want = [math.fsum(row) + 0.0 for row in x]
+        assert np.array_equal(_bits(analysis._row_fsums(x) + 0.0), _bits(want))
+        if n > 1:
+            tr = synthetic_trace(build_topology("chain", n), x)
+            assert np.array_equal(_bits(tr.drifts), _bits(fsum_drifts(tr)))
 
 
 def sequential_disagreement(x, graph):

@@ -63,6 +63,10 @@ INVOCATIONS = [
      "--graph.seed", "1", "--run.max_iterations", "100"],
     ["run", "--graph.kind", "random_geometric", "--graph.n", "40", "--graph.radius", "0.25",
      "--graph.anchor", "7", "--graph.seed", "8", "--run.max_iterations", "100"],
+    # an odd node count, which the row sums of drift pair unevenly, and a
+    # chain whose trace spans many blocks of rows
+    ["run", "--preset", "circular", "--graph.n", "49", "--dump-messages"],
+    ["run", "--graph.kind", "chain", "--graph.n", "301", "--run.max_iterations", "20"],
     ["spectra", "--preset", "chain"],
     ["spectra", "--graph.kind", "random_geometric", "--graph.n", "200", "--graph.radius", "0.15"],
 ]
