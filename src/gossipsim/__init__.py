@@ -10,18 +10,13 @@ from .analysis import (
     second_eigenvalue_modulus,
     spectral_radius,
 )
-from .duty_cycle import (
-    DutyCycleParams,
-    activation_sequence,
-    stationary_active_fraction,
-)
+from .duty_cycle import DutyCycleParams, activation_sequence
 from .engine import (
     RunConfig,
     run_agent_sim,
     run_matrix_sim,
     run_pairwise_baseline,
     step_matrix,
-    ticks_per_cycle,
 )
 from .errors import (
     ConfigError,

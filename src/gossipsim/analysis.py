@@ -42,14 +42,13 @@ _WRITE_CHARS = 1 << 18
 
 @dataclass(frozen=True)
 class Trace:
-    """Recorded run: one row per update event plus the initial row.
+    """Recorded run: one row per tick plus the initial row.
 
-    states[k] is the state vector after the k-th recorded event
-    (states[0] is the initial vector), activations[k] flags the nodes
-    that updated in that event, and ticks[k] is the integer wall-clock
-    slot it happened in. cycle_ticks is the width of one beacon cycle in
-    ticks; sustained convergence is judged over that window against
-    tolerance. A trace is built once and never changes: its fields cannot
+    states[k] is the state vector after tick k (states[0] is the initial
+    vector) and activations[k] flags the nodes that updated in that tick.
+    cycle_ticks is the width of one beacon cycle in ticks, and so in rows;
+    sustained convergence is judged over that window against tolerance.
+    A trace is built once and never changes: its fields cannot
     be rebound and its row arrays are read-only, so everything derived
     from its rows is computed on first use and kept.
     """
@@ -57,14 +56,13 @@ class Trace:
     graph: Graph
     states: np.ndarray       # (rows, n) float64
     activations: np.ndarray  # (rows, n) uint8
-    ticks: np.ndarray        # (rows,) int64
     cycle_ticks: int
     tolerance: float
     message_counts: dict[str, int] = field(default_factory=dict)
     messages: list[tuple[int, str, int, int, float | int | None]] | None = None
 
     def __post_init__(self) -> None:
-        for rows in (self.states, self.activations, self.ticks):
+        for rows in (self.states, self.activations):
             rows.flags.writeable = False
 
     @property
@@ -101,8 +99,7 @@ class Trace:
     def convergence_row(self) -> int | None:
         """First row from which disagreement stays below tolerance for a
         full beacon cycle, by sustained_run; None if it never does."""
-        run = sustained_run(self.disagreements < self.tolerance, self.ticks,
-                            self.cycle_ticks)
+        run = sustained_run(self.disagreements < self.tolerance, self.cycle_ticks)
         return None if run is None else run[0]
 
     @property
@@ -114,13 +111,13 @@ class Trace:
     def rounds_to_tolerance(self) -> int | None:
         """Convergence row counted in beacon cycles (per-node update rounds).
 
-        Updates of cycle c land on ticks c * cycle_ticks + 1 onward, so the
-        round count is ceil(tick / cycle_ticks): a run converging inside the
+        Updates of cycle c land on rows c * cycle_ticks + 1 onward, so the
+        round count is ceil(row / cycle_ticks): a run converging inside the
         first cycle reports 1, and an initial row already below tolerance
         reports 0. None when the trace never converged.
         """
         k = self.convergence_row
-        return None if k is None else -(-int(self.ticks[k]) // self.cycle_ticks)
+        return None if k is None else -(-k // self.cycle_ticks)
 
     def total_messages(self) -> int:
         return sum(self.message_counts.values())
@@ -223,13 +220,12 @@ def _row_fsums(states: np.ndarray) -> np.ndarray:
     return sums
 
 
-def sustained_run(ok: np.ndarray, ticks: np.ndarray,
-                  cycle_ticks: int) -> tuple[int, int] | None:
-    """First run of ok rows whose ticks span cycle_ticks: its first row s
-    and the first row k with ticks[k] - ticks[s] >= cycle_ticks - 1."""
+def sustained_run(ok: np.ndarray, cycle_ticks: int) -> tuple[int, int] | None:
+    """First run of cycle_ticks consecutive ok rows: its first row s and
+    its last row s + cycle_ticks - 1."""
     rows = np.arange(len(ok))
     start = np.maximum.accumulate(np.where(ok, 0, rows + 1))  # of each ok row's run
-    spans = ok & (ticks - ticks[np.minimum(start, rows[-1])] >= cycle_ticks - 1)
+    spans = ok & (rows - start >= cycle_ticks - 1)
     hit = np.flatnonzero(spans)
     return (int(start[hit[0]]), int(hit[0])) if len(hit) else None
 

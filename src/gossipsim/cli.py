@@ -24,7 +24,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -83,7 +82,6 @@ CONFIG_SPEC = {
     "graph.radius": (float, 0.3),
     "graph.erdos_p": (_parse_opt_float, None),
     "graph.seed": (_parse_opt_int, None),  # defaults to run.seed
-    "duty.d_var": (float, 0.0),
     "duty.p": (float, 1.0),
     "duty.q": (float, 1.0),
     "rule.variant": (str, "neighborhood_set"),
@@ -171,7 +169,7 @@ def build_run_config(cfgd: dict) -> RunConfig:
     if gseed is None:
         gseed = cfgd["run.seed"]
     graph = build_topology(cfgd["graph.kind"], cfgd["graph.n"], params, seed=gseed)
-    duty = DutyCycleParams(d_var=cfgd["duty.d_var"], p=cfgd["duty.p"], q=cfgd["duty.q"])
+    duty = DutyCycleParams(p=cfgd["duty.p"], q=cfgd["duty.q"])
     rule = UpdateRule.parse(cfgd["rule.variant"], cfgd["rule.alpha"])
     init = cfgd["run.initial_states"]
     return RunConfig(
@@ -304,6 +302,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # there are tasks
     jobs = min(args.jobs, len(tasks))
     if jobs > 1:
+        # imported here: run and spectra never start a pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     else:
@@ -404,6 +404,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, TopologyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # an input too large to hold, e.g. a huge complete graph
+        print("config error: out of memory" + (f" ({exc})" if str(exc) else ""),
+              file=sys.stderr)
         return EXIT_CONFIG
     except GossipSimError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -4,15 +4,11 @@ Each node runs a two-state Markov chain: a sleeping node wakes with
 probability p, an awake one falls asleep with probability q, so its
 stationary active fraction is p / (p + q). The default p = q = 1 is the
 deterministic alternating toggle: every node flips each step (period 2).
-
-d_var is the delay variance of the beacon wave; engine.ticks_per_cycle
-turns it into the beacon period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
@@ -25,15 +21,10 @@ _DRAW_CELLS = 1 << 18
 
 @dataclass(frozen=True)
 class DutyCycleParams:
-    d_var: float = 0.0    # delay variance; scales the beacon period
     p: float = 1.0        # sleep -> wake probability
     q: float = 1.0        # wake -> sleep probability
 
     def __post_init__(self) -> None:
-        if not isfinite(self.d_var):
-            raise ConfigError(f"d_var must be finite, got {self.d_var}")
-        if self.d_var < 0:
-            raise ConfigError(f"d_var must be >= 0, got {self.d_var}")
         for name, val in (("p", self.p), ("q", self.q)):
             if not (0.0 <= val <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {val}")
@@ -67,8 +58,3 @@ def activation_sequence(params: DutyCycleParams, n: int, steps: int,
             awake = np.where(awake, stay[k], wake[k])
             rows[b + k] = awake
     return rows
-
-
-def stationary_active_fraction(params: DutyCycleParams) -> float:
-    """Long-run awake fraction of the wake/sleep chain: p / (p + q)."""
-    return params.p / (params.p + params.q)

@@ -5,7 +5,7 @@ folds each initiator of a tick with UpdateRule.fold:
 
 * run_agent_sim runs the beacon protocol. The anchor's beacon wakes hop
   layer 1 and each layer's wake-up flood wakes the next, so every beacon
-  cycle updates layer m at tick cycle * T + m, initiators in ascending
+  cycle updates layer m at tick cycle * L + m, initiators in ascending
   id; the run computes the hop layers once and applies that schedule.
   The per-message protocol handlers that tests/test_protocol_oracle.py
   drives are the reference it is tested against; no run calls them.
@@ -15,7 +15,7 @@ folds each initiator of a tick with UpdateRule.fold:
 Each runner records its rows in a _Recorder, which stops the run by
 the window rule of analysis.sustained_run and, when the run ends, builds
 its frozen Trace in one call: the rows kept, their closed-form message
-counts and, on request, the message log up to the last row's tick. The
+counts and, on request, the message log up to the last row. The
 recorder writes rows into preallocated chunks of about 2 MiB of states
 and copies them into the trace's arrays once, releasing each chunk as it
 goes, so a run holds its trace and one chunk, not two copies of the
@@ -24,15 +24,15 @@ every backend.
 step_matrix writes the same steps as explicit matrices, built from
 rules.update_block.
 
-Time: one tick is one hop slot, so a full sweep occupies L consecutive
-ticks. Delay variance stretches the beacon period to L * d_var ticks (see
-ticks_per_cycle); individual messages always take one slot, and the
-period never drops below one sweep.
+Time: one tick is one trace row. Row k holds the states after tick k
+(row 0 is x0), and every message carries the tick it was sent in. On the
+beacon wave a tick is one hop slot, so a beacon cycle of L hop layers is
+L ticks; a scripted step and a pairwise exchange are one tick each.
 
-Iteration accounting: trace rows are update events (one tick each).
-max_iterations counts beacon cycles for the agent backend and steps for
-the matrix/pairwise backends. Trace.rounds_to_tolerance converts a
-trace's convergence row back to per-node update rounds.
+Iteration accounting: max_iterations counts beacon cycles for the agent
+backend and steps for the matrix/pairwise backends.
+Trace.rounds_to_tolerance converts a trace's convergence row back to
+per-node update rounds.
 
 Within one tick the neighborhood-set rule processes initiators
 sequentially in ascending node id, each full poll round atomic, so the
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import ceil, isfinite
+from math import isfinite
 
 import numpy as np
 
@@ -102,26 +102,13 @@ def initial_states(cfg: RunConfig) -> tuple[np.ndarray, np.random.Generator]:
     return rng.uniform(0.0, 100.0, cfg.graph.node_count), rng
 
 
-def ticks_per_cycle(duty: DutyCycleParams, layer_count: int, cycles: int = 1) -> int:
-    """Beacon period in integer ticks: layer_count * d_var, so higher delay
-    variance spaces beacons out, but never less than one full sweep of
-    layer_count ticks. Raises ConfigError unless the last tick of cycles
-    beacon cycles fits in int64."""
-    ratio = layer_count * duty.d_var
-    if not isfinite(ratio):
-        raise ConfigError("d_var gives a beacon cycle of no finite tick count")
-    ticks = max(layer_count, ceil(ratio - 1e-12))
-    if ticks * cycles > np.iinfo(np.int64).max:
-        raise ConfigError(f"{cycles} beacon cycles of {ticks:.3g} ticks overflow int64 ticks")
-    return ticks
-
-
 class _Recorder:
     """Trace rows of a run, judged a block at a time with the reduction
     and window rule of the finished trace's metrics, so that the run
     stops on the numbers metrics.csv reports. Each block starts with the
     row judged last: only x0 is ever judged alone. log, when messages
-    are collected, is the list the run appends its messages to.
+    are collected, is the list the run appends its messages to, each
+    stamped with rows: the index of the row its tick is recorded in.
 
     Rows are written into chunks of chunk_rows preallocated rows, about
     _BLOCK_CELLS cells of states each, so that recording a row allocates
@@ -141,31 +128,28 @@ class _Recorder:
         # chunk k of each list holds rows k * chunk_rows onward
         self.states: list[np.ndarray] = []
         self.acts: list[np.ndarray] = []
-        self.ticks: list[np.ndarray] = []
         self.rows = 0  # rows recorded and kept
         self.judged = self.run_from = 0  # rows judged; first row of the ok run they end in
         self.converged = False
-        self.record(0, x0, np.zeros(graph.node_count, dtype=np.uint8))
+        self.record(x0, np.zeros(graph.node_count, dtype=np.uint8))
 
-    def record(self, tick: int, x: np.ndarray, active: np.ndarray) -> None:
+    def record(self, x: np.ndarray, active: np.ndarray) -> None:
         k, r = divmod(self.rows, self.chunk_rows)
         if k == len(self.states):
             shape = (self.chunk_rows, self.graph.node_count)
             self.states.append(np.empty(shape))
             self.acts.append(np.empty(shape, dtype=np.uint8))
-            self.ticks.append(np.empty(self.chunk_rows, dtype=np.int64))
         self.states[k][r] = x
         self.acts[k][r] = active
-        self.ticks[k][r] = tick
         self.rows += 1
 
-    def _span(self, chunks: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi (lo < hi) of chunks: a view when they lie in one chunk."""
+    def _span(self, lo: int, hi: int) -> np.ndarray:
+        """States of rows lo:hi (lo < hi): a view when they lie in one chunk."""
         c = self.chunk_rows
         first, last = lo // c, (hi - 1) // c
         if first == last:
-            return chunks[first][lo - first * c:hi - first * c]
-        return np.concatenate([chunks[k][max(lo - k * c, 0):hi - k * c]
+            return self.states[first][lo - first * c:hi - first * c]
+        return np.concatenate([self.states[k][max(lo - k * c, 0):hi - k * c]
                                for k in range(first, last + 1)])
 
     def judge(self) -> bool:
@@ -173,15 +157,14 @@ class _Recorder:
         rows spans a cycle, drop the rows after the row where it does and
         return True."""
         new = self.rows - self.judged
-        block = self._span(self.states, max(self.judged - 1, 0), self.rows)
+        block = self._span(max(self.judged - 1, 0), self.rows)
         ok = np.ones(self.rows - self.run_from, dtype=bool)
         ok[-new:] = disagreement_rows(block, self.graph)[-new:] < self.tol
-        run = sustained_run(ok, self._span(self.ticks, self.run_from, self.rows),
-                            self.cycle_ticks)
+        run = sustained_run(ok, self.cycle_ticks)
         if run is not None:
             self.rows = self.run_from + run[1] + 1
             kept = -(-self.rows // self.chunk_rows)
-            del self.states[kept:], self.acts[kept:], self.ticks[kept:]
+            del self.states[kept:], self.acts[kept:]
             self.converged = True
         elif not ok.all():
             self.run_from += int(np.flatnonzero(~ok)[-1]) + 1
@@ -198,14 +181,13 @@ class _Recorder:
 
     def finish(self, counts: Callable[[np.ndarray], dict[str, int]]) -> Trace:
         """The trace of the rows kept, with counts(activation rows) as its
-        message counts and the messages sent up to the last row's tick."""
-        ticks = self._gather(self.ticks)
+        message counts and the messages sent in the ticks of those rows."""
         log = self.log
-        while log and log[-1][0] > ticks[-1]:
+        while log and log[-1][0] >= self.rows:
             log.pop()
         acts = self._gather(self.acts)
         return Trace(graph=self.graph, states=self._gather(self.states), activations=acts,
-                     ticks=ticks, cycle_ticks=self.cycle_ticks, tolerance=self.tol,
+                     cycle_ticks=self.cycle_ticks, tolerance=self.tol,
                      message_counts=counts(acts), messages=log)
 
 
@@ -256,26 +238,24 @@ def _message_counts(graph: Graph, activations: np.ndarray, beacons: int) -> dict
 def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
     """Agent-level simulation: max_iterations beacon cycles of the full
     protocol, or fewer once disagreement holds below tolerance for one
-    full beacon period."""
+    full beacon cycle of layer_count ticks."""
     lay = assign_layers(cfg.graph)
     # row m - 1 flags hop layer m, the nodes tick m of every cycle updates
     waves = lay.layer_of == np.arange(1, lay.layer_count + 1)[:, None]
     wave_ids = [np.flatnonzero(w).tolist() for w in waves]
     x0, _ = initial_states(cfg)
     x = x0.copy()
-    t_cycle = ticks_per_cycle(cfg.duty, lay.layer_count, cfg.max_iterations)
-    rec = _Recorder(cfg.graph, x0, t_cycle, cfg.tolerance, collect_messages)
-    if t_cycle <= 1:  # x0 alone can end the run, as a one-row trace's series judges it
+    rec = _Recorder(cfg.graph, x0, lay.layer_count, cfg.tolerance, collect_messages)
+    if lay.layer_count == 1:  # x0 alone can end the run, as a one-row trace's series judges it
         rec.judge()
     cycles = 0
     while not rec.converged and cycles < cfg.max_iterations:
-        base = cycles * t_cycle
         cycles += 1
         if rec.log is not None:
-            rec.log.append((base + 1, _BEACON, ANCHOR_SRC, BROADCAST, None))
+            rec.log.append((rec.rows, _BEACON, ANCHOR_SRC, BROADCAST, None))
         for m in range(lay.layer_count):
-            _apply_tick(x, wave_ids[m], cfg.rule, cfg.graph.in_neighbors, base + m + 1, rec.log)
-            rec.record(base + m + 1, x, waves[m])
+            _apply_tick(x, wave_ids[m], cfg.rule, cfg.graph.in_neighbors, rec.rows, rec.log)
+            rec.record(x, waves[m])
         rec.judge()
     return rec.finish(lambda acts: _message_counts(cfg.graph, acts, cycles))
 
@@ -324,7 +304,7 @@ def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray,
     for k in range(cfg.max_iterations):
         _apply_tick(x, np.flatnonzero(seq[k]).tolist(), cfg.rule, cfg.graph.in_neighbors,
                     k + 1, rec.log)
-        rec.record(k + 1, x, seq[k] != 0)
+        rec.record(x, seq[k] != 0)
     return rec.finish(lambda acts: _message_counts(cfg.graph, acts, 0))
 
 
@@ -356,7 +336,7 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
             log.append((k, _REQUEST, i, j, None))
             log.append((k, _ACK, j, i, float(x[j])))
         active[i] = active[j] = 1
-        rec.record(k, x, active)
+        rec.record(x, active)
         active[i] = active[j] = 0
         if (k % n == 0 or k == cfg.max_iterations) and rec.judge():
             break

@@ -279,12 +279,9 @@ class LayerAssignment:
 
     layer_of: np.ndarray  # (n,) int64
     layer_count: int
-    layer_sizes: np.ndarray  # (layer_count,) int64
 
 
 def assign_layers(g: Graph) -> LayerAssignment:
     """Breadth-first layers over the radio graph, rooted at the anchor."""
     layer_of = np.maximum(g.hops, 1)
-    count = int(layer_of.max())
-    sizes = np.bincount(layer_of, minlength=count + 1)[1:]
-    return LayerAssignment(layer_of=layer_of, layer_count=count, layer_sizes=sizes)
+    return LayerAssignment(layer_of=layer_of, layer_count=int(layer_of.max()))

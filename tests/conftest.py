@@ -1,9 +1,11 @@
 """Shared helpers for the test suite."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
-from gossipsim import Graph, TopologyParams, build_topology, cli
+from gossipsim import Graph, TopologyParams, build_topology
 
 # the five standard 50-node evaluation topologies
 FIFTY_NODE_KINDS = ["chain", "star", "circular", "circular_directed", "random_geometric"]
@@ -66,5 +68,5 @@ def serial_pool(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return opened

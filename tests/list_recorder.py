@@ -24,24 +24,26 @@ class ListRecorder:
         self.log: list | None = [] if collect_messages else None
         self.states = [np.asarray(x0, dtype=float).copy()]
         self.acts = [np.zeros(graph.node_count, dtype=np.uint8)]
-        self.ticks = [0]
         self.judged = self.run_from = 0
         self.converged = False
 
-    def record(self, tick: int, x: np.ndarray, active: np.ndarray) -> None:
+    def record(self, x: np.ndarray, active: np.ndarray) -> None:
         self.states.append(x.copy())
         self.acts.append(active.astype(np.uint8))
-        self.ticks.append(tick)
+
+    @property
+    def rows(self) -> int:
+        return len(self.states)
 
     def judge(self) -> bool:
         new = len(self.states) - self.judged
         block = np.array(self.states[max(self.judged - 1, 0):])
         ok = np.ones(len(self.states) - self.run_from, dtype=bool)
         ok[-new:] = disagreement_rows(block, self.graph)[-new:] < self.tol
-        run = sustained_run(ok, np.array(self.ticks[self.run_from:]), self.cycle_ticks)
+        run = sustained_run(ok, self.cycle_ticks)
         if run is not None:
             end = self.run_from + run[1] + 1
-            del self.states[end:], self.acts[end:], self.ticks[end:]
+            del self.states[end:], self.acts[end:]
             self.converged = True
         elif not ok.all():
             self.run_from += int(np.flatnonzero(~ok)[-1]) + 1
@@ -50,10 +52,9 @@ class ListRecorder:
 
     def finish(self, counts: Callable[[np.ndarray], dict[str, int]]) -> Trace:
         log = self.log
-        while log and log[-1][0] > self.ticks[-1]:
+        while log and log[-1][0] >= self.rows:
             log.pop()
         acts = np.vstack(self.acts)
         return Trace(graph=self.graph, states=np.vstack(self.states), activations=acts,
-                     ticks=np.asarray(self.ticks, dtype=np.int64),
                      cycle_ticks=self.cycle_ticks, tolerance=self.tol,
                      message_counts=counts(acts), messages=log)

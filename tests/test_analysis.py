@@ -27,6 +27,7 @@ from gossipsim import (
 from gossipsim.analysis import (
     Trace,
     metrics_csv_text,
+    sustained_run,
     trace_csv_text,
 )
 from gossipsim.rules import RuleVariant, UpdateRule
@@ -37,15 +38,13 @@ CHAIN3 = build_topology("chain", 3)
 PAIR = build_topology("chain", 2)
 
 
-def synthetic_trace(graph, rows, ticks=None, cycle_ticks=1, tolerance=1e-6, activations=None):
+def synthetic_trace(graph, rows, cycle_ticks=1, tolerance=1e-6, activations=None):
     """Trace with hand-picked state rows (activation rows all zero unless
     given)."""
     states = np.vstack([np.asarray(r, dtype=float) for r in rows])
     return Trace(graph=graph, states=states,
                  activations=(np.zeros(states.shape, dtype=np.uint8) if activations is None
                               else np.asarray(activations, dtype=np.uint8)),
-                 ticks=(np.arange(len(rows), dtype=np.int64) if ticks is None
-                        else np.asarray(ticks, dtype=np.int64)),
                  cycle_ticks=cycle_ticks, tolerance=tolerance)
 
 
@@ -124,10 +123,20 @@ class TestConvergenceTime:
 
     def test_rounds_use_cycle_arithmetic(self):
         rows = [[0.0, 1.0], [0.0, 1.0], [0.0, 0.01], [0.0, 0.01], [0.0, 0.01]]
-        tr = synthetic_trace(PAIR, rows, ticks=[0, 1, 2, 3, 4], cycle_ticks=2,
-                             tolerance=0.5)
-        # first good row at tick 2 -> cycle ceil(2/2) = 1
+        tr = synthetic_trace(PAIR, rows, cycle_ticks=2, tolerance=0.5)
+        # first good row 2 -> cycle ceil(2/2) = 1
         assert tr.rounds_to_tolerance == 1
+
+    @pytest.mark.parametrize("ok, cycle, run", [
+        ([1, 1, 0, 1, 1, 1, 1], 3, (3, 5)),  # the first run is one row short
+        ([1, 1, 0, 1, 1, 1, 1], 2, (0, 1)),
+        ([0, 1], 1, (1, 1)),                 # a one-row cycle ends where it starts
+        ([1], 1, (0, 0)),
+        ([1, 1, 1, 0], 4, None),
+        ([0, 0], 1, None),
+    ])
+    def test_sustained_run_counts_rows(self, ok, cycle, run):
+        assert sustained_run(np.array(ok, dtype=bool), cycle) == run
 
 
 class TestSpectral:

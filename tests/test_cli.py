@@ -2,6 +2,8 @@
 
 import csv
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -141,7 +143,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("key", ["graph.sides", "graph.directed", "graph.side",
                                      "graph.attempts", "duty.d_mean", "duty.t_c",
-                                     "duty.mode"])
+                                     "duty.mode", "duty.d_var"])
     def test_unknown_key_exits_one(self, tmp_path, capsys, key):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(f"{key} = 3\n")
@@ -170,8 +172,7 @@ class TestConfigHandling:
         ids = {row["node_id"] for row in read_csv(out / "trace.csv")}
         assert len(ids) == 50
 
-    @pytest.mark.parametrize("flag,value", [("duty.d_var", "inf"), ("run.tolerance", "nan"),
-                                            ("run.tolerance", "inf")])
+    @pytest.mark.parametrize("flag,value", [("run.tolerance", "nan"), ("run.tolerance", "inf")])
     def test_non_finite_timing_or_tolerance_exits_one(self, tmp_path, capsys, flag, value):
         rc = run_cli("run", *FAST, f"--{flag}", value, "--out", str(tmp_path / "o"))
         assert rc == 1
@@ -179,16 +180,26 @@ class TestConfigHandling:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
 
-    # the first case fits one cycle in int64 but not max_iterations of them
-    @pytest.mark.parametrize("flags", [("--duty.d_var", "1e17", "--run.max_iterations", "100"),
-                                       ("--duty.d_var", "1e308"), ("--duty.d_var", "1e300")])
-    def test_timing_overflow_exits_one(self, tmp_path, capsys, flags):
-        rc = run_cli("run", "--graph.kind", "star", "--graph.n", "5",
-                     "--run.max_iterations", "3", *flags, "--out", str(tmp_path / "o"))
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ")
-        assert err.count("\n") == 1
+    def test_removed_flag_is_unknown(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", *FAST, "--duty.d_var", "0", "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --duty.d_var" in capsys.readouterr().err
+
+    # numpy's message for an array too large to allocate, and a bare MemoryError
+    @pytest.mark.parametrize("exc, tail", [
+        (MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,) "
+                     "and data type int64"),
+         " (Unable to allocate 74.5 GiB for an array with shape (10000000000,) "
+         "and data type int64)"),
+        (MemoryError(), "")], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch, exc, tail):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "build_topology", exhausted)
+        assert run_cli("run", *FAST, "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"config error: out of memory{tail}\n"
 
     @pytest.mark.parametrize("backend", ["pairwise", "bogus"])
     def test_backend_is_agent_or_matrix(self, tmp_path, capsys, backend):
@@ -274,6 +285,14 @@ class TestSweepCommand:
         assert run_cli("sweep", *grid, "--jobs", "1", "--out", str(b)) == 0
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
+    def test_importing_the_cli_loads_no_process_pool(self):
+        # run and spectra never start a pool, so they do not pay its import
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = "import sys, gossipsim.cli; print('concurrent.futures.process' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout == "False\n"
+
     def test_failed_cell_is_reported_not_fatal(self, tmp_path):
         out = tmp_path / "o"
         rc = run_cli("sweep", "--graph.n", "8", "--graph.radius", "0.01",
@@ -287,7 +306,7 @@ class TestSweepCommand:
         bad = next(r for r in rows if r["status"] == "error")
         assert bad["error"]
 
-    @pytest.mark.parametrize("flag,value", [("duty.d_var", "nan"), ("run.tolerance", "nan"),
+    @pytest.mark.parametrize("flag,value", [("duty.p", "nan"), ("run.tolerance", "nan"),
                                             ("rule.alpha", "2")])
     def test_invalid_run_value_gives_error_rows(self, tmp_path, flag, value):
         out = tmp_path / "o"

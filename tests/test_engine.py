@@ -9,7 +9,6 @@ import pytest
 
 from gossipsim import (
     ConfigError,
-    DutyCycleParams,
     Graph,
     RunConfig,
     SimulationError,
@@ -26,7 +25,7 @@ from gossipsim import (
     step_matrix,
 )
 from gossipsim.analysis import sustained_run
-from gossipsim.engine import initial_states, ticks_per_cycle
+from gossipsim.engine import initial_states
 from gossipsim.rules import RuleVariant
 
 from closed_form import closed_form_state
@@ -73,29 +72,16 @@ class TestInitialStates:
 
 
 class TestTicksPerCycle:
+    """A beacon cycle is one tick, and so one trace row, per hop layer."""
+
     def test_chain4_three_layers(self):
-        assert ticks_per_cycle(DutyCycleParams(), assign_layers(CHAIN4).layer_count) == 3
+        tr = run_agent_sim(RunConfig(graph=CHAIN4, max_iterations=1))
+        assert tr.cycle_ticks == assign_layers(CHAIN4).layer_count == 3
+        assert tr.iterations == 1 + 3
 
     def test_star_single_layer(self):
-        assert ticks_per_cycle(DutyCycleParams(), assign_layers(STAR6).layer_count) == 1
-
-    def test_delay_variance_stretches_cycle(self):
-        duty = DutyCycleParams(d_var=2.0)
-        assert ticks_per_cycle(duty, assign_layers(CHAIN4).layer_count) == 6
-
-    def test_fractional_stretch_rounds_up(self):
-        duty = DutyCycleParams(d_var=1.5)
-        assert ticks_per_cycle(duty, assign_layers(CHAIN4).layer_count) == 5
-
-    @pytest.mark.parametrize("layers,d_var,ticks", [
-        (3, 0.0, 3),   # no variance: one sweep
-        (4, 1.0, 4),   # unit variance: exactly one sweep
-        (1, 1.0, 1),
-        (3, 2.5, 8),   # 7.5 ticks, rounded up
-        (5, 0.3, 5),   # the product would re-beacon mid-sweep; the sweep wins
-    ])
-    def test_beacon_period(self, layers, d_var, ticks):
-        assert ticks_per_cycle(DutyCycleParams(d_var=d_var), layers) == ticks
+        tr = run_agent_sim(RunConfig(graph=STAR6, max_iterations=1))
+        assert tr.cycle_ticks == assign_layers(STAR6).layer_count == 1
 
 
 class TestFixedPointsAndBounds:
@@ -270,7 +256,7 @@ class TestBeaconSchedule:
     def test_chain4_wave_tick_pattern(self):
         cfg = RunConfig(graph=CHAIN4, seed=0, max_iterations=2, tolerance=1e-15)
         tr = run_agent_sim(cfg)
-        assert list(tr.ticks[:7]) == [0, 1, 2, 3, 4, 5, 6]
+        assert tr.iterations == 1 + 2 * 3
         # cycle 0: layer 1 = {0,1}, then {2}, then {3}; cycle 1 repeats
         want = [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         assert tr.activations[1:4].tolist() == want
@@ -280,7 +266,7 @@ class TestBeaconSchedule:
         cfg = RunConfig(graph=STAR6, seed=0, max_iterations=3)
         tr = run_agent_sim(cfg)
         assert (tr.activations[1] == 1).all()
-        assert tr.ticks[1] == 1
+        assert tr.cycle_ticks == 1
 
     def test_star_converges_in_first_cycle(self):
         cfg = RunConfig(graph=STAR6, seed=0, max_iterations=50)
@@ -290,20 +276,12 @@ class TestBeaconSchedule:
         gap = tr.final_state - tr.x_avg
         assert np.abs(gap).max() <= 1e-12
 
-    def test_delay_variance_shifts_cycle_starts(self):
-        duty = DutyCycleParams(d_var=2.0)
-        cfg = RunConfig(graph=CHAIN4, duty=duty, seed=0, max_iterations=2,
-                        tolerance=1e-15)
-        tr = run_agent_sim(cfg)
-        # T stretches to 6 ticks, so cycle 1 updates land on 7, 8, 9
-        assert list(tr.ticks[1:7]) == [1, 2, 3, 7, 8, 9]
-
     def test_same_seed_reproduces_exactly(self):
         cfg = RunConfig(graph=RING6, seed=12, max_iterations=6)
         tr_a = run_agent_sim(cfg)
         tr_b = run_agent_sim(cfg)
         assert np.array_equal(tr_a.states, tr_b.states)
-        assert np.array_equal(tr_a.ticks, tr_b.ticks)
+        assert np.array_equal(tr_a.activations, tr_b.activations)
         assert tr_a.message_counts == tr_b.message_counts
 
 
@@ -373,9 +351,9 @@ class TestPairwiseBaseline:
         assert tr.cycle_ticks == 8
 
 
-def first_stop(ok, ticks, cycle_ticks):
-    """(first row, stop row) of the first run of ok rows whose ticks span
-    cycle_ticks, one row at a time; None if no run does."""
+def first_stop(ok, cycle_ticks):
+    """(first row, stop row) of the first run of cycle_ticks ok rows, one
+    row at a time; None if no run does."""
     start = None
     for k, good in enumerate(ok):
         if not good:
@@ -383,36 +361,34 @@ def first_stop(ok, ticks, cycle_ticks):
             continue
         if start is None:
             start = k
-        if ticks[k] - ticks[start] >= cycle_ticks - 1:
+        if k - start >= cycle_ticks - 1:
             return start, k
     return None
 
 
 PAIRWISE = UpdateRule(RuleVariant.PAIRWISE_BASELINE)
 
-# agent and pairwise runs: (graph, rule, seed, max_iterations, tolerance, d_var).
+# agent and pairwise runs: (graph, rule, seed, max_iterations, tolerance).
 # chain20_ulp stops at row 730 when the stop is judged with a sum other
 # than the one its metrics use: no run of its rows spans a cycle there.
 STOP_RUNS = {
     "chain20_ulp": (build_topology("chain", 20), UpdateRule(), 1, 400,
-                    0.1827057988809243, 0.0),
-    "chain20_1e-6": (build_topology("chain", 20), UpdateRule(), 1, 400, 1e-6, 0.0),
-    "chain12_stretched": (build_topology("chain", 12), UpdateRule(), 2, 400, 1e-3, 2.5),
-    "star8": (build_topology("star", 8), UpdateRule(), 3, 50, 1e-6, 0.0),
+                    0.1827057988809243),
+    "chain20_1e-6": (build_topology("chain", 20), UpdateRule(), 1, 400, 1e-6),
+    "star8": (build_topology("star", 8), UpdateRule(), 3, 50, 1e-6),
     "ring10_directed": (build_topology("circular_directed", 10),
-                        UpdateRule(), 4, 400, 1e-4, 0.0),
+                        UpdateRule(), 4, 400, 1e-4),
     "rgg30": (build_topology("random_geometric", 30, TopologyParams(radius=0.4), seed=2),
-              UpdateRule(), 5, 200, 1e-8, 0.0),
-    "pairwise_ring12": (build_topology("circular", 12), PAIRWISE, 6, 5000, 1e-3, 0.0),
+              UpdateRule(), 5, 200, 1e-8),
+    "pairwise_ring12": (build_topology("circular", 12), PAIRWISE, 6, 5000, 1e-3),
     "pairwise_rgg12": (build_topology("random_geometric", 12, TopologyParams(radius=0.5),
-                                      seed=2), PAIRWISE, 7, 5000, 1e-2, 0.0),
+                                      seed=2), PAIRWISE, 7, 5000, 1e-2),
 }
 
 
 def stop_run(name, **kw):
-    g, rule, seed, steps, tol, d_var = STOP_RUNS[name]
-    cfg = RunConfig(graph=g, rule=rule, seed=seed, max_iterations=steps, tolerance=tol,
-                    duty=DutyCycleParams(d_var=d_var))
+    g, rule, seed, steps, tol = STOP_RUNS[name]
+    cfg = RunConfig(graph=g, rule=rule, seed=seed, max_iterations=steps, tolerance=tol)
     run = run_pairwise_baseline if rule is PAIRWISE else run_agent_sim
     return run(cfg, **kw), tol
 
@@ -427,18 +403,18 @@ class TestStopRule:
         ok = tr.disagreements < tol
         last = tr.iterations - 1
         k = tr.convergence_row
-        assert first_stop(ok, tr.ticks, tr.cycle_ticks) == (k, last)
+        assert first_stop(ok, tr.cycle_ticks) == (k, last)
         assert ok[k:].all()
-        assert tr.ticks[last] - tr.ticks[k] >= tr.cycle_ticks - 1
+        assert last - k == tr.cycle_ticks - 1
 
     @pytest.mark.parametrize("name", ["chain20_1e-6", "pairwise_ring12"])
     def test_budget_cut_run_has_no_sustained_run(self, name):
-        g, rule, seed, _, tol, d_var = STOP_RUNS[name]
+        g, rule, seed, _, tol = STOP_RUNS[name]
         steps = 10 if rule is PAIRWISE else 3
         cfg = RunConfig(graph=g, rule=rule, seed=seed, max_iterations=steps, tolerance=tol)
         tr = (run_pairwise_baseline if rule is PAIRWISE else run_agent_sim)(cfg)
         assert not tr.converged
-        assert first_stop(tr.disagreements < tol, tr.ticks, tr.cycle_ticks) is None
+        assert first_stop(tr.disagreements < tol, tr.cycle_ticks) is None
         assert tr.convergence_row is None
 
     @pytest.mark.parametrize("name", sorted(STOP_RUNS))
@@ -447,7 +423,7 @@ class TestStopRule:
         plain, _ = stop_run(name)
         assert np.array_equal(tr.states, plain.states)
         assert tr.message_counts == plain.message_counts
-        assert tr.messages[-1][0] == tr.ticks[-1]
+        assert tr.messages[-1][0] == tr.iterations - 1
         kinds = {}
         for m in tr.messages:
             kinds[m[1]] = kinds.get(m[1], 0) + 1
@@ -459,11 +435,11 @@ class TestStopRule:
         tr, own = stop_run(name)
         t = own if tol is None else tol
         again = replace(tr, tolerance=t)
-        run = first_stop(tr.disagreements < t, tr.ticks, tr.cycle_ticks)
+        run = first_stop(tr.disagreements < t, tr.cycle_ticks)
         row = None if run is None else run[0]
         assert again.convergence_row == row
         assert again.converged == (row is not None)
-        rounds = None if row is None else ceil(int(tr.ticks[row]) / tr.cycle_ticks)
+        rounds = None if row is None else ceil(row / tr.cycle_ticks)
         assert again.rounds_to_tolerance == rounds
         summary = cli.summarize(again)
         assert summary["converged"] == ("true" if row is not None else "false")
@@ -476,7 +452,7 @@ class TestStopRule:
                                      "state_ack": tr.iterations - 1}
 
     @pytest.mark.parametrize("name", ["star8", "chain20_1e-6", "ring10_directed",
-                                      "chain12_stretched", "pairwise_ring12"])
+                                      "pairwise_ring12"])
     def test_recorder_values_equal_the_series(self, name, monkeypatch):
         blocks = []
 
@@ -492,9 +468,8 @@ class TestStopRule:
         series = tr.disagreements
         rows = tr.iterations
         if len(blocks[0]) == 1:  # x0 judged alone, as a one-row trace reports it
-            assert tr.cycle_ticks <= 1
-            one_row = replace(tr, states=tr.states[:1], activations=tr.activations[:1],
-                              ticks=tr.ticks[:1])
+            assert tr.cycle_ticks == 1
+            one_row = replace(tr, states=tr.states[:1], activations=tr.activations[:1])
             assert judged[0] == one_row.disagreements[0]
             judged, series = judged[1:], series[1:]
             rows -= 1
@@ -519,7 +494,6 @@ VERDICT_RUNS = {
 # the budget compare gives the baseline, enough for it to converge
 VERDICT_RUNS["random_geometric/pairwise_long"] = preset_cfgd(
     "random_geometric", "pairwise_baseline", **{"run.max_iterations": 300 * 50})
-VERDICT_RUNS["chain/stretched"] = preset_cfgd("chain", "neighborhood_set", **{"duty.d_var": 1.7})
 # hub-anchored star: one layer, one-tick cycles, and x0 already at consensus
 VERDICT_RUNS["star/constant"] = preset_cfgd("star", "neighborhood_set",
                                             **{"run.initial_states": [3.25] * 50})
@@ -533,7 +507,7 @@ class TestOneVerdict:
     def test_stopped_runs_end_on_their_spanning_row(self, name):
         cfgd = VERDICT_RUNS[name]
         tr = cli.execute_run(cfgd)
-        run = sustained_run(tr.disagreements < tr.tolerance, tr.ticks, tr.cycle_ticks)
+        run = sustained_run(tr.disagreements < tr.tolerance, tr.cycle_ticks)
         assert tr.tolerance == cfgd["run.tolerance"]
         assert tr.converged == (run is not None)
         if tr.converged:
@@ -565,7 +539,7 @@ class TestFrozenTrace:
 
     def test_rows_are_read_only(self):
         tr = run_agent_sim(RunConfig(graph=CHAIN4, max_iterations=3))
-        for rows in (tr.states, tr.activations, tr.ticks):
+        for rows in (tr.states, tr.activations):
             with pytest.raises(ValueError, match="read-only"):
                 rows[-1] = 0
 

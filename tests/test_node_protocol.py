@@ -182,18 +182,15 @@ class TestInvariants:
         assert counts["state_request"] > 0
 
     def test_each_node_updates_once_per_cycle(self):
-        from gossipsim import assign_layers, ticks_per_cycle
+        from gossipsim import assign_layers
         g = build_topology("random_geometric", 12, seed=3)
         cfg = RunConfig(graph=g, seed=3, max_iterations=4, tolerance=1e-15)
         trace = run_agent_sim(cfg)
-        t_cycle = ticks_per_cycle(cfg.duty, assign_layers(g).layer_count)
-        # the last update of a cycle can land exactly on the period
-        # boundary, so count completed cycles with a ceiling division
-        cycles = -(-int(trace.ticks[1:].max()) // t_cycle)
-        assert cycles == 4
-        for c in range(cycles):
-            rows = (trace.ticks > c * t_cycle) & (trace.ticks <= (c + 1) * t_cycle)
-            per_node = trace.activations[rows].sum(axis=0)
+        t_cycle = assign_layers(g).layer_count
+        # cycle c is rows c * t_cycle + 1 .. (c + 1) * t_cycle
+        assert trace.iterations == 1 + 4 * t_cycle
+        for c in range(4):
+            per_node = trace.activations[c * t_cycle + 1:(c + 1) * t_cycle + 1].sum(axis=0)
             assert (per_node == 1).all()
 
     def test_wake_flood_moves_strictly_outward(self):
@@ -202,8 +199,7 @@ class TestInvariants:
         lay = assign_layers(g).layer_of
         cfg = RunConfig(graph=g, seed=1, max_iterations=3, tolerance=1e-15)
         trace = run_agent_sim(cfg)
-        t_cycle = np.int64(max(lay))
+        t_cycle = int(max(lay))
         for k in range(1, trace.iterations):
             active = np.flatnonzero(trace.activations[k])
-            offset = (trace.ticks[k] - 1) % t_cycle + 1
-            assert (lay[active] == offset).all()
+            assert (lay[active] == (k - 1) % t_cycle + 1).all()

@@ -3,7 +3,7 @@ a time, must give exactly what the engine's tick kernel gives.
 
 The engine never calls the handlers; it applies the compiled layer
 schedule. This file keeps the per-message path alive as an independent
-reference for states, activations, ticks, message counts and the
+reference for states, activations, message counts and the
 message log, on the beacon wave (run_agent_sim) and on scripted
 schedules (run_matrix_sim). The oracle spells the message kinds with its
 own enum, so the log comparison also pins the --dump-messages names.
@@ -14,8 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gossipsim import (RunConfig, UpdateRule, assign_layers, run_agent_sim, run_matrix_sim,
-                       ticks_per_cycle)
+from gossipsim import RunConfig, UpdateRule, assign_layers, run_agent_sim, run_matrix_sim
 from gossipsim.engine import ANCHOR_SRC, initial_states
 from gossipsim.rules import RuleVariant
 
@@ -44,7 +43,7 @@ class ProtocolOracle:
                       for i, v in enumerate(x0)]
         self.counts = {k.value: 0 for k in MessageKind}
         self.log = []
-        self.states, self.acts, self.ticks = [x0], [np.zeros(len(x0), np.uint8)], [0]
+        self.states, self.acts = [x0], [np.zeros(len(x0), np.uint8)]
 
     def send(self, tick, msg):
         self.counts[msg.kind.value] += 1
@@ -81,7 +80,6 @@ class ProtocolOracle:
         active[updaters] = 1
         self.states.append(np.array([nd.x for nd in self.nodes]))
         self.acts.append(active)
-        self.ticks.append(tick)
         for i in updaters:  # phi drops back low after the processing slot
             self.nodes[i] = replace(self.nodes[i], phi=0)
         return targets
@@ -100,18 +98,16 @@ class ProtocolOracle:
         return targets
 
     def run_beacons(self, cfg, rows):
-        """Beacon cycles until rows update rows are recorded."""
-        t_cycle = ticks_per_cycle(cfg.duty, int(self.layer.max()))
-        for cycle in range(cfg.max_iterations):
-            if len(self.ticks) > rows:
+        """Beacon cycles until rows update rows are recorded; each tick
+        records the next row, so its messages carry that row's index."""
+        for _ in range(cfg.max_iterations):
+            if len(self.states) > rows:
                 break
-            tick = cycle * t_cycle
-            self.send(tick + 1, Message(MessageKind.BEACON, ANCHOR_SRC, BROADCAST))
+            self.send(len(self.states), Message(MessageKind.BEACON, ANCHOR_SRC, BROADCAST))
             triggers = {i: None for i in np.flatnonzero(self.layer == 1)}
-            while triggers and len(self.ticks) <= rows:
-                tick += 1
+            while triggers and len(self.states) <= rows:
                 triggers = {j: Message(MessageKind.WAKE_UP, ANCHOR_SRC, j, payload=1)
-                            for j in sorted(self.tick(tick, triggers))}
+                            for j in sorted(self.tick(len(self.states), triggers))}
 
     def run_scripted(self, schedule, steps):
         for k in range(steps):
@@ -122,7 +118,6 @@ class ProtocolOracle:
 def assert_same(oracle, trace):
     assert np.array_equal(np.vstack(oracle.states), trace.states)
     assert np.array_equal(np.vstack(oracle.acts), trace.activations)
-    assert np.array_equal(oracle.ticks, trace.ticks)
     assert oracle.counts == trace.message_counts
     assert oracle.log == trace.messages
 

@@ -1,7 +1,7 @@
 """The chunked trace recorder against the list-based one it replaced.
 
 Every runner's trace must be the one tests/list_recorder.py records, bit
-for bit: states, activations, ticks, message counts and message log, at
+for bit: states, activations, message counts and message log, at
 the default chunk size and at chunks of a few rows, where judged blocks
 span chunk boundaries and the rows a converged run drops can fill whole
 chunks.
@@ -13,7 +13,7 @@ from argparse import Namespace
 import numpy as np
 import pytest
 
-from gossipsim import DutyCycleParams, RunConfig, UpdateRule, build_topology, cli, engine
+from gossipsim import RunConfig, UpdateRule, build_topology, cli, engine
 from gossipsim.engine import run_agent_sim, run_pairwise_baseline
 
 from list_recorder import ListRecorder
@@ -39,22 +39,19 @@ CLI_RUNS = {
 MESSAGE_RUNS = ["star", "random_geometric", "matrix/stochastic", "pairwise/star"]
 
 PAIRWISE = UpdateRule.parse("pairwise_baseline")
-# (graph, rule, seed, max_iterations, tolerance, d_var): runs that stop
-# after a few hundred rows
+# (graph, rule, seed, max_iterations, tolerance): runs that stop after a
+# few hundred rows
 SMALL_RUNS = {
-    "chain6": (build_topology("chain", 6), UpdateRule(), 1, 200, 1e-3, 0.0),
-    "chain5_stretched": (build_topology("chain", 5), UpdateRule(), 2, 200, 1e-3, 2.5),
-    "star8": (build_topology("star", 8), UpdateRule(), 3, 50, 1e-6, 0.0),
-    "ring6_directed": (build_topology("circular_directed", 6), UpdateRule(), 4, 200,
-                       1e-2, 0.0),
-    "pairwise_ring8": (build_topology("circular", 8), PAIRWISE, 6, 2000, 1e-2, 0.0),
+    "chain6": (build_topology("chain", 6), UpdateRule(), 1, 200, 1e-3),
+    "star8": (build_topology("star", 8), UpdateRule(), 3, 50, 1e-6),
+    "ring6_directed": (build_topology("circular_directed", 6), UpdateRule(), 4, 200, 1e-2),
+    "pairwise_ring8": (build_topology("circular", 8), PAIRWISE, 6, 2000, 1e-2),
 }
 
 
 def run_small(name, **kw):
-    g, rule, seed, steps, tol, d_var = SMALL_RUNS[name]
-    cfg = RunConfig(graph=g, rule=rule, seed=seed, max_iterations=steps, tolerance=tol,
-                    duty=DutyCycleParams(d_var=d_var))
+    g, rule, seed, steps, tol = SMALL_RUNS[name]
+    cfg = RunConfig(graph=g, rule=rule, seed=seed, max_iterations=steps, tolerance=tol)
     run = run_pairwise_baseline if rule is PAIRWISE else run_agent_sim
     return run(cfg, **kw)
 
@@ -75,7 +72,7 @@ def with_chunk_rows(rows, n, run):
 
 
 def assert_same_trace(got, want):
-    for field in ("states", "activations", "ticks"):
+    for field in ("states", "activations"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.tobytes() == b.tobytes(), field
@@ -154,11 +151,11 @@ class TestChunks:
 
         class Spy(engine._Recorder):
             def finish(self, counts):
-                chunks.extend(weakref.ref(c) for c in self.states + self.acts + self.ticks)
+                chunks.extend(weakref.ref(c) for c in self.states + self.acts)
                 return super().finish(counts)
 
         monkeypatch.setattr(engine, "_Recorder", Spy)
         tr = run_small("chain6")
-        assert len(chunks) == 3 * -(-tr.iterations // 3)
+        assert len(chunks) == 2 * -(-tr.iterations // 3)
         assert all(ref() is None for ref in chunks)
-        assert all(a.base is None for a in (tr.states, tr.activations, tr.ticks))
+        assert all(a.base is None for a in (tr.states, tr.activations))

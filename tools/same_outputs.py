@@ -33,7 +33,6 @@ RUN_VARIANTS = (
     ("--rule.variant", "pairwise_baseline"),
     ("--rule.variant", "pure_neighbor"),
     ("--rule.variant", "self_additive"),
-    ("--duty.d_var", "1.7"),
     ("--run.tolerance", "1e-3"),
 )
 
