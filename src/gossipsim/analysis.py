@@ -16,9 +16,8 @@ projector, certifies convergence to the exact average.
 
 from __future__ import annotations
 
-import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from math import fsum
 
@@ -33,7 +32,8 @@ from .rules import RuleVariant, UpdateRule, update_block
 SPECTRAL_TOL = 1e-9
 
 #: cells per block of rows in the passes over a whole trace, so that their
-#: (rows, n) and (rows, arcs) work arrays stay near 2 MiB of float64 each
+#: (rows, n) and (rows, arcs) work arrays stay near 2 MiB of float64 each;
+#: the engine's recorder chunks and source maps keep the same budget
 _BLOCK_CELLS = 1 << 18
 
 #: characters of trace.csv joined into one write, 256 KiB of its ASCII text
@@ -50,7 +50,11 @@ class Trace:
     sustained convergence is judged over that window against tolerance.
     A trace is built once and never changes: its fields cannot
     be rebound and its row arrays are read-only, so everything derived
-    from its rows is computed on first use and kept.
+    from its rows is computed on first use and kept. judged, when given,
+    is the disagreement_rows series of states, already computed (the
+    engine's recorder passes the values it judged by), and seeds
+    disagreements; dataclasses.replace passes none, so a trace built that
+    way computes its own.
     """
 
     graph: Graph
@@ -60,10 +64,14 @@ class Trace:
     tolerance: float
     message_counts: dict[str, int] = field(default_factory=dict)
     messages: list[tuple[int, str, int, int, float | int | None]] | None = None
+    judged: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, judged: np.ndarray | None) -> None:
         for rows in (self.states, self.activations):
             rows.flags.writeable = False
+        if judged is not None:
+            judged.flags.writeable = False
+            self.__dict__["disagreements"] = judged
 
     @property
     def iterations(self) -> int:
@@ -129,28 +137,42 @@ def disagreement_of(x: np.ndarray, graph: Graph) -> float:
 
 
 def disagreement_rows(states: np.ndarray, graph: Graph) -> np.ndarray:
-    """Disagreement of every row of a (rows, n) block of states, in
-    blocks of rows so that the (arcs, rows) temporaries stay within
-    about 2 * _BLOCK_CELLS cells.
+    """Disagreement of every row of a (rows, n) block of states.
 
-    Summing an (arcs, rows) array over its arcs adds each row's terms
-    left to right, except that numpy sums a single row pairwise. So every
-    block holds at least two rows unless states has one: a row's value
-    then does not depend on the rows around it. disagreement_of passes
-    its vector as a one-row block, so it sums pairwise and can differ
-    from a row of a taller block in the last bits. Rows of a diverging
-    run read inf or nan without a warning.
+    Each row's arc terms are added left to right, in arc order. The rows
+    go in blocks of at least two, and each block carries one accumulator
+    per row across chunks of arcs: it adds the accumulators into the
+    chunk's first terms, then sums the chunk down its first axis, which
+    numpy does in order while a row of the chunk holds two or more
+    values. So a row's value depends neither on the rows around it nor
+    on the chunking, and the (n, rows) and (arcs, rows) work arrays stay
+    within about _BLOCK_CELLS cells each. A one-row block is summed
+    pairwise, as numpy sums a single row: disagreement_of passes its
+    vector as one, so it can differ from a row of a taller block in the
+    last bits. Rows of a diverging run read inf or nan without a warning.
     """
     i, j = graph.arcs
-    rows = states.shape[0]
-    step = max(2, _BLOCK_CELLS // len(i))
-    parts = []
+    rows, n = states.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in np.array_split(states, max(1, rows // step)):
-            cols = np.ascontiguousarray(block.T)
-            diff = np.take(cols, i, axis=0) - np.take(cols, j, axis=0)
-            parts.append(np.sqrt((diff * diff).sum(axis=0) / graph.node_count))
-    return np.concatenate(parts)
+        if rows < 2:
+            diff = np.take(states, i, axis=1) - np.take(states, j, axis=1)
+            return np.sqrt((diff * diff).sum(axis=1) / n)
+        out = np.empty(rows)
+        blocks = max(1, rows // max(2, _BLOCK_CELLS // n))
+        for b in range(blocks):
+            lo, hi = b * rows // blocks, (b + 1) * rows // blocks
+            cols = np.ascontiguousarray(states[lo:hi].T)
+            step = max(1, _BLOCK_CELLS // (hi - lo))
+            acc = None
+            for a in range(0, len(i), step):
+                terms = cols[i[a:a + step]]
+                terms -= cols[j[a:a + step]]
+                terms *= terms
+                if acc is not None:
+                    np.add(acc, terms[0], out=terms[0])
+                acc = terms.sum(axis=0)
+            np.sqrt(acc / n, out=out[lo:hi])
+    return out
 
 
 def _two_sum_tree(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -372,20 +394,22 @@ def expected_weight_matrix(g: Graph, rule: UpdateRule | None = None) -> np.ndarr
 def write_trace_csv(trace: Trace, fh) -> None:
     """trace CSV in long form: iteration, node_id, x, phi.
 
-    Each row joins one f"{i},{x:.17g},{phi}" part per node. A part is
-    reformatted only where the node's float64 bit pattern or activation
-    flag differs from the previous row's (comparing bits, not values,
-    keeps -0.0 after 0.0 and NaN payload changes exact); a chain row
-    changes about 3 of its 50. Every field but x is an integer, so no
-    field ever needs CSV quoting. Rows are written about _WRITE_CHARS at
-    a time.
+    Row k puts f"{k}," before each of its nodes' f"{i},{x:.17g},{phi}\n"
+    parts. A part is rebuilt only where the node's float64 bit pattern or
+    activation flag differs from the previous row's (comparing bits, not
+    values, keeps -0.0 after 0.0 and NaN payload changes exact); a chain
+    row changes about 3 of its 50. A neighborhood-set fold writes one
+    value to its whole closed neighbourhood, so the changed cells of a
+    block of rows hold few distinct values: each distinct bit pattern is
+    formatted once. Every field but x is an integer, so no field ever
+    needs CSV quoting. Rows are written about _WRITE_CHARS at a time.
     """
     fh.write("iteration,node_id,x,phi\n")
     n = trace.graph.node_count
     states = np.ascontiguousarray(trace.states, dtype=np.float64)
     bits = states.view(np.int64)
     acts = trace.activations
-    parts = [""] * n
+    parts = [""] * (n + 1)  # a first empty part, so that a row is f"{k},".join(parts)
     batch, size = [], 0
     step = max(1, _BLOCK_CELLS // n)
     for b in range(0, trace.iterations, step):
@@ -396,12 +420,14 @@ def write_trace_csv(trace: Trace, fh) -> None:
             changed = np.ones((e, n), dtype=bool)
             changed[1:] = (bits[1:e] != bits[:e - 1]) | (acts[1:e] != acts[:e - 1])
         r, c = np.nonzero(changed)
-        cells = zip(c.tolist(), states[b:e][r, c].tolist(), acts[b:e][r, c].tolist())
+        values, index = np.unique(bits[b:e][r, c], return_inverse=True)
+        texts = [f"{x:.17g}" for x in values.view(np.float64).tolist()]
+        cells = zip(c.tolist(), index.tolist(), acts[b:e][r, c].tolist())
         counts = np.bincount(r, minlength=e - b).tolist()
         for k, m in zip(range(b, e), counts):
             for _, (i, x, a) in zip(range(m), cells):
-                parts[i] = f"{i},{x:.17g},{a}"
-            row = f"{k}," + f"\n{k},".join(parts) + "\n"
+                parts[i + 1] = f"{i},{texts[x]},{a}\n"
+            row = f"{k},".join(parts)
             batch.append(row)
             size += len(row)
             if size >= _WRITE_CHARS:
@@ -411,11 +437,22 @@ def write_trace_csv(trace: Trace, fh) -> None:
 
 
 def write_messages_csv(trace: Trace, fh) -> None:
-    """message CSV: time, kind, src, dst, payload (dst -1 = broadcast)."""
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["time", "kind", "src", "dst", "payload"])
-    for time, kind, src, dst, payload in (trace.messages or []):
-        w.writerow([time, kind, src, dst, "" if payload is None else format_value(payload)])
+    """message CSV: time, kind, src, dst, payload (dst -1 = broadcast).
+
+    One line per message, the payload empty when there is none and a
+    float one to 17 significant digits, as format_value writes it. Kinds
+    are plain words and every other field a number, so no field ever
+    needs CSV quoting. Lines are written about _WRITE_CHARS at a time.
+    """
+    fh.write("time,kind,src,dst,payload\n")
+    messages = trace.messages or []
+    step = max(1, _WRITE_CHARS // 32)  # a line is about 32 characters
+    for lo in range(0, len(messages), step):
+        lines = []
+        for t, kind, src, dst, v in messages[lo:lo + step]:
+            cell = "" if v is None else f"{v:.17g}" if type(v) is float else format_value(v)
+            lines.append(f"{t},{kind},{src},{dst},{cell}\n")
+        fh.write("".join(lines))
 
 
 def metrics_csv_text(trace: Trace) -> str:

@@ -1,20 +1,31 @@
 """Simulation backends for the duty-cycled averaging protocol.
 
-Every poll-round run goes through one tick kernel, _apply_tick, which
-folds each initiator of a tick with UpdateRule.fold:
+Every poll-round run goes through one schedule kernel, _Schedule: a
+fixed list of ticks, each the initiators it wakes in order, compiled
+once. Its run folds the initiators with UpdateRule.fold on a Python list
+of the states and returns the value each adopts, in schedule order. Its
+rows turns those values into the schedule's trace rows with one gather,
+through the source map built when it was compiled: for every (tick,
+node) cell, the entry of [previous row; values] that the cell holds.
 
 * run_agent_sim runs the beacon protocol. The anchor's beacon wakes hop
   layer 1 and each layer's wake-up flood wakes the next, so every beacon
-  cycle updates layer m at tick cycle * L + m, initiators in ascending
-  id; the run computes the hop layers once and applies that schedule.
-  The per-message protocol handlers that tests/test_protocol_oracle.py
-  drives are the reference it is tested against; no run calls them.
+  cycle updates layer m at its tick m, initiators in ascending id; the
+  run computes the hop layers once, compiles that cycle once and runs
+  it once per beacon cycle. The per-message protocol handlers that
+  tests/test_protocol_oracle.py drives are the reference it is tested
+  against; no run calls them.
 * run_matrix_sim is the one scripted runner: it wakes the nodes of
-  activation row k at tick k + 1.
+  activation row k at tick k + 1, compiling its script a slice at a
+  time.
 
-Each runner records its rows in a _Recorder, which stops the run by
-the window rule of analysis.sustained_run and, when the run ends, builds
-its frozen Trace in one call: the rows kept, their closed-form message
+No source map, and so no block of rows gathered through one, holds more
+than _BLOCK_CELLS cells: a longer cycle is compiled as several schedules.
+
+Each runner records its rows in a _Recorder, a block of rows at a time.
+The recorder stops the run by the window rule of analysis.sustained_run
+and, when the run ends, builds its frozen Trace in one call: the rows
+kept, the disagreements it judged them by, their closed-form message
 counts and, on request, the message log up to the last row. The
 recorder writes rows into preallocated chunks of about 2 MiB of states
 and copies them into the trace's arrays once, releasing each chunk as it
@@ -45,7 +56,7 @@ diag(phi) A + (I - diag(phi)): inactive rows hold their value.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import isfinite
 
@@ -105,13 +116,15 @@ def initial_states(cfg: RunConfig) -> tuple[np.ndarray, np.random.Generator]:
 class _Recorder:
     """Trace rows of a run, judged a block at a time with the reduction
     and window rule of the finished trace's metrics, so that the run
-    stops on the numbers metrics.csv reports. Each block starts with the
-    row judged last: only x0 is ever judged alone. log, when messages
-    are collected, is the list the run appends its messages to, each
-    stamped with rows: the index of the row its tick is recorded in.
+    stops on the numbers metrics.csv reports. Each block judged starts
+    with the row judged last, whose value it replaces: only x0 is ever
+    judged alone, and a one-row trace is the only one whose x0 keeps that
+    value. The values judged become the trace's disagreements. log, when
+    messages are collected, is the list the run appends its messages to,
+    each stamped with rows: the index of the row its tick is recorded in.
 
     Rows are written into chunks of chunk_rows preallocated rows, about
-    _BLOCK_CELLS cells of states each, so that recording a row allocates
+    _BLOCK_CELLS cells of states each, so that recording allocates
     nothing; a block to judge is a view when it lies in one chunk and is
     joined from its pieces when it spans several. finish copies the
     chunks into the trace's arrays one at a time, releasing each once it
@@ -130,18 +143,24 @@ class _Recorder:
         self.acts: list[np.ndarray] = []
         self.rows = 0  # rows recorded and kept
         self.judged = self.run_from = 0  # rows judged; first row of the ok run they end in
+        self.series = np.empty(0)  # the disagreement of every row judged, and room for more
         self.converged = False
-        self.record(x0, np.zeros(graph.node_count, dtype=np.uint8))
+        self.record(x0[None], np.zeros((1, graph.node_count), dtype=np.uint8))
 
-    def record(self, x: np.ndarray, active: np.ndarray) -> None:
-        k, r = divmod(self.rows, self.chunk_rows)
-        if k == len(self.states):
-            shape = (self.chunk_rows, self.graph.node_count)
-            self.states.append(np.empty(shape))
-            self.acts.append(np.empty(shape, dtype=np.uint8))
-        self.states[k][r] = x
-        self.acts[k][r] = active
-        self.rows += 1
+    def record(self, states: np.ndarray, acts: np.ndarray) -> None:
+        """Append a (rows, n) block of states and their activation flags."""
+        done = 0
+        while done < len(states):
+            k, r = divmod(self.rows, self.chunk_rows)
+            if k == len(self.states):
+                shape = (self.chunk_rows, self.graph.node_count)
+                self.states.append(np.empty(shape))
+                self.acts.append(np.empty(shape, dtype=np.uint8))
+            m = min(self.chunk_rows - r, len(states) - done)
+            self.states[k][r:r + m] = states[done:done + m]
+            self.acts[k][r:r + m] = acts[done:done + m]
+            self.rows += m
+            done += m
 
     def _span(self, lo: int, hi: int) -> np.ndarray:
         """States of rows lo:hi (lo < hi): a view when they lie in one chunk."""
@@ -152,14 +171,27 @@ class _Recorder:
         return np.concatenate([self.states[k][max(lo - k * c, 0):hi - k * c]
                                for k in range(first, last + 1)])
 
+    def _measure(self, states: np.ndarray) -> np.ndarray:
+        """Judge the rows recorded since the last call: states holds them,
+        after the row judged last if there is one. Returns their values."""
+        e = disagreement_rows(states, self.graph)
+        if len(self.series) < self.rows:  # no view of it is ever taken
+            self.series.resize(2 * self.rows, refcheck=False)
+        self.series[self.rows - len(e):self.rows] = e
+        new = self.rows - self.judged
+        self.judged = self.rows
+        return e[len(e) - new:]
+
     def judge(self) -> bool:
         """Judge the rows recorded since the last call. Once a run of ok
         rows spans a cycle, drop the rows after the row where it does and
         return True."""
-        new = self.rows - self.judged
-        block = self._span(max(self.judged - 1, 0), self.rows)
+        new = self._measure(self._span(max(self.judged - 1, 0), self.rows)) < self.tol
+        if not new.any():  # the next ok run can start after the last row at the earliest
+            self.run_from = self.rows
+            return False
         ok = np.ones(self.rows - self.run_from, dtype=bool)
-        ok[-new:] = disagreement_rows(block, self.graph)[-new:] < self.tol
+        ok[len(ok) - len(new):] = new
         run = sustained_run(ok, self.cycle_ticks)
         if run is not None:
             self.rows = self.run_from + run[1] + 1
@@ -168,7 +200,6 @@ class _Recorder:
             self.converged = True
         elif not ok.all():
             self.run_from += int(np.flatnonzero(~ok)[-1]) + 1
-        self.judged = self.rows
         return self.converged
 
     def _gather(self, chunks: list[np.ndarray]) -> np.ndarray:
@@ -181,48 +212,114 @@ class _Recorder:
 
     def finish(self, counts: Callable[[np.ndarray], dict[str, int]]) -> Trace:
         """The trace of the rows kept, with counts(activation rows) as its
-        message counts and the messages sent in the ticks of those rows."""
+        message counts, the messages sent in the ticks of those rows, and
+        the disagreements of those rows, judging any not judged yet."""
         log = self.log
         while log and log[-1][0] >= self.rows:
             log.pop()
         acts = self._gather(self.acts)
-        return Trace(graph=self.graph, states=self._gather(self.states), activations=acts,
+        states = self._gather(self.states)
+        if self.judged < self.rows:
+            self._measure(states[max(self.judged - 1, 0):])
+        self.series.resize(self.rows, refcheck=False)
+        return Trace(graph=self.graph, states=states, activations=acts,
                      cycle_ticks=self.cycle_ticks, tolerance=self.tol,
-                     message_counts=counts(acts), messages=log)
+                     message_counts=counts(acts), messages=log, judged=self.series)
 
 
-def _apply_tick(x: np.ndarray, ids: list[int], rule: UpdateRule,
-                in_nbrs: tuple[np.ndarray, ...], tick: int, log: list | None) -> None:
-    """Run one tick's poll rounds on x in place, initiators in ids order.
+class _Schedule:
+    """A fixed list of ticks, each the initiators it wakes in order,
+    compiled for the runs of its poll rule on a graph whose nodes poll
+    nbrs, their in-neighbor lists.
 
-    Under the neighborhood-set rule the initiators go one after another,
-    each writing the common value back to itself and the nodes it polled,
-    so later initiators read earlier ones' results. Under the other rules
-    every initiator reads x as it stood at the start of the tick. log, if
-    given, receives one (tick, kind, src, dst, payload) per message, in
-    the order the protocol's per-node handlers emit them.
+    run applies the ticks to a list of states; rows turns the values it
+    returns into the ticks' trace rows with one gather through src,
+    whose cell (t, i) is the entry of [previous row; values] that node i
+    holds after tick t. src is built here by walking the schedule in
+    order, one initiator at a time, so that a later write to a cell wins.
+    acts flags each tick's initiators.
     """
-    sequential = rule.variant is RuleVariant.NEIGHBORHOOD_SET
-    staged = []
-    for i in ids:
-        nb = in_nbrs[i]
-        if not len(nb):
-            raise SimulationError(f"node {i} has nobody to poll")
-        polled = x[nb].tolist()
-        if log is not None:
-            for j, v in zip(nb.tolist(), polled):
-                log.append((tick, _REQUEST, i, j, None))
-                log.append((tick, _ACK, j, i, v))
-        if sequential:
-            x[nb] = x[i] = rule.fold(float(x[i]), polled)
-            if log is not None:
-                log.append((tick, _WAKE_UP, i, BROADCAST, 1))
-        else:
-            staged.append(rule.fold(float(x[i]), polled))
-    if not sequential:
-        x[ids] = staged
-        if log is not None:
-            log.extend((tick, _WAKE_UP, i, BROADCAST, 1) for i in ids)
+
+    def __init__(self, rule: UpdateRule, nbrs: list[list[int]], ticks: list[list[int]]):
+        n = len(nbrs)
+        self.rule, self.nbrs, self.ticks = rule, nbrs, ticks
+        self.sequential = rule.variant is RuleVariant.NEIGHBORHOOD_SET
+        self.src = np.empty((len(ticks), n), dtype=np.intp)
+        self.acts = np.zeros((len(ticks), n), dtype=np.uint8)
+        holds = list(range(n))  # the entry each node holds
+        v = n  # entry of the next initiator's value
+        for t, ids in enumerate(ticks):
+            for i in ids:
+                holds[i] = v
+                if self.sequential:
+                    for j in nbrs[i]:
+                        holds[j] = v
+                v += 1
+            self.src[t] = holds
+            self.acts[t, ids] = 1
+
+    def run(self, xs: list[float], tick: int, log: list | None) -> list[float]:
+        """Run the ticks' poll rounds on xs in place, the first as tick
+        tick, and return the value of every initiator in schedule order.
+
+        Under the neighborhood-set rule the initiators go one after
+        another, each writing the common value back to itself and the
+        nodes it polled, so later initiators read earlier ones' results.
+        Under the other rules every initiator reads xs as it stood at the
+        start of the tick. log, if given, receives one (tick, kind, src,
+        dst, payload) per message, in the order the protocol's per-node
+        handlers emit them.
+        """
+        fold, nbrs, sequential = self.rule.fold, self.nbrs, self.sequential
+        values: list[float] = []
+        for ids in self.ticks:
+            first = len(values)
+            for i in ids:
+                nb = nbrs[i]
+                if not nb:
+                    raise SimulationError(f"node {i} has nobody to poll")
+                polled = [xs[j] for j in nb]
+                if log is not None:
+                    for j, p in zip(nb, polled):
+                        log.append((tick, _REQUEST, i, j, None))
+                        log.append((tick, _ACK, j, i, p))
+                v = fold(xs[i], polled)
+                values.append(v)
+                if sequential:
+                    xs[i] = v
+                    for j in nb:
+                        xs[j] = v
+                    if log is not None:
+                        log.append((tick, _WAKE_UP, i, BROADCAST, 1))
+            if not sequential:
+                for i, v in zip(ids, values[first:]):
+                    xs[i] = v
+                if log is not None:
+                    log.extend((tick, _WAKE_UP, i, BROADCAST, 1) for i in ids)
+            tick += 1
+        return values
+
+    def rows(self, prev: np.ndarray, values: list[float]) -> np.ndarray:
+        """The ticks' trace rows, from the row before them and run's values."""
+        return np.take(np.concatenate((prev, values)), self.src)
+
+
+def _poll_lists(graph: Graph) -> list[list[int]]:
+    """Each node's in-neighbors as a list of ints, every node one shared
+    int object, so that a list costs a pointer per arc."""
+    ids = list(range(graph.node_count))
+    return [[ids[j] for j in nb.tolist()] for nb in graph.in_neighbors]
+
+
+def _play(parts: Iterable[_Schedule], xs: list[float], row: np.ndarray,
+          rec: _Recorder) -> np.ndarray:
+    """Run the schedules in turn on xs, the states of row, recording their
+    rows in rec; returns the last row."""
+    for part in parts:
+        rows = part.rows(row, part.run(xs, rec.rows, rec.log))
+        rec.record(rows, part.acts)
+        row = rows[-1]
+    return row
 
 
 def _message_counts(graph: Graph, activations: np.ndarray, beacons: int) -> dict[str, int]:
@@ -239,25 +336,27 @@ def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
     """Agent-level simulation: max_iterations beacon cycles of the full
     protocol, or fewer once disagreement holds below tolerance for one
     full beacon cycle of layer_count ticks."""
-    lay = assign_layers(cfg.graph)
-    # row m - 1 flags hop layer m, the nodes tick m of every cycle updates
-    waves = lay.layer_of == np.arange(1, lay.layer_count + 1)[:, None]
-    wave_ids = [np.flatnonzero(w).tolist() for w in waves]
+    g = cfg.graph
+    lay = assign_layers(g)
+    # tick m - 1 of every cycle wakes hop layer m
+    waves = [np.flatnonzero(lay.layer_of == m).tolist() for m in range(1, lay.layer_count + 1)]
+    nbrs = _poll_lists(g)
+    step = max(1, _BLOCK_CELLS // g.node_count)
+    cycle = [_Schedule(cfg.rule, nbrs, waves[t:t + step])
+             for t in range(0, lay.layer_count, step)]
     x0, _ = initial_states(cfg)
-    x = x0.copy()
-    rec = _Recorder(cfg.graph, x0, lay.layer_count, cfg.tolerance, collect_messages)
+    rec = _Recorder(g, x0, lay.layer_count, cfg.tolerance, collect_messages)
     if lay.layer_count == 1:  # x0 alone can end the run, as a one-row trace's series judges it
         rec.judge()
+    xs, row = x0.tolist(), x0
     cycles = 0
     while not rec.converged and cycles < cfg.max_iterations:
         cycles += 1
         if rec.log is not None:
             rec.log.append((rec.rows, _BEACON, ANCHOR_SRC, BROADCAST, None))
-        for m in range(lay.layer_count):
-            _apply_tick(x, wave_ids[m], cfg.rule, cfg.graph.in_neighbors, rec.rows, rec.log)
-            rec.record(x, waves[m])
+        row = _play(cycle, xs, row, rec)
         rec.judge()
-    return rec.finish(lambda acts: _message_counts(cfg.graph, acts, cycles))
+    return rec.finish(lambda acts: _message_counts(g, acts, cycles))
 
 
 def step_matrix(g: Graph, rule: UpdateRule, phi: np.ndarray) -> np.ndarray:
@@ -299,13 +398,16 @@ def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray,
     if cfg.rule.variant is RuleVariant.PAIRWISE_BASELINE:
         raise ConfigError("scripted runs use the poll-round rules; "
                           "see run_pairwise_baseline")
-    x, _ = initial_states(cfg)
-    rec = _Recorder(cfg.graph, x, 1, cfg.tolerance, collect_messages)
-    for k in range(cfg.max_iterations):
-        _apply_tick(x, np.flatnonzero(seq[k]).tolist(), cfg.rule, cfg.graph.in_neighbors,
-                    k + 1, rec.log)
-        rec.record(x, seq[k] != 0)
-    return rec.finish(lambda acts: _message_counts(cfg.graph, acts, 0))
+    g = cfg.graph
+    nbrs = _poll_lists(g)
+    x0, _ = initial_states(cfg)
+    rec = _Recorder(g, x0, 1, cfg.tolerance, collect_messages)
+    step = max(1, _BLOCK_CELLS // n)
+    ticks = ([np.flatnonzero(phi).tolist() for phi in seq[k:min(k + step, cfg.max_iterations)]]
+             for k in range(0, cfg.max_iterations, step))
+    # each slice of the script is compiled when its turn comes
+    _play((_Schedule(cfg.rule, nbrs, t) for t in ticks), x0.tolist(), x0, rec)
+    return rec.finish(lambda acts: _message_counts(g, acts, 0))
 
 
 def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Trace:
@@ -336,7 +438,7 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
             log.append((k, _REQUEST, i, j, None))
             log.append((k, _ACK, j, i, float(x[j])))
         active[i] = active[j] = 1
-        rec.record(x, active)
+        rec.record(x[None], active[None])
         active[i] = active[j] = 0
         if (k % n == 0 or k == cfg.max_iterations) and rec.judge():
             break

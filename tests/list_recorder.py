@@ -1,18 +1,40 @@
-"""List-based reference recorder.
+"""List-based reference recorder, and the disagreement pass it judges by.
 
-The engine's recorder writes each row into preallocated chunks and joins
-them once, when the run ends. This is the recorder it replaced: one copy
-of each row appended to Python lists, every judged block built from the
-lists, and np.vstack at the end. Patched over engine._Recorder, it runs
-the same runners, and the tests compare the traces bit for bit.
+The engine's recorder writes each block of rows into preallocated chunks
+and joins them once, when the run ends. This is the recorder it
+replaced: one copy of each row appended to Python lists, every judged
+block built from the lists, and np.vstack at the end. Patched over
+engine._Recorder, it runs the same runners, and the tests compare the
+traces bit for bit.
+
+It judges with block_disagreements, the disagreement pass
+analysis.disagreement_rows replaced: blocks of at least two rows, each
+summing its whole (arcs, rows) array of terms at once. Its trace's
+series is that pass over all the rows kept.
 """
 
 from collections.abc import Callable
 
 import numpy as np
 
-from gossipsim.analysis import Trace, disagreement_rows, sustained_run
+from gossipsim import analysis
+from gossipsim.analysis import Trace, sustained_run
 from gossipsim.graph import Graph
+
+
+def block_disagreements(states: np.ndarray, graph: Graph) -> np.ndarray:
+    """Disagreement of every row of states, in blocks of at least two rows
+    (unless states has one) of about analysis._BLOCK_CELLS // arcs rows."""
+    i, j = graph.arcs
+    rows = states.shape[0]
+    step = max(2, analysis._BLOCK_CELLS // len(i))
+    parts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in np.array_split(states, max(1, rows // step)):
+            cols = np.ascontiguousarray(block.T)
+            diff = np.take(cols, i, axis=0) - np.take(cols, j, axis=0)
+            parts.append(np.sqrt((diff * diff).sum(axis=0) / graph.node_count))
+    return np.concatenate(parts)
 
 
 class ListRecorder:
@@ -27,9 +49,10 @@ class ListRecorder:
         self.judged = self.run_from = 0
         self.converged = False
 
-    def record(self, x: np.ndarray, active: np.ndarray) -> None:
-        self.states.append(x.copy())
-        self.acts.append(active.astype(np.uint8))
+    def record(self, states: np.ndarray, acts: np.ndarray) -> None:
+        for x, active in zip(states, acts):
+            self.states.append(x.copy())
+            self.acts.append(active.astype(np.uint8))
 
     @property
     def rows(self) -> int:
@@ -39,7 +62,7 @@ class ListRecorder:
         new = len(self.states) - self.judged
         block = np.array(self.states[max(self.judged - 1, 0):])
         ok = np.ones(len(self.states) - self.run_from, dtype=bool)
-        ok[-new:] = disagreement_rows(block, self.graph)[-new:] < self.tol
+        ok[-new:] = block_disagreements(block, self.graph)[-new:] < self.tol
         run = sustained_run(ok, self.cycle_ticks)
         if run is not None:
             end = self.run_from + run[1] + 1
@@ -55,6 +78,8 @@ class ListRecorder:
         while log and log[-1][0] >= self.rows:
             log.pop()
         acts = np.vstack(self.acts)
-        return Trace(graph=self.graph, states=np.vstack(self.states), activations=acts,
+        states = np.vstack(self.states)
+        return Trace(graph=self.graph, states=states, activations=acts,
                      cycle_ticks=self.cycle_ticks, tolerance=self.tol,
-                     message_counts=counts(acts), messages=log)
+                     message_counts=counts(acts), messages=log,
+                     judged=block_disagreements(states, self.graph))

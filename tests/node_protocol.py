@@ -1,6 +1,6 @@
 """Per-node state machine for the beacon-driven poll protocol: the
 reference that test_protocol_oracle.py drives one message at a time and
-that the engine's tick kernel must match exactly. No run calls it.
+that the engine's schedule kernel must match exactly. No run calls it.
 
 Handlers are pure: each takes the current NodeState plus one stimulus and
 returns a replacement state together with the messages the node emits in

@@ -1,6 +1,7 @@
 """Metrics, convergence detection, and spectral certification."""
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -26,13 +27,16 @@ from gossipsim import (
 )
 from gossipsim.analysis import (
     Trace,
+    disagreement_rows,
     metrics_csv_text,
     sustained_run,
     trace_csv_text,
+    write_messages_csv,
 )
 from gossipsim.rules import RuleVariant, UpdateRule
 
 from fsum_drifts import fsum_drifts
+from list_recorder import block_disagreements
 
 CHAIN3 = build_topology("chain", 3)
 PAIR = build_topology("chain", 2)
@@ -375,6 +379,65 @@ class TestTraceCsvOracle:
         assert trace_csv_text(tr) == reference_trace_csv(tr)
 
 
+def reference_messages_csv(trace):
+    """The message CSV as a csv.writer loop over every message writes it."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["time", "kind", "src", "dst", "payload"])
+    for time, kind, src, dst, payload in (trace.messages or []):
+        w.writerow([time, kind, src, dst,
+                    "" if payload is None else analysis.format_value(payload)])
+    return buf.getvalue()
+
+
+def _messages_text(trace):
+    buf = io.StringIO()
+    write_messages_csv(trace, buf)
+    return buf.getvalue()
+
+
+def _crafted_messages_trace():
+    """Every payload type a log can hold, floats at their edges included."""
+    tr = synthetic_trace(CHAIN3, [[0.0, 1.0, 2.0]])
+    payloads = [None, 1, True, 0.1, -0.0, 0.0, float("nan"), -float("nan"), float("inf"),
+                -float("inf"), 5e-324, 1e300, -2.5e-17, np.float64(1 / 3), 12345678901234567890]
+    messages = [(k, "state_ack", k % 3, -1 if k % 2 else 2, v) for k, v in enumerate(payloads)]
+    return dataclasses.replace(tr, messages=messages)
+
+
+def _logged(run, cfg, *args):
+    return run(cfg, *args, collect_messages=True)
+
+
+MESSAGE_TRACES = {
+    "agent_ring": lambda: _logged(run_agent_sim, RunConfig(
+        graph=build_topology("circular", 9), seed=2, max_iterations=30)),
+    "agent_pure_neighbor": lambda: _logged(run_agent_sim, RunConfig(
+        graph=build_topology("chain", 7), rule=UpdateRule(RuleVariant.PURE_NEIGHBOR), seed=3,
+        max_iterations=30)),
+    "pairwise": lambda: _logged(run_pairwise_baseline, RunConfig(
+        graph=build_topology("star", 6), rule=UpdateRule(RuleVariant.PAIRWISE_BASELINE),
+        seed=4, max_iterations=200)),
+    "matrix_stochastic": lambda: _logged(
+        run_matrix_sim, RunConfig(graph=build_topology("circular", 9), seed=6, max_iterations=60),
+        activation_sequence(DutyCycleParams(p=0.4, q=0.3), 9, 60, seed=7)),
+    "crafted": _crafted_messages_trace,
+    "no_log": lambda: synthetic_trace(CHAIN3, [[0.0, 1.0, 2.0]]),
+}
+
+
+class TestMessagesCsvOracle:
+    @pytest.mark.parametrize("chars", [None, 1, 64])
+    @pytest.mark.parametrize("name", sorted(MESSAGE_TRACES))
+    def test_matches_csv_writer_loop(self, name, chars, monkeypatch):
+        # one line per write, two per write, and the default batches
+        if chars is not None:
+            monkeypatch.setattr(analysis, "_WRITE_CHARS", chars)
+        tr = MESSAGE_TRACES[name]()
+        assert name == "no_log" or tr.messages
+        assert _messages_text(tr) == reference_messages_csv(tr)
+
+
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
@@ -581,3 +644,60 @@ class TestSeriesAgainstRecorder:
             want = float(np.sqrt((diff * diff).sum() / g.node_count))
             assert disagreement_of(x, g) == want
             assert synthetic_trace(g, [x]).disagreements[0] == want
+
+
+#: _BLOCK_CELLS for the disagreement tests. Row blocks hold at least
+#: max(2, _BLOCK_CELLS // n) rows and arc chunks _BLOCK_CELLS // rows arcs:
+#: 2 gives chunks of one arc, and 14, on 8 or more nodes, two-row blocks
+#: with chunks of seven arcs
+DISAGREEMENT_BLOCK_CELLS = [None, 2, 14, 100]
+
+
+class TestDisagreementOracle:
+    """disagreement_rows against the pass it replaced, which summed each
+    block's whole (arcs, rows) array at once, bit for bit."""
+
+    @pytest.mark.parametrize("cells", DISAGREEMENT_BLOCK_CELLS)
+    @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
+    def test_matches_whole_block_sums(self, name, cells, monkeypatch):
+        tr = ORACLE_TRACES[name]()
+        want = block_disagreements(tr.states, tr.graph)
+        # the recorder's series, and fresh passes over the whole trace and
+        # over its first one, two and three rows
+        assert np.array_equal(_bits(tr.disagreements), _bits(want))
+        if cells is not None:
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+        for rows in (1, 2, 3, tr.iterations):
+            got = disagreement_rows(tr.states[:rows], tr.graph)
+            assert np.array_equal(_bits(got), _bits(block_disagreements(tr.states[:rows],
+                                                                        tr.graph)))
+            assert np.array_equal(_bits(got[1:]), _bits(want[1:rows]))
+
+    @pytest.mark.parametrize("cells", DISAGREEMENT_BLOCK_CELLS)
+    def test_rows_of_nan_and_inf(self, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+        g = build_topology("chain", 9)
+        x = _random_rows(12, 9, seed=3)
+        x[1, 4] = np.nan
+        x[2, 0] = -np.nan
+        x[3, 5] = np.inf
+        x[4, 6:] = -np.inf
+        x[5] = np.inf
+        x[6, 2], x[6, 3] = np.inf, np.nan
+        x[7] = 1e300  # squares overflow to inf
+        x[8, ::2] = 1e300
+        for rows in (x[:1], x[1:2], x[1:3], x[3:5], x):
+            assert np.array_equal(_bits(disagreement_rows(rows, g)),
+                                  _bits(block_disagreements(rows, g)))
+
+    def test_judged_series_seeds_the_trace_and_replace_recomputes(self):
+        tr = synthetic_trace(CHAIN3, [[0.0, 6.0, 0.0], [2.0, 2.0, 2.0]])
+        judged = Trace(graph=tr.graph, states=tr.states, activations=tr.activations,
+                       cycle_ticks=1, tolerance=1e-6, judged=np.array([7.0, 8.0]))
+        assert judged.disagreements.tolist() == [7.0, 8.0]
+        assert not judged.disagreements.flags.writeable
+        assert judged.convergence_row is None
+        again = dataclasses.replace(judged, states=judged.states)
+        assert np.array_equal(again.disagreements, tr.disagreements)
+        assert again.convergence_row == 1

@@ -1,5 +1,5 @@
 """Oracle: the handlers of tests/node_protocol.py, driven one message at
-a time, must give exactly what the engine's tick kernel gives.
+a time, must give exactly what the engine's schedule kernel gives.
 
 The engine never calls the handlers; it applies the compiled layer
 schedule. This file keeps the per-message path alive as an independent

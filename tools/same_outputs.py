@@ -44,6 +44,10 @@ INVOCATIONS = [
     if not (preset == "circular_directed" and variant[1] == "pairwise_baseline")
 ] + [["compare", "--preset", preset] for preset in PRESETS] + [
     ["run", "--preset", "star", "--run.initial_states", ",".join(["3.25"] * 50)],
+    # random scripts: below p = q = 1 a scripted step wakes some of the
+    # nodes, and a step can wake none
+    *(["run", "--preset", preset, "--run.backend", "matrix", "--duty.p", "0.3",
+       "--duty.q", "0.5", "--dump-messages"] for preset in ("chain", "random_geometric")),
     # the benchmark's sweep-160 and rgg-4000 workloads at seed 0
     ["sweep", "--graph.n", "20", "--sweep.topologies", "chain,star,circular,random_geometric",
      "--sweep.rules", "neighborhood_set,pairwise_baseline", "--sweep.seeds", "0:20",
