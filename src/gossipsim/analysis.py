@@ -36,7 +36,8 @@ SPECTRAL_TOL = 1e-9
 #: the engine's recorder chunks and source maps keep the same budget
 _BLOCK_CELLS = 1 << 18
 
-#: characters of trace.csv joined into one write, 256 KiB of its ASCII text
+#: characters per write of an output file: 256 KiB of the CSVs' ASCII
+#: text, and at most 1 MiB of any text once UTF-8 encoded
 _WRITE_CHARS = 1 << 18
 
 
@@ -132,32 +133,34 @@ class Trace:
 
 
 def disagreement_of(x: np.ndarray, graph: Graph) -> float:
-    """Adjacency-weighted RMS gap of a raw state vector."""
-    return float(disagreement_rows(x[None], graph)[0])
+    """Adjacency-weighted RMS gap of a raw state vector, its arc terms
+    summed pairwise, as numpy sums a flat vector; so it can differ in the
+    last bits from the vector's row in disagreement_rows."""
+    i, j = graph.arcs
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = x[i] - x[j]
+        return float(np.sqrt((diff * diff).sum() / len(x)))
 
 
 def disagreement_rows(states: np.ndarray, graph: Graph) -> np.ndarray:
     """Disagreement of every row of a (rows, n) block of states.
 
-    Each row's arc terms are added left to right, in arc order. The rows
-    go in blocks of at least two, and each block carries one accumulator
-    per row across chunks of arcs: it adds the accumulators into the
-    chunk's first terms, then sums the chunk down its first axis, which
-    numpy does in order while a row of the chunk holds two or more
-    values. So a row's value depends neither on the rows around it nor
-    on the chunking, and the (n, rows) and (arcs, rows) work arrays stay
-    within about _BLOCK_CELLS cells each. A one-row block is summed
-    pairwise, as numpy sums a single row: disagreement_of passes its
-    vector as one, so it can differ from a row of a taller block in the
-    last bits. Rows of a diverging run read inf or nan without a warning.
+    Each row's arc terms are added left to right, in arc order, whatever
+    the height of the block, so disagreement_rows(s)[k] is bit-equal to
+    disagreement_rows(s[k:k + 1])[0]. The rows go in blocks of at least
+    two, unless there is one, and each block carries one accumulator per
+    row across chunks of arcs: it adds the accumulators into the chunk's
+    first terms, then sums the chunk down its first axis, which numpy
+    does in order while a row of the chunk holds two or more values. A
+    lone row, which numpy would sum pairwise, takes a cumulative sum,
+    which is in order. The (n, rows) and (arcs, rows) work arrays stay
+    within about _BLOCK_CELLS cells each. Rows of a diverging run read
+    inf or nan without a warning.
     """
     i, j = graph.arcs
     rows, n = states.shape
+    out = np.empty(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        if rows < 2:
-            diff = np.take(states, i, axis=1) - np.take(states, j, axis=1)
-            return np.sqrt((diff * diff).sum(axis=1) / n)
-        out = np.empty(rows)
         blocks = max(1, rows // max(2, _BLOCK_CELLS // n))
         for b in range(blocks):
             lo, hi = b * rows // blocks, (b + 1) * rows // blocks
@@ -170,7 +173,7 @@ def disagreement_rows(states: np.ndarray, graph: Graph) -> np.ndarray:
                 terms *= terms
                 if acc is not None:
                     np.add(acc, terms[0], out=terms[0])
-                acc = terms.sum(axis=0)
+                acc = terms.sum(axis=0) if rows > 1 else np.cumsum(terms, axis=0)[-1]
             np.sqrt(acc / n, out=out[lo:hi])
     return out
 

@@ -40,9 +40,6 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_NO_CONVERGENCE = 3
 
-#: characters per write in _write_text: at most 1 MiB once UTF-8 encoded
-_WRITE_CHUNK = 1 << 18
-
 
 def _parse_opt_float(s: str):
     return None if s.strip() == "" else float(s)
@@ -207,8 +204,8 @@ def _open_output(path: str):
 def _write_text(path: str, text: str) -> None:
     # in slices, so the encoder never holds a second copy of a large text
     with _open_output(path) as fh:
-        for start in range(0, len(text), _WRITE_CHUNK):
-            fh.write(text[start:start + _WRITE_CHUNK])
+        for start in range(0, len(text), analysis._WRITE_CHARS):
+            fh.write(text[start:start + analysis._WRITE_CHARS])
 
 
 def _write_csv(path: str, fields, rows: list[dict]) -> None:

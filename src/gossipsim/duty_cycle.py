@@ -36,18 +36,10 @@ def activation_sequence(params: DutyCycleParams, n: int, steps: int,
                         seed: int | None = None) -> np.ndarray:
     """Materialize (steps, n) activation rows, starting with every node
     asleep, by running the wake/sleep chain on one rng.random(n) per step,
-    taken in blocks of steps. When p and q are each 0 or 1 the chain is
-    deterministic and the rows are filled without drawing."""
+    taken in blocks of steps."""
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
     rows = np.empty((steps, n), dtype=np.uint8)
-    if params.p in (0.0, 1.0) and params.q in (0.0, 1.0):
-        # every draw's outcome is certain: all nodes follow one sequence
-        # of period at most 2, so no draw is taken
-        first = params.p == 1.0
-        rows[0::2] = first
-        rows[1::2] = params.q == 0.0 if first else first
-        return rows
     rng = np.random.default_rng(seed)
     awake = np.zeros(n, dtype=bool)
     block = max(1, _DRAW_CELLS // max(n, 1))

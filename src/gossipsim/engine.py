@@ -22,16 +22,19 @@ node) cell, the entry of [previous row; values] that the cell holds.
 No source map, and so no block of rows gathered through one, holds more
 than _BLOCK_CELLS cells: a longer cycle is compiled as several schedules.
 
-Each runner records its rows in a _Recorder, a block of rows at a time.
-The recorder stops the run by the window rule of analysis.sustained_run
-and, when the run ends, builds its frozen Trace in one call: the rows
-kept, the disagreements it judged them by, their closed-form message
-counts and, on request, the message log up to the last row. The
-recorder writes rows into preallocated chunks of about 2 MiB of states
-and copies them into the trace's arrays once, releasing each chunk as it
-goes, so a run holds its trace and one chunk, not two copies of the
-trace. The trace reads converged off those rows by the same rule for
-every backend.
+Each runner records its rows in a _Recorder, a block of rows at a time,
+and the recorder judges every row once, as it records it:
+analysis.disagreement_rows gives a row the same value whatever rows are
+summed with it. After each beacon cycle, or each block of pairwise
+exchanges, the recorder applies the window rule of analysis.sustained_run
+to the new rows, which stops the run. When the run ends it builds its
+frozen Trace in one call: the rows kept, the disagreements it judged
+them by, their closed-form message counts and, on request, the message
+log up to the last row. The recorder writes rows into preallocated
+chunks of about 2 MiB of states and copies them into the trace's arrays
+once, releasing each chunk as it goes, so a run holds its trace and one
+chunk, not two copies of the trace. The trace reads converged off those
+rows by the same rule for every backend.
 step_matrix writes the same steps as explicit matrices, built from
 rules.update_block.
 
@@ -114,19 +117,17 @@ def initial_states(cfg: RunConfig) -> tuple[np.ndarray, np.random.Generator]:
 
 
 class _Recorder:
-    """Trace rows of a run, judged a block at a time with the reduction
-    and window rule of the finished trace's metrics, so that the run
-    stops on the numbers metrics.csv reports. Each block judged starts
-    with the row judged last, whose value it replaces: only x0 is ever
-    judged alone, and a one-row trace is the only one whose x0 keeps that
-    value. The values judged become the trace's disagreements. log, when
-    messages are collected, is the list the run appends its messages to,
-    each stamped with rows: the index of the row its tick is recorded in.
+    """Trace rows of a run, each judged once, as it is recorded, with the
+    reduction and window rule of the finished trace's metrics, so that the
+    run stops on the numbers metrics.csv reports. The values judged become
+    the trace's disagreements. log, when messages are collected, is the
+    list the run appends its messages to, each stamped with rows: the
+    index of the row its tick is recorded in.
 
-    Rows are written into chunks of chunk_rows preallocated rows, about
-    _BLOCK_CELLS cells of states each, so that recording allocates
-    nothing; a block to judge is a view when it lies in one chunk and is
-    joined from its pieces when it spans several. finish copies the
+    Each block recorded is judged as the runner hands it over, before
+    its rows are written into chunks of chunk_rows preallocated rows,
+    about _BLOCK_CELLS cells of states each, so that recording allocates
+    nothing and no block is ever joined from chunks. finish copies the
     chunks into the trace's arrays one at a time, releasing each once it
     is copied, so the run holds at most the trace and one chunk more.
     """
@@ -142,13 +143,18 @@ class _Recorder:
         self.states: list[np.ndarray] = []
         self.acts: list[np.ndarray] = []
         self.rows = 0  # rows recorded and kept
-        self.judged = self.run_from = 0  # rows judged; first row of the ok run they end in
-        self.series = np.empty(0)  # the disagreement of every row judged, and room for more
+        self.checked = 0  # rows the window rule has seen
+        self.series = np.empty(0)  # the disagreement of every row, and room for more
         self.converged = False
         self.record(x0[None], np.zeros((1, graph.node_count), dtype=np.uint8))
 
     def record(self, states: np.ndarray, acts: np.ndarray) -> None:
-        """Append a (rows, n) block of states and their activation flags."""
+        """Judge a (rows, n) block of states in one pass and append it and
+        its activation flags."""
+        end = self.rows + len(states)
+        if len(self.series) < end:  # no view of it is ever taken
+            self.series.resize(2 * end, refcheck=False)
+        self.series[self.rows:end] = disagreement_rows(states, self.graph)
         done = 0
         while done < len(states):
             k, r = divmod(self.rows, self.chunk_rows)
@@ -162,44 +168,21 @@ class _Recorder:
             self.rows += m
             done += m
 
-    def _span(self, lo: int, hi: int) -> np.ndarray:
-        """States of rows lo:hi (lo < hi): a view when they lie in one chunk."""
-        c = self.chunk_rows
-        first, last = lo // c, (hi - 1) // c
-        if first == last:
-            return self.states[first][lo - first * c:hi - first * c]
-        return np.concatenate([self.states[k][max(lo - k * c, 0):hi - k * c]
-                               for k in range(first, last + 1)])
-
-    def _measure(self, states: np.ndarray) -> np.ndarray:
-        """Judge the rows recorded since the last call: states holds them,
-        after the row judged last if there is one. Returns their values."""
-        e = disagreement_rows(states, self.graph)
-        if len(self.series) < self.rows:  # no view of it is ever taken
-            self.series.resize(2 * self.rows, refcheck=False)
-        self.series[self.rows - len(e):self.rows] = e
-        new = self.rows - self.judged
-        self.judged = self.rows
-        return e[len(e) - new:]
-
     def judge(self) -> bool:
-        """Judge the rows recorded since the last call. Once a run of ok
-        rows spans a cycle, drop the rows after the row where it does and
-        return True."""
-        new = self._measure(self._span(max(self.judged - 1, 0), self.rows)) < self.tol
-        if not new.any():  # the next ok run can start after the last row at the earliest
-            self.run_from = self.rows
-            return False
-        ok = np.ones(self.rows - self.run_from, dtype=bool)
-        ok[len(ok) - len(new):] = new
-        run = sustained_run(ok, self.cycle_ticks)
+        """Apply the window rule to the rows recorded since the last call.
+        Once a run of ok rows spans a cycle, drop the rows after the row
+        where it does and return True."""
+        # a run that first spans in the new rows ends on one of them and
+        # starts at lo or later
+        lo = max(self.checked - self.cycle_ticks + 1, 0)
+        ok = self.series[lo:self.rows] < self.tol
+        run = sustained_run(ok, self.cycle_ticks) if ok[self.checked - lo:].any() else None
+        self.checked = self.rows
         if run is not None:
-            self.rows = self.run_from + run[1] + 1
+            self.rows = lo + run[1] + 1
             kept = -(-self.rows // self.chunk_rows)
             del self.states[kept:], self.acts[kept:]
             self.converged = True
-        elif not ok.all():
-            self.run_from += int(np.flatnonzero(~ok)[-1]) + 1
         return self.converged
 
     def _gather(self, chunks: list[np.ndarray]) -> np.ndarray:
@@ -213,14 +196,12 @@ class _Recorder:
     def finish(self, counts: Callable[[np.ndarray], dict[str, int]]) -> Trace:
         """The trace of the rows kept, with counts(activation rows) as its
         message counts, the messages sent in the ticks of those rows, and
-        the disagreements of those rows, judging any not judged yet."""
+        the disagreements of those rows."""
         log = self.log
         while log and log[-1][0] >= self.rows:
             log.pop()
         acts = self._gather(self.acts)
         states = self._gather(self.states)
-        if self.judged < self.rows:
-            self._measure(states[max(self.judged - 1, 0):])
         self.series.resize(self.rows, refcheck=False)
         return Trace(graph=self.graph, states=states, activations=acts,
                      cycle_ticks=self.cycle_ticks, tolerance=self.tol,
@@ -346,17 +327,16 @@ def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
              for t in range(0, lay.layer_count, step)]
     x0, _ = initial_states(cfg)
     rec = _Recorder(g, x0, lay.layer_count, cfg.tolerance, collect_messages)
-    if lay.layer_count == 1:  # x0 alone can end the run, as a one-row trace's series judges it
-        rec.judge()
     xs, row = x0.tolist(), x0
-    cycles = 0
-    while not rec.converged and cycles < cfg.max_iterations:
-        cycles += 1
+    for _ in range(cfg.max_iterations):
         if rec.log is not None:
             rec.log.append((rec.rows, _BEACON, ANCHOR_SRC, BROADCAST, None))
         row = _play(cycle, xs, row, rec)
-        rec.judge()
-    return rec.finish(lambda acts: _message_counts(g, acts, cycles))
+        if rec.judge():
+            break
+    # one beacon for each cycle with a row kept
+    return rec.finish(lambda acts: _message_counts(
+        g, acts, -(-(len(acts) - 1) // lay.layer_count)))
 
 
 def step_matrix(g: Graph, rule: UpdateRule, phi: np.ndarray) -> np.ndarray:
@@ -427,20 +407,27 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
     rec = _Recorder(g, x, n, cfg.tolerance, collect_messages)
     log = rec.log
     nbrs = g.in_neighbors
-    active = np.zeros(n, dtype=np.uint8)  # the exchanging pair's flags, cleared after each row
-    for k in range(1, cfg.max_iterations + 1):
-        i = int(rng.integers(n))
-        j = int(nbrs[i][rng.integers(len(nbrs[i]))])
-        delta = alpha * (x[j] - x[i])
-        x[i] += delta
-        x[j] -= delta
-        if log is not None:
-            log.append((k, _REQUEST, i, j, None))
-            log.append((k, _ACK, j, i, float(x[j])))
-        active[i] = active[j] = 1
-        rec.record(x[None], active[None])
-        active[i] = active[j] = 0
-        if (k % n == 0 or k == cfg.max_iterations) and rec.judge():
+    # the exchanges are recorded and judged a block at a time: a cycle of
+    # n rows, or fewer where that would exceed _BLOCK_CELLS cells
+    step = min(n, max(1, _BLOCK_CELLS // n))
+    block = np.empty((step, n))
+    active = np.empty((step, n), dtype=np.uint8)
+    for lo in range(1, cfg.max_iterations + 1, step):
+        m = min(step, cfg.max_iterations + 1 - lo)
+        active[:m] = 0
+        for r, k in enumerate(range(lo, lo + m)):
+            i = int(rng.integers(n))
+            j = int(nbrs[i][rng.integers(len(nbrs[i]))])
+            delta = alpha * (x[j] - x[i])
+            x[i] += delta
+            x[j] -= delta
+            if log is not None:
+                log.append((k, _REQUEST, i, j, None))
+                log.append((k, _ACK, j, i, float(x[j])))
+            block[r] = x
+            active[r, i] = active[r, j] = 1
+        rec.record(block[:m], active[:m])
+        if rec.judge():
             break
     # one request and one ack per exchange, one exchange per row after x0
     return rec.finish(lambda acts: dict.fromkeys((_REQUEST, _ACK), len(acts) - 1))

@@ -7,9 +7,9 @@ block built from the lists, and np.vstack at the end. Patched over
 engine._Recorder, it runs the same runners, and the tests compare the
 traces bit for bit.
 
-It judges with block_disagreements, the disagreement pass
-analysis.disagreement_rows replaced: blocks of at least two rows, each
-summing its whole (arcs, rows) array of terms at once. Its trace's
+It judges with block_disagreements, an in-order disagreement pass that
+shares no code with analysis.disagreement_rows: blocks of rows, each
+adding up its whole (arcs, rows) array of terms at once. Its trace's
 series is that pass over all the rows kept.
 """
 
@@ -24,7 +24,9 @@ from gossipsim.graph import Graph
 
 def block_disagreements(states: np.ndarray, graph: Graph) -> np.ndarray:
     """Disagreement of every row of states, in blocks of at least two rows
-    (unless states has one) of about analysis._BLOCK_CELLS // arcs rows."""
+    (unless states has one) of about analysis._BLOCK_CELLS // arcs rows.
+    Each row's terms are added in arc order by a cumulative sum, which
+    numpy takes in order whatever the height of the block."""
     i, j = graph.arcs
     rows = states.shape[0]
     step = max(2, analysis._BLOCK_CELLS // len(i))
@@ -33,7 +35,7 @@ def block_disagreements(states: np.ndarray, graph: Graph) -> np.ndarray:
         for block in np.array_split(states, max(1, rows // step)):
             cols = np.ascontiguousarray(block.T)
             diff = np.take(cols, i, axis=0) - np.take(cols, j, axis=0)
-            parts.append(np.sqrt((diff * diff).sum(axis=0) / graph.node_count))
+            parts.append(np.sqrt(np.cumsum(diff * diff, axis=0)[-1] / graph.node_count))
     return np.concatenate(parts)
 
 

@@ -17,6 +17,7 @@ from gossipsim import (
     build_topology,
     check_consensus_conditions,
     disagreement_of,
+    engine,
     expected_weight_matrix,
     run_agent_sim,
     run_matrix_sim,
@@ -634,44 +635,59 @@ class TestSeriesAgainstRecorder:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_one_row_trace_sums_like_the_recorder(self, seed):
-        # one magnitude per seed; disagreement_of and a one-row series both
-        # give the pairwise sum of a flat vector, bit for bit, on every graph
+        # one magnitude per seed; a one-row series, the recorder's x0 and
+        # a row of a taller block all add their terms in arc order, and
+        # disagreement_of gives the pairwise sum of a flat vector, bit for
+        # bit, on every graph
         scale = (1e-8, 1e-3, 1.0, 1e4, 1e9)[seed]
         for g in ONE_ROW_GRAPHS:
             x = np.random.default_rng(seed).uniform(0.0, 100.0, g.node_count) * scale
             i, j = g.arcs
             diff = x[i] - x[j]
-            want = float(np.sqrt((diff * diff).sum() / g.node_count))
-            assert disagreement_of(x, g) == want
+            assert disagreement_of(x, g) == float(np.sqrt((diff * diff).sum() / g.node_count))
+            want = sequential_disagreement(x, g)
             assert synthetic_trace(g, [x]).disagreements[0] == want
+            assert engine._Recorder(g, x, 1, 1e-6, False).series[0] == want
+            assert synthetic_trace(g, [x[::-1], x]).disagreements[1] == want
 
 
 #: _BLOCK_CELLS for the disagreement tests. Row blocks hold at least
 #: max(2, _BLOCK_CELLS // n) rows and arc chunks _BLOCK_CELLS // rows arcs:
-#: 2 gives chunks of one arc, and 14, on 8 or more nodes, two-row blocks
-#: with chunks of seven arcs
-DISAGREEMENT_BLOCK_CELLS = [None, 2, 14, 100]
+#: 1 and 2 give chunks of one arc, and 14, on 8 or more nodes, two-row
+#: blocks with chunks of seven arcs
+DISAGREEMENT_BLOCK_CELLS = [None, 1, 2, 14, 100]
+
+
+def _slices(rows):
+    """Every row alone, runs of two, three and seven rows from every
+    third row, and the whole range, its second row on and its second
+    half."""
+    out = {(k, k + 1) for k in range(rows)}
+    out |= {(lo, min(lo + h, rows)) for lo in range(0, rows, 3) for h in (2, 3, 7)}
+    out |= {(0, rows), (min(1, rows - 1), rows), (rows // 2, rows)}
+    return sorted(out)
 
 
 class TestDisagreementOracle:
-    """disagreement_rows against the pass it replaced, which summed each
-    block's whole (arcs, rows) array at once, bit for bit."""
+    """disagreement_rows against an in-order pass that sums each block's
+    whole (arcs, rows) array of terms at once, bit for bit: a row's value
+    does not depend on the rows summed with it."""
 
     @pytest.mark.parametrize("cells", DISAGREEMENT_BLOCK_CELLS)
     @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
     def test_matches_whole_block_sums(self, name, cells, monkeypatch):
         tr = ORACLE_TRACES[name]()
         want = block_disagreements(tr.states, tr.graph)
-        # the recorder's series, and fresh passes over the whole trace and
-        # over its first one, two and three rows
+        # the recorder's series, then fresh passes over every row alone
+        # and over slices of the trace
         assert np.array_equal(_bits(tr.disagreements), _bits(want))
         if cells is not None:
             monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
-        for rows in (1, 2, 3, tr.iterations):
-            got = disagreement_rows(tr.states[:rows], tr.graph)
-            assert np.array_equal(_bits(got), _bits(block_disagreements(tr.states[:rows],
-                                                                        tr.graph)))
-            assert np.array_equal(_bits(got[1:]), _bits(want[1:rows]))
+        for lo, hi in _slices(tr.iterations):
+            got = disagreement_rows(tr.states[lo:hi], tr.graph)
+            assert np.array_equal(_bits(got), _bits(want[lo:hi])), (lo, hi)
+            assert np.array_equal(_bits(block_disagreements(tr.states[lo:hi], tr.graph)),
+                                  _bits(want[lo:hi])), (lo, hi)
 
     @pytest.mark.parametrize("cells", DISAGREEMENT_BLOCK_CELLS)
     def test_rows_of_nan_and_inf(self, cells, monkeypatch):
@@ -687,9 +703,11 @@ class TestDisagreementOracle:
         x[6, 2], x[6, 3] = np.inf, np.nan
         x[7] = 1e300  # squares overflow to inf
         x[8, ::2] = 1e300
-        for rows in (x[:1], x[1:2], x[1:3], x[3:5], x):
-            assert np.array_equal(_bits(disagreement_rows(rows, g)),
-                                  _bits(block_disagreements(rows, g)))
+        want = block_disagreements(x, g)
+        for lo, hi in _slices(len(x)):
+            assert np.array_equal(_bits(disagreement_rows(x[lo:hi], g)), _bits(want[lo:hi]))
+        for k in range(len(x)):
+            assert _bits(want[k]) == _bits(sequential_disagreement(x[k], g))
 
     def test_judged_series_seeds_the_trace_and_replace_recomputes(self):
         tr = synthetic_trace(CHAIN3, [[0.0, 6.0, 0.0], [2.0, 2.0, 2.0]])

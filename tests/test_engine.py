@@ -454,27 +454,27 @@ class TestStopRule:
     @pytest.mark.parametrize("name", ["star8", "chain20_1e-6", "ring10_directed",
                                       "pairwise_ring12"])
     def test_recorder_values_equal_the_series(self, name, monkeypatch):
-        blocks = []
+        judged, recorded = [], []  # (rows, values) of each pass; each block recorded
 
         def spy(states, graph):
             out = analysis.disagreement_rows(states, graph)
-            blocks.append(out)
+            judged.append((states.copy(), out))
             return out
 
+        class Spy(engine._Recorder):
+            def record(self, states, acts):
+                recorded.append(np.array(states))
+                super().record(states, acts)
+
         monkeypatch.setattr(engine, "disagreement_rows", spy)
+        monkeypatch.setattr(engine, "_Recorder", Spy)
         tr, _ = stop_run(name)
-        # each block starts with the last row of the one before it
-        judged = np.concatenate([blocks[0]] + [b[1:] for b in blocks[1:]])
-        series = tr.disagreements
-        rows = tr.iterations
-        if len(blocks[0]) == 1:  # x0 judged alone, as a one-row trace reports it
-            assert tr.cycle_ticks == 1
-            one_row = replace(tr, states=tr.states[:1], activations=tr.activations[:1])
-            assert judged[0] == one_row.disagreements[0]
-            judged, series = judged[1:], series[1:]
-            rows -= 1
-        assert all(len(b) >= 2 for b in blocks[1:])
-        assert np.array_equal(judged[:rows], series)
+        # every row recorded, the dropped ones too, goes through one pass,
+        # once and in order, and the values of the rows kept are the series
+        rows = np.concatenate([r for r, _ in judged])
+        assert rows.tobytes() == np.concatenate(recorded).tobytes()
+        values = np.concatenate([v for _, v in judged])
+        assert values[:tr.iterations].tobytes() == tr.disagreements.tobytes()
 
 
 def preset_cfgd(preset, rule, **keys):

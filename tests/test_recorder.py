@@ -2,12 +2,13 @@
 
 Every runner's trace must be the one tests/list_recorder.py records, bit
 for bit: states, activations, disagreements, message counts and message
-log, at the default chunk size and at chunks of a few rows, where judged
-blocks span chunk boundaries and the rows a converged run drops can fill
-whole chunks. The poll-round runners must also give the traces of the
-per-tick kernel in tests/tick_kernel.py: on every preset under every
-poll rule and backend, and with the cycles and scripts compiled in
-slices of a few ticks, which chunks of a few rows bring about.
+log, at the default chunk size and at chunks of a few rows, where
+recorded blocks span chunk boundaries and the rows a converged run
+drops can fill whole chunks. The poll-round runners must also give the
+traces of the per-tick kernel in tests/tick_kernel.py: on every preset
+under every poll rule and backend, and with the cycles and scripts
+compiled in slices of a few ticks, which chunks of a few rows bring
+about.
 """
 
 import weakref
@@ -51,6 +52,11 @@ SMALL_RUNS = {
     "star8": (build_topology("star", 8), UpdateRule(), 3, 50, 1e-6),
     "ring6_directed": (build_topology("circular_directed", 6), UpdateRule(), 4, 200, 1e-2),
     "pairwise_ring8": (build_topology("circular", 8), PAIRWISE, 6, 2000, 1e-2),
+    # the baseline under a budget that is not a multiple of n, stopping in
+    # its last, shorter block of exchanges; and on an odd node count,
+    # stopping inside a cycle
+    "pairwise_ring8_cut": (build_topology("circular", 8), PAIRWISE, 6, 213, 1e-2),
+    "pairwise_star9": (build_topology("star", 9), PAIRWISE, 0, 5000, 1e-2),
     "chain7_pure_neighbor": (build_topology("chain", 7), UpdateRule("pure_neighbor"), 2, 300,
                              1e-3),
 }
@@ -130,7 +136,7 @@ class TestAgainstListRecorder:
         want = run_small(name, per_tick=True, collect_messages=collect)
         assert want.converged
         n, rows = want.graph.node_count, want.iterations
-        # chunks of a few rows, which every judged block spans; chunks of
+        # chunks of a few rows, which every recorded block spans; chunks of
         # rows rows, which the rows kept fill exactly; and chunks of
         # rows - 1 rows, whose second holds just the last row kept
         for c in sorted({*range(1, 9), rows - 1, rows, rows + 1}):
@@ -212,6 +218,24 @@ class TestChunks:
         monkeypatch.setattr(engine, "_BLOCK_CELLS", 49)
         g = build_topology("chain", 50)
         assert engine._Recorder(g, np.zeros(50), 50, 1e-6, False).chunk_rows == 1
+
+    @pytest.mark.parametrize("cells", [1, 20, 64, 1000])
+    def test_pairwise_blocks_keep_the_budget(self, cells, monkeypatch):
+        # a block is a cycle of n = 8 exchanges, or as many as the budget holds
+        monkeypatch.setattr(engine, "_BLOCK_CELLS", cells)
+        heights = []
+
+        class Spy(engine._Recorder):
+            def record(self, states, acts):
+                heights.append(len(states))
+                super().record(states, acts)
+
+        monkeypatch.setattr(engine, "_Recorder", Spy)
+        tr = run_small("pairwise_ring8_cut")
+        blocks = heights[1:]  # after x0
+        assert sum(blocks) >= tr.iterations - 1
+        assert max(blocks) == min(8, max(1, cells // 8))
+        assert all(h * 8 <= max(cells, 8) for h in blocks)
 
     def test_trace_keeps_no_chunk(self, monkeypatch):
         # the trace's arrays are copies: no chunk outlives finish

@@ -44,6 +44,10 @@ INVOCATIONS = [
     if not (preset == "circular_directed" and variant[1] == "pairwise_baseline")
 ] + [["compare", "--preset", preset] for preset in PRESETS] + [
     ["run", "--preset", "star", "--run.initial_states", ",".join(["3.25"] * 50)],
+    # x0 within tolerance but not at consensus, spread over about 1e-9: a
+    # one-row trace, whose disagreement sums terms that round
+    ["run", "--preset", "star", "--run.initial_states",
+     ",".join(repr(1e-9 * (k * 0.6180339887498949 % 1)) for k in range(50))],
     # random scripts: below p = q = 1 a scripted step wakes some of the
     # nodes, and a step can wake none
     *(["run", "--preset", preset, "--run.backend", "matrix", "--duty.p", "0.3",
