@@ -3,21 +3,29 @@
 Every poll-round run goes through one schedule kernel, _Schedule: a
 fixed list of ticks, each the initiators it wakes in order, compiled
 once. Its run folds the initiators with UpdateRule.fold on a Python list
-of the states and returns the value each adopts, in schedule order. Its
-rows turns those values into the schedule's trace rows with one gather,
-through the source map built when it was compiled: for every (tick,
-node) cell, the entry of [previous row; values] that the cell holds.
+of the states and collects the value each adopts, in schedule order.
+Its rows turns those values into the schedule's trace rows with one
+gather, through the source map built when it was compiled: for every
+(tick, node) cell, the entry of [previous row; values] that the cell
+holds.
 
 * run_agent_sim runs the beacon protocol. The anchor's beacon wakes hop
   layer 1 and each layer's wake-up flood wakes the next, so every beacon
   cycle updates layer m at its tick m, initiators in ascending id; the
   run computes the hop layers once, compiles that cycle once and runs
-  it once per beacon cycle. The per-message protocol handlers that
-  tests/test_protocol_oracle.py drives are the reference it is tested
-  against; no run calls them.
+  it once per beacon cycle. A cycle that fits span > 1 times in
+  _SPAN_CELLS cells is also compiled, once, as a schedule of span
+  cycles, which the run uses once span cycles have run one by one. The
+  per-message protocol handlers that tests/test_protocol_oracle.py
+  drives are the reference it is tested against; no run calls them.
 * run_matrix_sim is the one scripted runner: it wakes the nodes of
   activation row k at tick k + 1, compiling its script a slice at a
   time.
+* run_pairwise_baseline runs its exchanges on a list of the states
+  too, a block at a time. It takes the block's node draws from one bulk
+  draw of the rng's 32-bit words, decoded by _bounded as numpy's scalar
+  Generator.integers calls would draw them, and fills the block's rows
+  with one gather through a last-writer source map.
 
 No source map, and so no block of rows gathered through one, holds more
 than _BLOCK_CELLS cells: a longer cycle is compiled as several schedules.
@@ -25,9 +33,11 @@ than _BLOCK_CELLS cells: a longer cycle is compiled as several schedules.
 Each runner records its rows in a _Recorder, a block of rows at a time,
 and the recorder judges every row once, as it records it:
 analysis.disagreement_rows gives a row the same value whatever rows are
-summed with it. After each beacon cycle, or each block of pairwise
-exchanges, the recorder applies the window rule of analysis.sustained_run
-to the new rows, which stops the run. When the run ends it builds its
+summed with it, so a block may span many windows. After each block the
+recorder applies the window rule of analysis.sustained_run to the new
+rows, which stops the run on the first row that completes a window;
+the runners size their blocks so that a run computes past its stop at
+most about as many rows as it kept. When the run ends it builds its
 frozen Trace in one call: the rows kept, the disagreements it judged
 them by, their closed-form message counts and, on request, the message
 log up to the last row. The recorder writes rows into preallocated
@@ -70,6 +80,10 @@ from .duty_cycle import DutyCycleParams
 from .errors import ConfigError, SimulationError
 from .graph import Graph, assign_layers
 from .rules import RuleVariant, UpdateRule, update_block
+
+#: cells of the schedule run_agent_sim compiles from several beacon cycles
+#: when more than one cycle fits
+_SPAN_CELLS = 1 << 12
 
 ANCHOR_SRC = -1  # message src used by the anchor entity
 BROADCAST = -1  # message dst of a one-transmission broadcast
@@ -211,19 +225,22 @@ class _Recorder:
 class _Schedule:
     """A fixed list of ticks, each the initiators it wakes in order,
     compiled for the runs of its poll rule on a graph whose nodes poll
-    nbrs, their in-neighbor lists.
+    nbrs, their in-neighbor lists. A schedule of beacon cycles of cycle
+    ticks logs the anchor's beacon at the first tick of each; one of
+    cycle 0 logs none.
 
     run applies the ticks to a list of states; rows turns the values it
-    returns into the ticks' trace rows with one gather through src,
-    whose cell (t, i) is the entry of [previous row; values] that node i
-    holds after tick t. src is built here by walking the schedule in
-    order, one initiator at a time, so that a later write to a cell wins.
-    acts flags each tick's initiators.
+    gives into the ticks' trace rows with one gather through src, whose
+    cell (t, i) is the entry of [previous row; values] that node i holds
+    after tick t. src is built here by walking the schedule in order,
+    one initiator at a time, so that a later write to a cell wins. acts
+    flags each tick's initiators.
     """
 
-    def __init__(self, rule: UpdateRule, nbrs: list[list[int]], ticks: list[list[int]]):
+    def __init__(self, rule: UpdateRule, nbrs: list[list[int]], ticks: list[list[int]],
+                 cycle: int = 0):
         n = len(nbrs)
-        self.rule, self.nbrs, self.ticks = rule, nbrs, ticks
+        self.rule, self.nbrs, self.ticks, self.cycle = rule, nbrs, ticks, cycle
         self.sequential = rule.variant is RuleVariant.NEIGHBORHOOD_SET
         self.src = np.empty((len(ticks), n), dtype=np.intp)
         self.acts = np.zeros((len(ticks), n), dtype=np.uint8)
@@ -239,21 +256,25 @@ class _Schedule:
             self.src[t] = holds
             self.acts[t, ids] = 1
 
-    def run(self, xs: list[float], tick: int, log: list | None) -> list[float]:
+    def run(self, xs: list[float], tick: int, log: list | None, values: list[float]) -> None:
         """Run the ticks' poll rounds on xs in place, the first as tick
-        tick, and return the value of every initiator in schedule order.
+        tick, appending the value of every initiator to values in
+        schedule order; if a fold raises, values holds those of the
+        initiators before it.
 
         Under the neighborhood-set rule the initiators go one after
         another, each writing the common value back to itself and the
         nodes it polled, so later initiators read earlier ones' results.
         Under the other rules every initiator reads xs as it stood at the
         start of the tick. log, if given, receives one (tick, kind, src,
-        dst, payload) per message, in the order the protocol's per-node
-        handlers emit them.
+        dst, payload) per message, in the order the anchor and the
+        protocol's per-node handlers emit them.
         """
-        fold, nbrs, sequential = self.rule.fold, self.nbrs, self.sequential
-        values: list[float] = []
+        fold, nbrs, sequential, cycle = self.rule.fold, self.nbrs, self.sequential, self.cycle
+        start = tick
         for ids in self.ticks:
+            if log is not None and cycle and (tick - start) % cycle == 0:
+                log.append((tick, _BEACON, ANCHOR_SRC, BROADCAST, None))
             first = len(values)
             for i in ids:
                 nb = nbrs[i]
@@ -278,11 +299,11 @@ class _Schedule:
                 if log is not None:
                     log.extend((tick, _WAKE_UP, i, BROADCAST, 1) for i in ids)
             tick += 1
-        return values
 
-    def rows(self, prev: np.ndarray, values: list[float]) -> np.ndarray:
-        """The ticks' trace rows, from the row before them and run's values."""
-        return np.take(np.concatenate((prev, values)), self.src)
+    def rows(self, prev: np.ndarray, values: list[float], ticks: int | None = None) -> np.ndarray:
+        """The trace rows of the first ticks ticks (of all by default),
+        from the row before them and run's values."""
+        return _gather(prev, values, self.src[:ticks])
 
 
 def _poll_lists(graph: Graph) -> list[list[int]]:
@@ -292,12 +313,19 @@ def _poll_lists(graph: Graph) -> list[list[int]]:
     return [[ids[j] for j in nb.tolist()] for nb in graph.in_neighbors]
 
 
+def _gather(prev: np.ndarray, values: list[float], src: np.ndarray) -> np.ndarray:
+    """Rows whose cell (t, i) is entry src[t, i] of [prev; values]."""
+    return np.take(np.concatenate((prev, values)), src)
+
+
 def _play(parts: Iterable[_Schedule], xs: list[float], row: np.ndarray,
           rec: _Recorder) -> np.ndarray:
     """Run the schedules in turn on xs, the states of row, recording their
     rows in rec; returns the last row."""
     for part in parts:
-        rows = part.rows(row, part.run(xs, rec.rows, rec.log))
+        values: list[float] = []
+        part.run(xs, rec.rows, rec.log, values)
+        rows = part.rows(row, values)
         rec.record(rows, part.acts)
         row = rows[-1]
     return row
@@ -316,27 +344,55 @@ def _message_counts(graph: Graph, activations: np.ndarray, beacons: int) -> dict
 def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
     """Agent-level simulation: max_iterations beacon cycles of the full
     protocol, or fewer once disagreement holds below tolerance for one
-    full beacon cycle of layer_count ticks."""
+    full beacon cycle of layer_count ticks.
+
+    A cycle that fits span > 1 times in _SPAN_CELLS cells is run span
+    cycles at a time, one schedule and one recorded block, once span
+    cycles have run one by one, so that a run computes at most span - 1
+    cycles past its stop, never more than it kept.
+    """
     g = cfg.graph
     lay = assign_layers(g)
+    cycle_ticks = lay.layer_count
     # tick m - 1 of every cycle wakes hop layer m
-    waves = [np.flatnonzero(lay.layer_of == m).tolist() for m in range(1, lay.layer_count + 1)]
+    waves = [np.flatnonzero(lay.layer_of == m).tolist() for m in range(1, cycle_ticks + 1)]
     nbrs = _poll_lists(g)
     step = max(1, _BLOCK_CELLS // g.node_count)
-    cycle = [_Schedule(cfg.rule, nbrs, waves[t:t + step])
-             for t in range(0, lay.layer_count, step)]
+    cycle = [_Schedule(cfg.rule, nbrs, waves[t:t + step], cycle_ticks if t == 0 else 0)
+             for t in range(0, cycle_ticks, step)]
+    span = min(_SPAN_CELLS, _BLOCK_CELLS) // (cycle_ticks * g.node_count)
+    spans = None  # span cycles as one schedule, compiled when first run
     x0, _ = initial_states(cfg)
-    rec = _Recorder(g, x0, lay.layer_count, cfg.tolerance, collect_messages)
+    rec = _Recorder(g, x0, cycle_ticks, cfg.tolerance, collect_messages)
     xs, row = x0.tolist(), x0
-    for _ in range(cfg.max_iterations):
-        if rec.log is not None:
-            rec.log.append((rec.rows, _BEACON, ANCHOR_SRC, BROADCAST, None))
-        row = _play(cycle, xs, row, rec)
-        if rec.judge():
-            break
+    done = 0  # cycles run
+    while done < cfg.max_iterations and not rec.converged:
+        if span < 2 or done < span or done + span > cfg.max_iterations:
+            row = _play(cycle, xs, row, rec)
+            done += 1
+        else:
+            spans = spans or _Schedule(cfg.rule, nbrs, waves * span, cycle_ticks)
+            values: list[float] = []
+            try:
+                spans.run(xs, rec.rows, rec.log, values)
+            except (OverflowError, ValueError, SimulationError):
+                # the cycles before the one that failed ran as they would
+                # have one by one: the run stops there if they converge,
+                # and otherwise fails as it would have in that cycle
+                ran = len(values) // sum(map(len, waves)) * cycle_ticks
+                if ran:
+                    rec.record(spans.rows(row, values, ran), spans.acts[:ran])
+                    if rec.judge():
+                        break
+                raise
+            rows = spans.rows(row, values)
+            rec.record(rows, spans.acts)
+            row = rows[-1]
+            done += span
+        rec.judge()
     # one beacon for each cycle with a row kept
     return rec.finish(lambda acts: _message_counts(
-        g, acts, -(-(len(acts) - 1) // lay.layer_count)))
+        g, acts, -(-(len(acts) - 1) // cycle_ticks)))
 
 
 def step_matrix(g: Graph, rule: UpdateRule, phi: np.ndarray) -> np.ndarray:
@@ -390,6 +446,28 @@ def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray,
     return rec.finish(lambda acts: _message_counts(g, acts, 0))
 
 
+def _bounded(rng: np.random.Generator, words: list[int], p: int, bound: int) -> tuple[int, int]:
+    """int(rng.integers(bound)) as numpy's Generator draws it, from
+    words[p:], the rng's next 32-bit words. Returns the value and the
+    index of the first word left.
+
+    The draw is Lemire's: word w gives (w * bound) >> 32, unless the low
+    32 bits of w * bound fall below (2**32 - bound) % bound, which rejects
+    w for the next word. A bound of 1 uses no word. For each word it
+    rejects, the rng's next word is appended to words, so that a caller
+    holding a word for each draw it makes never runs out.
+    """
+    if bound == 1:
+        return 0, p
+    floor = (0x100000000 - bound) % bound
+    while True:
+        m = words[p] * bound
+        p += 1
+        if m & 0xFFFFFFFF >= floor:
+            return m >> 32, p
+        words.extend(rng.integers(0, 1 << 32, size=1, dtype=np.uint64).tolist())
+
+
 def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Trace:
     """Randomized two-node exchange baseline.
 
@@ -397,37 +475,80 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
     moves both toward each other by alpha of their gap (midpoint swap at
     alpha = 0.5). Two transmissions per iteration is the energy cost. A
     full-cycle window for sustained convergence is n iterations.
+
+    The exchanges run a block at a time on a list of the states, drawing
+    their nodes from one bulk draw of the rng's words, as the scalar
+    draws would, and the block's rows are gathered in one call. A block
+    holds n exchanges, then twice as many as the one before, up to
+    _BLOCK_CELLS cells, so that a run computes past its stop at most
+    about as many exchanges as it kept.
     """
     g = cfg.graph
     if g.directed:
         raise ConfigError("pairwise baseline runs on undirected graphs only")
     n = g.node_count
     alpha = cfg.rule.alpha
-    x, rng = initial_states(cfg)
-    rec = _Recorder(g, x, n, cfg.tolerance, collect_messages)
+    x0, rng = initial_states(cfg)
+    rec = _Recorder(g, x0, n, cfg.tolerance, collect_messages)
     log = rec.log
-    nbrs = g.in_neighbors
-    # the exchanges are recorded and judged a block at a time: a cycle of
-    # n rows, or fewer where that would exceed _BLOCK_CELLS cells
-    step = min(n, max(1, _BLOCK_CELLS // n))
-    block = np.empty((step, n))
-    active = np.empty((step, n), dtype=np.uint8)
-    for lo in range(1, cfg.max_iterations + 1, step):
-        m = min(step, cfg.max_iterations + 1 - lo)
-        active[:m] = 0
-        for r, k in enumerate(range(lo, lo + m)):
-            i = int(rng.integers(n))
-            j = int(nbrs[i][rng.integers(len(nbrs[i]))])
-            delta = alpha * (x[j] - x[i])
-            x[i] += delta
-            x[j] -= delta
+    # each node's neighbors, their count and its rejection floor (see _bounded)
+    picks = [(nb, len(nb), (0x100000000 - len(nb)) % len(nb)) for nb in _poll_lists(g)]
+    n_floor = (0x100000000 - n) % n
+    xs, row = x0.tolist(), x0
+    words: list[int] = []  # the rng's next 32-bit words, from p on
+    p = 0
+    most = max(1, _BLOCK_CELLS // n)
+    height = min(n, most)
+    lo = 1  # the row of the block's first exchange
+    while lo <= cfg.max_iterations:
+        m = min(height, cfg.max_iterations + 1 - lo)
+        # a word for each of the block's draws, two an exchange at most
+        del words[:p]
+        p = 0
+        if len(words) < 2 * m:
+            words.extend(rng.integers(0, 1 << 32, size=2 * m - len(words),
+                                      dtype=np.uint64).tolist())
+        pairs: list[int] = []  # i and j of each exchange, in row order
+        values: list[float] = []  # their states after it
+        for k in range(lo, lo + m):
+            # _bounded's draws, inlined where they take the first word
+            w = words[p] * n
+            if w & 0xFFFFFFFF >= n_floor:
+                i, p = w >> 32, p + 1
+            else:
+                i, p = _bounded(rng, words, p, n)
+            nb, d, floor = picks[i]
+            if d == 1:
+                j = nb[0]
+            else:
+                w = words[p] * d
+                if w & 0xFFFFFFFF >= floor:
+                    j, p = nb[w >> 32], p + 1
+                else:
+                    r, p = _bounded(rng, words, p, d)
+                    j = nb[r]
+            xi, xj = xs[i], xs[j]
+            delta = alpha * (xj - xi)
+            xs[i] = xi = xi + delta
+            xs[j] = xj = xj - delta
+            pairs += (i, j)
+            values += (xi, xj)
             if log is not None:
                 log.append((k, _REQUEST, i, j, None))
-                log.append((k, _ACK, j, i, float(x[j])))
-            block[r] = x
-            active[r, i] = active[r, j] = 1
-        rec.record(block[:m], active[:m])
+                log.append((k, _ACK, j, i, xj))
+        # each cell holds the last value written to it: row r writes
+        # entries n + 2r and n + 2r + 1 of [previous row; values]
+        at = np.arange(2 * m) // 2
+        src = np.tile(np.arange(n), (m, 1))
+        src[at, pairs] = np.arange(n, n + 2 * m)
+        rows = _gather(row, values, np.maximum.accumulate(src, axis=0, out=src))
+        acts = np.zeros((m, n), dtype=np.uint8)
+        acts[at, pairs] = 1
+        rec.record(rows, acts)
         if rec.judge():
             break
+        row = rows[-1]
+        lo += m
+        height = min(2 * height, most)
     # one request and one ack per exchange, one exchange per row after x0
     return rec.finish(lambda acts: dict.fromkeys((_REQUEST, _ACK), len(acts) - 1))

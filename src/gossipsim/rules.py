@@ -71,13 +71,18 @@ class UpdateRule:
 
         fsum is correctly rounded, so the result does not depend on the
         order of polled; that is what lets the backends agree bit for bit.
+        States that have left float range raise OverflowError, whether
+        fsum overflows or meets both infinities.
         """
-        if self.variant is RuleVariant.NEIGHBORHOOD_SET:
-            return fsum([*polled, own]) / (len(polled) + 1)
-        if self.variant is RuleVariant.PURE_NEIGHBOR:
-            return fsum(polled) / len(polled)
-        if self.variant is RuleVariant.SELF_ADDITIVE:
-            return fsum(polled) / len(polled) + own
+        try:
+            if self.variant is RuleVariant.NEIGHBORHOOD_SET:
+                return fsum([*polled, own]) / (len(polled) + 1)
+            if self.variant is RuleVariant.PURE_NEIGHBOR:
+                return fsum(polled) / len(polled)
+            if self.variant is RuleVariant.SELF_ADDITIVE:
+                return fsum(polled) / len(polled) + own
+        except ValueError as exc:  # -inf + inf
+            raise OverflowError(str(exc)) from None
         raise ConfigError(f"rule {self.variant.value} is not a poll-round rule")
 
 

@@ -27,6 +27,10 @@ def run_cli(*argv):
 
 
 FAST = ("--graph.kind", "star", "--graph.n", "8", "--run.max_iterations", "20")
+# a self-additive run whose states reach +inf and -inf
+INFINITIES = ("--graph.kind", "circular", "--graph.n", "5", "--rule.variant", "self_additive",
+              "--run.initial_states", "1e308,1e308,-1e308,-1e308,0",
+              "--run.max_iterations", "50")
 
 
 class TestRunCommand:
@@ -109,6 +113,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run", ()), ("run", ("--run.backend", "matrix")), ("compare", ()),
+    ], ids=["agent", "matrix", "compare"])
+    def test_states_at_both_infinities_exit_two(self, tmp_path, capsys, command, flags):
+        # the states overflow to +inf and -inf, and a fold then meets both
+        rc = run_cli(command, *INFINITIES, *flags, "--out", str(tmp_path / "o"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "runtime error: the states diverged (-inf + inf in fsum)\n"
 
     def test_matrix_backend(self, tmp_path):
         out = tmp_path / "o"
@@ -352,6 +366,16 @@ class TestSweepCommand:
         rows = read_csv(out / "sweep.csv")
         assert [r["status"] for r in rows] == ["error", "ok"]
         assert rows[0]["error"].startswith("OverflowError")
+
+    def test_states_at_both_infinities_are_error_rows(self, tmp_path):
+        out = tmp_path / "o"
+        rc = run_cli("sweep", *INFINITIES, "--sweep.topologies", "circular",
+                     "--sweep.rules", "self_additive", "--sweep.seeds", "0:2",
+                     "--jobs", "1", "--out", str(out))
+        assert rc == 0
+        rows = read_csv(out / "sweep.csv")
+        assert [r["error"] for r in rows] == ["OverflowError: -inf + inf in fsum"] * 2
+        assert [r["status"] for r in rows] == ["error"] * 2
 
     @pytest.mark.parametrize("flag, value", [
         ("--sweep.seeds", ""), ("--sweep.seeds", "5:2"), ("--sweep.topologies", ","),

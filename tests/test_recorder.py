@@ -8,7 +8,9 @@ drops can fill whole chunks. The poll-round runners must also give the
 traces of the per-tick kernel in tests/tick_kernel.py: on every preset
 under every poll rule and backend, and with the cycles and scripts
 compiled in slices of a few ticks, which chunks of a few rows bring
-about.
+about; and on small graphs whose cycles the engine runs several at a
+time. The pairwise baseline must give the traces of the scalar loop in
+tests/pairwise_exchanges.py, and its bounded draws must be numpy's.
 """
 
 import weakref
@@ -18,10 +20,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gossipsim import RunConfig, UpdateRule, build_topology, cli, engine
+from gossipsim import RunConfig, TopologyParams, UpdateRule, build_topology, cli, engine
 from gossipsim.engine import run_agent_sim, run_pairwise_baseline
+from gossipsim.errors import SimulationError
 
+import pairwise_exchanges
 from list_recorder import ListRecorder
+from pairwise_exchanges import run_pairwise_per_exchange
 from tick_kernel import run_agent_per_tick, run_matrix_per_tick
 
 
@@ -105,8 +110,10 @@ def assert_same_trace(got, want):
     fresh = replace(got, states=got.states).disagreements
     assert fresh.tobytes() == got.disagreements.tobytes()
     assert got.message_counts == want.message_counts
-    # repr tells -0.0 from 0.0 and a float payload from an int one
-    assert repr(got.messages) == repr(want.messages)
+    # repr tells -0.0 from 0.0 and a float payload from an int one; no
+    # diff of two long logs is shown, which would take minutes to build
+    same_log = repr(got.messages) == repr(want.messages)
+    assert same_log, "message logs differ"
     assert (got.cycle_ticks, got.tolerance) == (want.cycle_ticks, want.tolerance)
     assert got.converged == want.converged
 
@@ -207,6 +214,287 @@ class TestAgainstPerTickKernel:
             assert_same_trace(got, want)
 
 
+def traced_blocks(monkeypatch):
+    """The heights of the blocks the engine's recorder records, x0 first."""
+    heights = []
+
+    class Spy(engine._Recorder):
+        def record(self, states, acts):
+            heights.append(len(states))
+            super().record(states, acts)
+
+    monkeypatch.setattr(engine, "_Recorder", Spy)
+    return heights
+
+
+def pairwise_graph(kind, n):
+    if kind == "random_geometric":
+        return build_topology(kind, n, TopologyParams(radius=0.6), seed=n)
+    return build_topology(kind, n)
+
+
+def pairwise_runs(g, alpha):
+    """A converging run of the baseline on g and one cut by its budget.
+
+    The tolerance is the largest disagreement over a window of n rows
+    that ends three quarters into a 40 n exchange run, so the converging
+    run stops by then, unless the run reaches exact consensus, which any
+    tolerance accepts; the cut run's budget ends one row before the row
+    the converging run stops on."""
+    n = g.node_count
+    cfg = RunConfig(graph=g, rule=UpdateRule.parse("pairwise_baseline", alpha), seed=n,
+                    max_iterations=40 * n, tolerance=1e-300)
+    probe = run_pairwise_per_exchange(cfg)
+    converging = cfg
+    if not probe.converged:
+        series = probe.disagreements[29 * n + 1:30 * n + 1]
+        converging = replace(cfg, tolerance=float(np.nextafter(series.max(), np.inf)))
+    stop = run_pairwise_per_exchange(converging).iterations - 1
+    return converging, replace(converging, max_iterations=stop - 1)
+
+
+PAIRWISE_GRAPHS = [(kind, n) for kind in ("chain", "star", "circular", "random_geometric",
+                                          "complete")
+                   for n in (2, 3, 5, 20, 50) if not (kind == "circular" and n < 3)]
+
+
+class TestAgainstScalarExchanges:
+    @pytest.mark.parametrize("alpha", [0.5, 0.3])
+    @pytest.mark.parametrize("kind, n", PAIRWISE_GRAPHS)
+    def test_converging_and_cut_runs(self, kind, n, alpha):
+        converging, cut = pairwise_runs(pairwise_graph(kind, n), alpha)
+        for cfg, converged in ((converging, True), (cut, False)):
+            want = run_pairwise_per_exchange(cfg, collect_messages=True)
+            assert want.converged == converged
+            assert_same_trace(run_pairwise_baseline(cfg, collect_messages=True), want)
+
+    @pytest.mark.parametrize("cells", [None, 1, 7, 64])
+    @pytest.mark.parametrize("kind, n", [("chain", 3), ("star", 5), ("random_geometric", 20)])
+    def test_blocks_of_any_budget(self, kind, n, cells, monkeypatch):
+        converging, cut = pairwise_runs(pairwise_graph(kind, n), 0.5)
+        want = [run_pairwise_per_exchange(cfg, collect_messages=True)
+                for cfg in (converging, cut)]
+        if cells is not None:
+            monkeypatch.setattr(engine, "_BLOCK_CELLS", cells)
+        heights = traced_blocks(monkeypatch)
+        got = run_pairwise_baseline(converging, collect_messages=True)
+        assert_same_trace(got, want[0])
+        if cells is None:  # the converging run stops inside its last block
+            assert sum(heights) > got.iterations
+        assert_same_trace(run_pairwise_baseline(cut, collect_messages=True), want[1])
+
+    def test_a_long_run(self):
+        cfg = RunConfig(graph=build_topology("chain", 20), rule=PAIRWISE, seed=3,
+                        max_iterations=20000, tolerance=1e-300)
+        want = run_pairwise_per_exchange(cfg, collect_messages=True)
+        assert_same_trace(run_pairwise_baseline(cfg, collect_messages=True), want)
+
+
+def scalar_words(seed, count):
+    """The first count 32-bit words of a fresh default_rng(seed)."""
+    return np.random.default_rng(seed).integers(0, 1 << 32, size=count,
+                                                dtype=np.uint64).tolist()
+
+
+class TestBoundedDraw:
+    @pytest.mark.parametrize("bounds", [
+        [1, 1, 1, 2, 1, 3],
+        list(range(1, 60)),
+        [3 << 30] * 40,  # a quarter of the words are rejected
+        [5, 3 << 30, 1, 1, 2, 3 << 30, 50, (1 << 32) - 1, 7] * 5,
+    ], ids=["ones", "small", "rejections", "mixed"])
+    def test_draws_equal_scalar_integers(self, bounds):
+        for seed in range(4):
+            scalar = np.random.default_rng(seed)
+            want = [int(scalar.integers(b)) for b in bounds]
+            rng = np.random.default_rng(seed)
+            # a word for each draw, as the baseline holds them
+            words = rng.integers(0, 1 << 32, size=len(bounds), dtype=np.uint64).tolist()
+            p, got = 0, []
+            for b in bounds:
+                v, p = engine._bounded(rng, words, p, b)
+                got.append(v)
+            assert got == want
+            # the words left, and those appended for rejected ones, are
+            # the words the scalar draws leave
+            left = words[p:] + rng.integers(0, 1 << 32, size=8, dtype=np.uint64).tolist()
+            assert left[:8] == scalar.integers(0, 1 << 32, size=8, dtype=np.uint64).tolist()
+
+    def test_rejections_append_words(self):
+        rng = np.random.default_rng(0)
+        words = rng.integers(0, 1 << 32, size=40, dtype=np.uint64).tolist()
+        p = 0
+        for _ in range(40):
+            _, p = engine._bounded(rng, words, p, 3 << 30)
+        # each draw took one word net: one, plus one for each appended
+        assert p == len(words) > 40
+        assert words == scalar_words(0, len(words))
+
+    def test_a_bound_of_one_uses_no_word(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert engine._bounded(rng, [], 0, 1) == (0, 0)
+        # the numpy behaviour this follows
+        assert int(rng.integers(1)) == 0
+        assert rng.bit_generator.state == state
+
+
+class ZeroWords:
+    """A stand-in for a run's rng whose every zero_every-th 32-bit word is
+    0, which every bound but a power of two rejects; the other words are
+    default_rng(seed)'s. Its scalar integers(bound) draws the way numpy's
+    Generator does, and its bulk integers(0, 2**32, size, uint64) hands
+    out the next words."""
+
+    def __init__(self, seed, zero_every):
+        self.rng, self.zero_every = np.random.default_rng(seed), zero_every
+        self.words = self.rejected = 0
+
+    def word(self):
+        self.words += 1
+        if self.zero_every and self.words % self.zero_every == 0:
+            return 0
+        return int(self.rng.integers(0, 1 << 32, dtype=np.uint64))
+
+    def integers(self, low, high=None, size=None, dtype=None):
+        if high is None:  # integers(bound): Lemire's draw
+            if low == 1:
+                return 0
+            while True:
+                m = self.word() * low
+                if m & 0xFFFFFFFF >= (1 << 32) % low:
+                    return m >> 32
+                self.rejected += 1
+        assert (low, high, dtype) == (0, 1 << 32, np.uint64)
+        return np.array([self.word() for _ in range(size)], dtype=np.uint64)
+
+
+class TestRejectedWords:
+    def test_the_stand_in_draws_as_numpy(self):
+        bounds = [1, 2, 3, 5, 20, 1, 7, 3 << 30] * 20
+        scalar, stand_in = np.random.default_rng(5), ZeroWords(5, 0)
+        assert ([int(scalar.integers(b)) for b in bounds]
+                == [stand_in.integers(b) for b in bounds])
+        assert stand_in.rejected > 0
+
+    @pytest.mark.parametrize("kind, n", [("circular", 5), ("complete", 6),
+                                         ("random_geometric", 20)])
+    def test_runs_whose_draws_are_rejected(self, kind, n, monkeypatch):
+        # real runs reject a word about once in 2**32 / n draws; here one
+        # word in seven is rejected, inside blocks and across them
+        cfg = RunConfig(graph=pairwise_graph(kind, n), rule=PAIRWISE, seed=2,
+                        max_iterations=40 * n, tolerance=1e-300)
+        x0, _ = engine.initial_states(cfg)
+        rngs = []
+
+        def initial_states(cfg):
+            rngs.append(ZeroWords(cfg.seed, 7))
+            return x0.copy(), rngs[-1]
+
+        monkeypatch.setattr(pairwise_exchanges, "initial_states", initial_states)
+        monkeypatch.setattr(engine, "initial_states", initial_states)
+        want = run_pairwise_per_exchange(cfg, collect_messages=True)
+        assert_same_trace(run_pairwise_baseline(cfg, collect_messages=True), want)
+        assert rngs[0].rejected > 0
+
+
+#: small cycles the engine runs span at a time: (graph, rule, tolerance,
+#: max_iterations, _SPAN_CELLS or None for the default); a _SPAN_CELLS of
+#: 200 gives the one-layer star spans of ten cycles
+SPAN_RUNS = {
+    # 11 layers, spans of 31 cycles; stops in cycle 70
+    "chain12": (build_topology("chain", 12), UpdateRule(), 1e-6, 2000, None),
+    # cut after 66 cycles: 31 alone, one span, then 4 alone
+    "chain12_cut": (build_topology("chain", 12), UpdateRule(), 1e-6, 66, None),
+    # 10 layers, spans of 20 cycles; stops in cycle 88
+    "circle20": (build_topology("circular", 20), UpdateRule("pure_neighbor"), 1e-3, 2000,
+                 None),
+    "circle20_cut": (build_topology("circular", 20), UpdateRule("pure_neighbor"), 1e-3, 50,
+                     None),
+    # one layer, spans of ten cycles; stops in cycle 54
+    "star20": (build_topology("star", 20), UpdateRule("self_additive"), 1e-6, 2000, 200),
+    # never converges: spans of 204 cycles, cut after 445
+    "star20_cut": (build_topology("star", 20), UpdateRule("pure_neighbor"), 1e-6, 445, None),
+}
+
+
+def span_run(name, monkeypatch):
+    """The config of the span run name, with its _SPAN_CELLS set."""
+    g, rule, tol, cycles, cells = SPAN_RUNS[name]
+    if cells is not None:
+        monkeypatch.setattr(engine, "_SPAN_CELLS", cells)
+    return RunConfig(graph=g, rule=rule, seed=1, max_iterations=cycles, tolerance=tol)
+
+
+class TestSpans:
+    @pytest.mark.parametrize("name", sorted(SPAN_RUNS))
+    def test_against_the_per_tick_kernel(self, name, monkeypatch):
+        cfg = span_run(name, monkeypatch)
+        want = run_agent_per_tick(cfg, collect_messages=True)
+        assert want.converged == (not name.endswith("_cut"))
+        heights = traced_blocks(monkeypatch)
+        got = run_agent_sim(cfg, collect_messages=True)
+        assert_same_trace(got, want)
+        # spans ran, and a converged run stopped inside one
+        ticks = got.cycle_ticks
+        span = min(engine._SPAN_CELLS, engine._BLOCK_CELLS) // (ticks * got.graph.node_count)
+        assert span > 1 and span * ticks in heights
+        if got.converged:
+            assert heights[-1] == span * ticks
+            assert sum(heights) > got.iterations
+        else:
+            assert cfg.max_iterations % span
+            assert sum(heights) == got.iterations
+
+    @pytest.mark.parametrize("exc", [OverflowError, ValueError, SimulationError])
+    @pytest.mark.parametrize("name", ["chain12", "circle20", "star20"])
+    def test_a_fold_failing_after_the_stop(self, name, exc, monkeypatch):
+        # the cycles after the stop would never have run, so a fold that
+        # fails in one of them changes nothing
+        cfg = span_run(name, monkeypatch)
+        want = run_agent_sim(cfg, collect_messages=True)
+        failed = fail_fold(monkeypatch, stop_cycle(want) * folds_per_cycle(want) + 1, exc)
+        assert_same_trace(run_agent_sim(cfg, collect_messages=True), want)
+        assert failed
+
+    @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+    @pytest.mark.parametrize("name", ["chain12", "circle20", "star20"])
+    def test_a_fold_failing_in_the_stop_cycle(self, name, last, monkeypatch):
+        # the run would have failed in the cycle it stops in, before
+        # judging it
+        cfg = span_run(name, monkeypatch)
+        want = run_agent_sim(cfg)
+        c, folds = stop_cycle(want), folds_per_cycle(want)
+        fail_fold(monkeypatch, c * folds if last else (c - 1) * folds + 1, OverflowError)
+        with pytest.raises(OverflowError, match="patched"):
+            run_agent_sim(cfg)
+
+
+def stop_cycle(trace):
+    """The beacon cycle of a converged trace's last row."""
+    return -(-(trace.iterations - 1) // trace.cycle_ticks)
+
+
+def folds_per_cycle(trace):
+    return int(trace.activations[1:trace.cycle_ticks + 1].sum())
+
+
+def fail_fold(monkeypatch, call, exc):
+    """Make UpdateRule.fold raise exc on its call-th call from now on, and
+    only then; returns a list that holds True once it has."""
+    fold, calls, failed = UpdateRule.fold, [0], []
+
+    def patched(self, own, polled):
+        calls[0] += 1
+        if calls[0] == call:
+            failed.append(True)
+            raise exc("patched")
+        return fold(self, own, polled)
+
+    monkeypatch.setattr(UpdateRule, "fold", patched)
+    return failed
+
+
 class TestChunks:
     def test_chunks_hold_about_block_cells(self):
         g = build_topology("chain", 50)
@@ -221,20 +509,17 @@ class TestChunks:
 
     @pytest.mark.parametrize("cells", [1, 20, 64, 1000])
     def test_pairwise_blocks_keep_the_budget(self, cells, monkeypatch):
-        # a block is a cycle of n = 8 exchanges, or as many as the budget holds
+        # blocks start at a cycle of n = 8 exchanges and double, each at
+        # most as many as the budget holds; the last is cut by the run's
         monkeypatch.setattr(engine, "_BLOCK_CELLS", cells)
-        heights = []
-
-        class Spy(engine._Recorder):
-            def record(self, states, acts):
-                heights.append(len(states))
-                super().record(states, acts)
-
-        monkeypatch.setattr(engine, "_Recorder", Spy)
+        heights = traced_blocks(monkeypatch)
         tr = run_small("pairwise_ring8_cut")
         blocks = heights[1:]  # after x0
         assert sum(blocks) >= tr.iterations - 1
-        assert max(blocks) == min(8, max(1, cells // 8))
+        most = max(1, cells // 8)
+        want = [min(min(8, most) << k, most) for k in range(len(blocks))]
+        assert blocks[:-1] == want[:-1]
+        assert blocks[-1] <= want[-1]
         assert all(h * 8 <= max(cells, 8) for h in blocks)
 
     def test_trace_keeps_no_chunk(self, monkeypatch):

@@ -76,6 +76,14 @@ INVOCATIONS = [
     ["run", "--graph.kind", "chain", "--graph.n", "301", "--run.max_iterations", "20"],
     ["spectra", "--preset", "chain"],
     ["spectra", "--graph.kind", "random_geometric", "--graph.n", "200", "--graph.radius", "0.15"],
+    # a converging baseline run over many blocks of exchanges, and a chain
+    # small enough that its beacon cycles run several at a time
+    ["run", "--graph.kind", "star", "--graph.n", "6", "--rule.variant", "pairwise_baseline",
+     "--run.max_iterations", "20000", "--dump-messages"],
+    ["run", "--graph.kind", "chain", "--graph.n", "12", "--dump-messages"],
+    # self-additive states that reach +inf and -inf, which a fold then meets
+    ["run", "--graph.kind", "circular", "--graph.n", "5", "--rule.variant", "self_additive",
+     "--run.initial_states", "1e308,1e308,-1e308,-1e308,0", "--run.max_iterations", "50"],
 ]
 
 
@@ -90,7 +98,11 @@ def _worker(out_root: Path) -> None:
         out = str(out_root / str(k))
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = cli.main([*argv, "--out", out])
+            try:
+                rc = cli.main([*argv, "--out", out])
+            except Exception as exc:  # a traceback, and exit code 1, from the CLI
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                rc = 1
         runs.append({"exit": rc, "stdout": stdout.getvalue().replace(out, "$OUT"),
                      "stderr": stderr.getvalue().replace(out, "$OUT")})
     results = {"gossipsim": gossipsim.__file__, "runs": runs}
