@@ -162,11 +162,15 @@ def build_run_config(cfgd: dict) -> RunConfig:
         radius=cfgd["graph.radius"],
         erdos_p=cfgd["graph.erdos_p"],
     )
+    duty = DutyCycleParams(p=cfgd["duty.p"], q=cfgd["duty.q"])
+    if cfgd["run.backend"] == "agent" and duty != DutyCycleParams():
+        # the beacon wave wakes every layer once a cycle; no chain runs
+        raise ConfigError("duty.p and duty.q drive the matrix backend's wake/sleep chain; "
+                          "the agent backend takes neither (leave them at 1)")
     gseed = cfgd["graph.seed"]
     if gseed is None:
         gseed = cfgd["run.seed"]
     graph = build_topology(cfgd["graph.kind"], cfgd["graph.n"], params, seed=gseed)
-    duty = DutyCycleParams(p=cfgd["duty.p"], q=cfgd["duty.q"])
     rule = UpdateRule.parse(cfgd["rule.variant"], cfgd["rule.alpha"])
     init = cfgd["run.initial_states"]
     return RunConfig(

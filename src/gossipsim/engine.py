@@ -3,23 +3,22 @@
 Every poll-round run goes through one schedule kernel, _Schedule: a
 fixed list of ticks, each the initiators it wakes in order, compiled
 once. Its run folds the initiators with UpdateRule.fold on a Python list
-of the states and collects the value each adopts, in schedule order.
-Its rows turns those values into the schedule's trace rows with one
-gather, through the source map built when it was compiled: for every
-(tick, node) cell, the entry of [previous row; values] that the cell
-holds.
+of the states and appends the value each adopts, in schedule order, to
+a list that starts as the states before them. Its rows turns that list
+into the schedule's trace rows with one gather, through the source map
+built when it was compiled: for every (tick, node) cell, the entry of
+the list that the cell holds.
 
 * run_agent_sim runs the beacon protocol. The anchor's beacon wakes hop
   layer 1 and each layer's wake-up flood wakes the next, so every beacon
   cycle updates layer m at its tick m, initiators in ascending id; the
-  run computes the hop layers once, compiles that cycle once and runs
-  it once per beacon cycle. A cycle that fits span > 1 times in
-  _SPAN_CELLS cells is also compiled, once, as a schedule of span
-  cycles, which the run uses once span cycles have run one by one. The
-  per-message protocol handlers that tests/test_protocol_oracle.py
-  drives are the reference it is tested against; no run calls them.
+  run computes the hop layers once and compiles that cycle once, as
+  span copies when it fits span > 1 times in _SPAN_CELLS cells; each
+  block runs the first 1, 2, 4, ... span copies. The per-message
+  protocol handlers that tests/test_protocol_oracle.py drives are the
+  reference it is tested against; no run calls them.
 * run_matrix_sim is the one scripted runner: it wakes the nodes of
-  activation row k at tick k + 1, compiling its script a slice at a
+  activation row k at tick k + 1, compiling its script a block at a
   time.
 * run_pairwise_baseline runs its exchanges on a list of the states
   too, a block at a time. It takes the block's node draws from one bulk
@@ -29,6 +28,8 @@ holds.
 
 No source map, and so no block of rows gathered through one, holds more
 than _BLOCK_CELLS cells: a longer cycle is compiled as several schedules.
+Every runner takes its block heights from _heights: a first height, then
+twice the one before, up to a most.
 
 Each runner records its rows in a _Recorder, a block of rows at a time,
 and the recorder judges every row once, as it records it:
@@ -69,7 +70,7 @@ diag(phi) A + (I - diag(phi)): inactive rows hold their value.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import isfinite
 
@@ -82,7 +83,9 @@ from .graph import Graph, assign_layers
 from .rules import RuleVariant, UpdateRule, update_block
 
 #: cells of the schedule run_agent_sim compiles from several beacon cycles
-#: when more than one cycle fits
+#: when more than one cycle fits. Far below _BLOCK_CELLS: a small run
+#: often converges early inside its largest block, and every cycle
+#: folded past the stop is wasted.
 _SPAN_CELLS = 1 << 12
 
 ANCHOR_SRC = -1  # message src used by the anchor entity
@@ -225,25 +228,29 @@ class _Recorder:
 class _Schedule:
     """A fixed list of ticks, each the initiators it wakes in order,
     compiled for the runs of its poll rule on a graph whose nodes poll
-    nbrs, their in-neighbor lists. A schedule of beacon cycles of cycle
-    ticks logs the anchor's beacon at the first tick of each; one of
-    cycle 0 logs none.
+    nbrs, their in-neighbor lists, and repeated copies times. A schedule
+    of beacon cycles of cycle ticks logs the anchor's beacon before every
+    tick t with (t - 1) % cycle == 0, row 0 being x0; one of cycle 0 logs
+    none.
 
-    run applies the ticks to a list of states; rows turns the values it
-    gives into the ticks' trace rows with one gather through src, whose
-    cell (t, i) is the entry of [previous row; values] that node i holds
-    after tick t. src is built here by walking the schedule in order,
-    one initiator at a time, so that a later write to a cell wins. acts
-    flags each tick's initiators.
+    run applies the first ticks to a list of states, appending the
+    values they give to a list that starts as the states before them;
+    rows turns that list into those ticks' trace rows with one gather
+    through src, whose cell (t, i) is the entry of the list that node i
+    holds after tick t. src is built here by walking ticks once,
+    one initiator at a time, so that a later write to a cell wins; copy
+    k's writes are copy 0's moved by k times the values a copy gives,
+    and a cell copy k has not written yet holds the largest entry written
+    to it before. acts flags each tick's initiators.
     """
 
     def __init__(self, rule: UpdateRule, nbrs: list[list[int]], ticks: list[list[int]],
-                 cycle: int = 0):
+                 cycle: int = 0, copies: int = 1):
         n = len(nbrs)
-        self.rule, self.nbrs, self.ticks, self.cycle = rule, nbrs, ticks, cycle
+        self.rule, self.nbrs, self.ticks, self.cycle = rule, nbrs, ticks * copies, cycle
         self.sequential = rule.variant is RuleVariant.NEIGHBORHOOD_SET
-        self.src = np.empty((len(ticks), n), dtype=np.intp)
-        self.acts = np.zeros((len(ticks), n), dtype=np.uint8)
+        src = np.empty((len(ticks), n), dtype=np.intp)
+        acts = np.zeros((len(ticks), n), dtype=np.uint8)
         holds = list(range(n))  # the entry each node holds
         v = n  # entry of the next initiator's value
         for t, ids in enumerate(ticks):
@@ -253,14 +260,18 @@ class _Schedule:
                     for j in nbrs[i]:
                         holds[j] = v
                 v += 1
-            self.src[t] = holds
-            self.acts[t, ids] = 1
+            src[t] = holds
+            acts[t, ids] = 1
+        shift = np.arange(copies)[:, None, None] * (v - n)
+        self.src = np.maximum.accumulate((src + (src >= n) * shift).reshape(-1, n), axis=0)
+        self.acts = np.tile(acts, (copies, 1))
 
-    def run(self, xs: list[float], tick: int, log: list | None, values: list[float]) -> None:
-        """Run the ticks' poll rounds on xs in place, the first as tick
-        tick, appending the value of every initiator to values in
-        schedule order; if a fold raises, values holds those of the
-        initiators before it.
+    def run(self, xs: list[float], tick: int, log: list | None, values: list[float],
+            ticks: int) -> None:
+        """Run the first ticks ticks' poll rounds on xs in place, the first
+        as tick tick, appending the value of every initiator to values,
+        which starts as xs did, in schedule order; if a fold raises,
+        values holds those of the initiators before it.
 
         Under the neighborhood-set rule the initiators go one after
         another, each writing the common value back to itself and the
@@ -271,9 +282,8 @@ class _Schedule:
         protocol's per-node handlers emit them.
         """
         fold, nbrs, sequential, cycle = self.rule.fold, self.nbrs, self.sequential, self.cycle
-        start = tick
-        for ids in self.ticks:
-            if log is not None and cycle and (tick - start) % cycle == 0:
+        for ids in self.ticks[:ticks]:
+            if log is not None and cycle and (tick - 1) % cycle == 0:
                 log.append((tick, _BEACON, ANCHOR_SRC, BROADCAST, None))
             first = len(values)
             for i in ids:
@@ -300,10 +310,10 @@ class _Schedule:
                     log.extend((tick, _WAKE_UP, i, BROADCAST, 1) for i in ids)
             tick += 1
 
-    def rows(self, prev: np.ndarray, values: list[float], ticks: int | None = None) -> np.ndarray:
-        """The trace rows of the first ticks ticks (of all by default),
-        from the row before them and run's values."""
-        return _gather(prev, values, self.src[:ticks])
+    def rows(self, values: list[float], ticks: int) -> np.ndarray:
+        """The trace rows of the first ticks ticks, from the values run
+        gave them."""
+        return np.take(values, self.src[:ticks])
 
 
 def _poll_lists(graph: Graph) -> list[list[int]]:
@@ -313,22 +323,14 @@ def _poll_lists(graph: Graph) -> list[list[int]]:
     return [[ids[j] for j in nb.tolist()] for nb in graph.in_neighbors]
 
 
-def _gather(prev: np.ndarray, values: list[float], src: np.ndarray) -> np.ndarray:
-    """Rows whose cell (t, i) is entry src[t, i] of [prev; values]."""
-    return np.take(np.concatenate((prev, values)), src)
-
-
-def _play(parts: Iterable[_Schedule], xs: list[float], row: np.ndarray,
-          rec: _Recorder) -> np.ndarray:
-    """Run the schedules in turn on xs, the states of row, recording their
-    rows in rec; returns the last row."""
-    for part in parts:
-        values: list[float] = []
-        part.run(xs, rec.rows, rec.log, values)
-        rows = part.rows(row, values)
-        rec.record(rows, part.acts)
-        row = rows[-1]
-    return row
+def _heights(first: int, most: int, total: int) -> Iterator[int]:
+    """Block heights that sum to total: min(first, most), then twice the
+    height before, up to most; the last is cut to fit."""
+    height = min(first, most)
+    while total > 0:
+        yield min(height, total)
+        total -= height
+        height = min(2 * height, most)
 
 
 def _message_counts(graph: Graph, activations: np.ndarray, beacons: int) -> dict[str, int]:
@@ -336,7 +338,7 @@ def _message_counts(graph: Graph, activations: np.ndarray, beacons: int) -> dict
     update sends one request to and gets one ack from every in-neighbor,
     then broadcasts one wake-up."""
     updates = activations.sum(axis=0, dtype=np.int64)
-    polls = sum(int(u) * len(nb) for u, nb in zip(updates, graph.in_neighbors))
+    polls = int(updates @ np.bincount(graph.arcs[1], minlength=graph.node_count))
     return {_BEACON: beacons, _WAKE_UP: int(updates.sum()),
             _REQUEST: polls, _ACK: polls}
 
@@ -346,9 +348,9 @@ def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
     protocol, or fewer once disagreement holds below tolerance for one
     full beacon cycle of layer_count ticks.
 
-    A cycle that fits span > 1 times in _SPAN_CELLS cells is run span
-    cycles at a time, one schedule and one recorded block, once span
-    cycles have run one by one, so that a run computes at most span - 1
+    The cycle is compiled once, as span copies when it fits span > 1
+    times in _SPAN_CELLS cells, and the run's blocks run the first 1, 2,
+    4, ... span cycles of them, so that a run computes at most span - 1
     cycles past its stop, never more than it kept.
     """
     g = cfg.graph
@@ -356,40 +358,34 @@ def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
     cycle_ticks = lay.layer_count
     # tick m - 1 of every cycle wakes hop layer m
     waves = [np.flatnonzero(lay.layer_of == m).tolist() for m in range(1, cycle_ticks + 1)]
+    folds = sum(map(len, waves))
     nbrs = _poll_lists(g)
     step = max(1, _BLOCK_CELLS // g.node_count)
-    cycle = [_Schedule(cfg.rule, nbrs, waves[t:t + step], cycle_ticks if t == 0 else 0)
+    span = max(1, min(_SPAN_CELLS, _BLOCK_CELLS) // (cycle_ticks * g.node_count))
+    parts = [_Schedule(cfg.rule, nbrs, waves[t:t + step], cycle_ticks, span)
              for t in range(0, cycle_ticks, step)]
-    span = min(_SPAN_CELLS, _BLOCK_CELLS) // (cycle_ticks * g.node_count)
-    spans = None  # span cycles as one schedule, compiled when first run
     x0, _ = initial_states(cfg)
     rec = _Recorder(g, x0, cycle_ticks, cfg.tolerance, collect_messages)
-    xs, row = x0.tolist(), x0
-    done = 0  # cycles run
-    while done < cfg.max_iterations and not rec.converged:
-        if span < 2 or done < span or done + span > cfg.max_iterations:
-            row = _play(cycle, xs, row, rec)
-            done += 1
-        else:
-            spans = spans or _Schedule(cfg.rule, nbrs, waves * span, cycle_ticks)
-            values: list[float] = []
+    xs = x0.tolist()
+    # blocks of 1, 2, 4, ... span cycles, counted in ticks
+    for ticks in _heights(cycle_ticks, span * cycle_ticks, cfg.max_iterations * cycle_ticks):
+        for part in parts:  # a part's ticks, or the first cycles of span copies
+            values = xs[:]
             try:
-                spans.run(xs, rec.rows, rec.log, values)
+                part.run(xs, rec.rows, rec.log, values, ticks)
             except (OverflowError, ValueError, SimulationError):
                 # the cycles before the one that failed ran as they would
                 # have one by one: the run stops there if they converge,
                 # and otherwise fails as it would have in that cycle
-                ran = len(values) // sum(map(len, waves)) * cycle_ticks
-                if ran:
-                    rec.record(spans.rows(row, values, ran), spans.acts[:ran])
-                    if rec.judge():
-                        break
-                raise
-            rows = spans.rows(row, values)
-            rec.record(rows, spans.acts)
-            row = rows[-1]
-            done += span
-        rec.judge()
+                ticks = (len(values) - len(xs)) // folds * cycle_ticks
+                if ticks:
+                    rec.record(part.rows(values, ticks), part.acts[:ticks])
+                if not (ticks and rec.judge()):
+                    raise
+                break  # the judge below finds the run converged
+            rec.record(part.rows(values, ticks), part.acts[:ticks])
+        if rec.judge():
+            break
     # one beacon for each cycle with a row kept
     return rec.finish(lambda acts: _message_counts(
         g, acts, -(-(len(acts) - 1) // cycle_ticks)))
@@ -439,10 +435,15 @@ def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray,
     x0, _ = initial_states(cfg)
     rec = _Recorder(g, x0, 1, cfg.tolerance, collect_messages)
     step = max(1, _BLOCK_CELLS // n)
-    ticks = ([np.flatnonzero(phi).tolist() for phi in seq[k:min(k + step, cfg.max_iterations)]]
-             for k in range(0, cfg.max_iterations, step))
-    # each slice of the script is compiled when its turn comes
-    _play((_Schedule(cfg.rule, nbrs, t) for t in ticks), x0.tolist(), x0, rec)
+    xs = x0.tolist()
+    for m in _heights(step, step, cfg.max_iterations):
+        # each block of the script is compiled when its turn comes; tick
+        # k + 1 wakes the nodes of row k
+        k = rec.rows - 1
+        part = _Schedule(cfg.rule, nbrs, [np.flatnonzero(phi).tolist() for phi in seq[k:k + m]])
+        values = xs[:]
+        part.run(xs, rec.rows, rec.log, values, m)
+        rec.record(part.rows(values, m), part.acts)
     return rec.finish(lambda acts: _message_counts(g, acts, 0))
 
 
@@ -494,14 +495,10 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
     # each node's neighbors, their count and its rejection floor (see _bounded)
     picks = [(nb, len(nb), (0x100000000 - len(nb)) % len(nb)) for nb in _poll_lists(g)]
     n_floor = (0x100000000 - n) % n
-    xs, row = x0.tolist(), x0
+    xs = x0.tolist()
     words: list[int] = []  # the rng's next 32-bit words, from p on
     p = 0
-    most = max(1, _BLOCK_CELLS // n)
-    height = min(n, most)
-    lo = 1  # the row of the block's first exchange
-    while lo <= cfg.max_iterations:
-        m = min(height, cfg.max_iterations + 1 - lo)
+    for m in _heights(n, max(1, _BLOCK_CELLS // n), cfg.max_iterations):
         # a word for each of the block's draws, two an exchange at most
         del words[:p]
         p = 0
@@ -509,8 +506,8 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
             words.extend(rng.integers(0, 1 << 32, size=2 * m - len(words),
                                       dtype=np.uint64).tolist())
         pairs: list[int] = []  # i and j of each exchange, in row order
-        values: list[float] = []  # their states after it
-        for k in range(lo, lo + m):
+        values = xs[:]  # the row before the block, then i's and j's states after each
+        for k in range(rec.rows, rec.rows + m):
             # _bounded's draws, inlined where they take the first word
             w = words[p] * n
             if w & 0xFFFFFFFF >= n_floor:
@@ -537,18 +534,14 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
                 log.append((k, _REQUEST, i, j, None))
                 log.append((k, _ACK, j, i, xj))
         # each cell holds the last value written to it: row r writes
-        # entries n + 2r and n + 2r + 1 of [previous row; values]
+        # entries n + 2r and n + 2r + 1 of values
         at = np.arange(2 * m) // 2
         src = np.tile(np.arange(n), (m, 1))
         src[at, pairs] = np.arange(n, n + 2 * m)
-        rows = _gather(row, values, np.maximum.accumulate(src, axis=0, out=src))
         acts = np.zeros((m, n), dtype=np.uint8)
         acts[at, pairs] = 1
-        rec.record(rows, acts)
+        rec.record(np.take(values, np.maximum.accumulate(src, axis=0, out=src)), acts)
         if rec.judge():
             break
-        row = rows[-1]
-        lo += m
-        height = min(2 * height, most)
     # one request and one ack per exchange, one exchange per row after x0
     return rec.finish(lambda acts: dict.fromkeys((_REQUEST, _ACK), len(acts) - 1))

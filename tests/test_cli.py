@@ -226,6 +226,22 @@ class TestConfigHandling:
             assert err.startswith("config error: bad value for run.backend")
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["run", "compare", "spectra"])
+    @pytest.mark.parametrize("flags", [("--duty.p", "0.3"), ("--duty.q", "0.5"),
+                                       ("--duty.p", "0.3", "--duty.q", "0.5")])
+    def test_duty_flags_on_the_agent_backend_exit_one(self, tmp_path, capsys, command, flags):
+        # the agent backend runs no wake/sleep chain, so they would do nothing
+        rc = run_cli(command, *FAST, *flags, "--out", str(tmp_path / "o"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: duty.p and duty.q drive the matrix backend's ")
+        assert err.count("\n") == 1
+
+    def test_duty_flags_at_one_or_on_the_matrix_backend_run(self, tmp_path):
+        for flags in (("--duty.p", "1", "--duty.q", "1"),
+                      ("--run.backend", "matrix", "--duty.p", "0.3", "--duty.q", "0.5")):
+            assert run_cli("run", *FAST, *flags, "--out", str(tmp_path / "o")) in (0, 3)
+
     def test_non_utf8_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_bytes(b"graph.n = 10\n# caf\xe9\n")
@@ -320,8 +336,9 @@ class TestSweepCommand:
         bad = next(r for r in rows if r["status"] == "error")
         assert bad["error"]
 
+    # a duty.q other than 1 does nothing on the agent backend
     @pytest.mark.parametrize("flag,value", [("duty.p", "nan"), ("run.tolerance", "nan"),
-                                            ("rule.alpha", "2")])
+                                            ("rule.alpha", "2"), ("duty.q", "0.5")])
     def test_invalid_run_value_gives_error_rows(self, tmp_path, flag, value):
         out = tmp_path / "o"
         rc = run_cli("sweep", "--graph.n", "6", "--sweep.topologies", "star,chain",

@@ -398,24 +398,30 @@ class TestRejectedWords:
         assert rngs[0].rejected > 0
 
 
-#: small cycles the engine runs span at a time: (graph, rule, tolerance,
-#: max_iterations, _SPAN_CELLS or None for the default); a _SPAN_CELLS of
-#: 200 gives the one-layer star spans of ten cycles
+#: small cycles the engine compiles as span copies, run in blocks of 1,
+#: 2, 4, ... span cycles: (graph, rule, tolerance, max_iterations,
+#: _SPAN_CELLS or None for the default); a _SPAN_CELLS of 200 gives the
+#: one-layer star spans of ten cycles
 SPAN_RUNS = {
     # 11 layers, spans of 31 cycles; stops in cycle 70
     "chain12": (build_topology("chain", 12), UpdateRule(), 1e-6, 2000, None),
-    # cut after 66 cycles: 31 alone, one span, then 4 alone
+    # cut after 66 cycles: blocks of 1 to 16 cycles, 31, then 4
     "chain12_cut": (build_topology("chain", 12), UpdateRule(), 1e-6, 66, None),
     # 10 layers, spans of 20 cycles; stops in cycle 88
     "circle20": (build_topology("circular", 20), UpdateRule("pure_neighbor"), 1e-3, 2000,
                  None),
+    # stops in cycle 20, inside the block of cycles 16 to 31, short of a span
+    "circle20_early": (build_topology("circular", 20), UpdateRule(), 1e-2, 2000, None),
+    # cut after 50 cycles, in a block of 19
     "circle20_cut": (build_topology("circular", 20), UpdateRule("pure_neighbor"), 1e-3, 50,
                      None),
     # one layer, spans of ten cycles; stops in cycle 54
     "star20": (build_topology("star", 20), UpdateRule("self_additive"), 1e-6, 2000, 200),
-    # never converges: spans of 204 cycles, cut after 445
+    # never converges: spans of 204 cycles, cut after 445, in a block of 190
     "star20_cut": (build_topology("star", 20), UpdateRule("pure_neighbor"), 1e-6, 445, None),
 }
+#: the span runs whose stop cycle a patched fold fails in or after
+STOP_RUNS = ["chain12", "circle20", "circle20_early", "star20"]
 
 
 def span_run(name, monkeypatch):
@@ -424,6 +430,22 @@ def span_run(name, monkeypatch):
     if cells is not None:
         monkeypatch.setattr(engine, "_SPAN_CELLS", cells)
     return RunConfig(graph=g, rule=rule, seed=1, max_iterations=cycles, tolerance=tol)
+
+
+class TestHeights:
+    @pytest.mark.parametrize("total", [1, 2, 3, 10, 66, 445, 1000])
+    @pytest.mark.parametrize("first, most", [(1, 1), (1, 31), (1, 204), (3, 2), (7, 7),
+                                             (20, 13107), (50, 5242)])
+    def test_doubling_up_to_most(self, first, most, total):
+        heights = list(engine._heights(first, most, total))
+        assert sum(heights) == total
+        assert heights[0] == min(first, most, total)
+        assert all(0 < h <= most for h in heights)
+        # each height is twice the one before, up to most, the last cut
+        for a, b in zip(heights, heights[1:-1]):
+            assert b == min(2 * a, most)
+        if len(heights) > 1:
+            assert heights[-1] <= min(2 * heights[-2], most)
 
 
 class TestSpans:
@@ -435,19 +457,23 @@ class TestSpans:
         heights = traced_blocks(monkeypatch)
         got = run_agent_sim(cfg, collect_messages=True)
         assert_same_trace(got, want)
-        # spans ran, and a converged run stopped inside one
+        # after x0, blocks of c cycles, c = 1, 2, 4, ... up to span, the
+        # last cut by the budget
         ticks = got.cycle_ticks
         span = min(engine._SPAN_CELLS, engine._BLOCK_CELLS) // (ticks * got.graph.node_count)
-        assert span > 1 and span * ticks in heights
-        if got.converged:
-            assert heights[-1] == span * ticks
-            assert sum(heights) > got.iterations
+        assert span > 1 and heights[0] == 1
+        assert all(h % ticks == 0 for h in heights[1:])
+        cycles = [h // ticks for h in heights[1:]]
+        assert cycles[:-1] == [min(2 ** k, span) for k in range(len(cycles) - 1)]
+        assert 0 < cycles[-1] <= min(2 ** (len(cycles) - 1), span)
+        if got.converged:  # stopped inside its last block
+            assert sum(heights) - heights[-1] < got.iterations < sum(heights)
         else:
-            assert cfg.max_iterations % span
+            assert sum(cycles) == cfg.max_iterations
             assert sum(heights) == got.iterations
 
     @pytest.mark.parametrize("exc", [OverflowError, ValueError, SimulationError])
-    @pytest.mark.parametrize("name", ["chain12", "circle20", "star20"])
+    @pytest.mark.parametrize("name", STOP_RUNS)
     def test_a_fold_failing_after_the_stop(self, name, exc, monkeypatch):
         # the cycles after the stop would never have run, so a fold that
         # fails in one of them changes nothing
@@ -458,7 +484,7 @@ class TestSpans:
         assert failed
 
     @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
-    @pytest.mark.parametrize("name", ["chain12", "circle20", "star20"])
+    @pytest.mark.parametrize("name", STOP_RUNS)
     def test_a_fold_failing_in_the_stop_cycle(self, name, last, monkeypatch):
         # the run would have failed in the cycle it stops in, before
         # judging it
@@ -466,6 +492,18 @@ class TestSpans:
         want = run_agent_sim(cfg)
         c, folds = stop_cycle(want), folds_per_cycle(want)
         fail_fold(monkeypatch, c * folds if last else (c - 1) * folds + 1, OverflowError)
+        with pytest.raises(OverflowError, match="patched"):
+            run_agent_sim(cfg)
+
+    def test_a_fold_failing_in_a_later_part_of_the_stop_cycle(self, monkeypatch):
+        # a cycle compiled in parts of three ticks, one cycle a block: as
+        # when run tick by tick, its rows are judged once it is complete,
+        # so a fold failing after the stop row, in its cycle, fails the run
+        cfg = span_run("chain12", monkeypatch)
+        monkeypatch.setattr(engine, "_BLOCK_CELLS", 3 * cfg.graph.node_count)
+        want = run_agent_sim(cfg)
+        assert (want.iterations - 2) % want.cycle_ticks < 9  # before the last part
+        fail_fold(monkeypatch, stop_cycle(want) * folds_per_cycle(want), OverflowError)
         with pytest.raises(OverflowError, match="patched"):
             run_agent_sim(cfg)
 
