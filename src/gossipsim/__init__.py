@@ -29,7 +29,6 @@ from .errors import (
 from .graph import (
     Graph,
     LayerAssignment,
-    TopologyParams,
     assign_layers,
     build_topology,
 )

@@ -32,7 +32,7 @@ from .duty_cycle import DutyCycleParams, activation_sequence
 from .engine import (RunConfig, run_agent_sim, run_matrix_sim,
                      run_pairwise_baseline)
 from .errors import ConfigError, GossipSimError, TopologyError
-from .graph import TOPOLOGY_KINDS, TopologyParams, build_topology
+from .graph import TOPOLOGY_KINDS, build_topology
 from .rules import RuleVariant, UpdateRule
 
 EXIT_OK = 0
@@ -156,25 +156,24 @@ def resolve_config(args: argparse.Namespace, extra_spec: dict | None = None) -> 
     return out
 
 
-def build_run_config(cfgd: dict) -> RunConfig:
-    params = TopologyParams(
-        anchor=cfgd["graph.anchor"],
-        radius=cfgd["graph.radius"],
-        erdos_p=cfgd["graph.erdos_p"],
-    )
-    duty = DutyCycleParams(p=cfgd["duty.p"], q=cfgd["duty.q"])
-    if cfgd["run.backend"] == "agent" and duty != DutyCycleParams():
-        # the beacon wave wakes every layer once a cycle; no chain runs
+def build_run_config(cfgd: dict, chain: bool = False) -> RunConfig:
+    """The run of the key map cfgd. chain says whether the caller draws the
+    wake/sleep chain, the one reader of duty.p and duty.q; any other
+    caller refuses them."""
+    if not chain and (cfgd["duty.p"], cfgd["duty.q"]) != (1.0, 1.0):
         raise ConfigError("duty.p and duty.q drive the matrix backend's wake/sleep chain; "
-                          "the agent backend takes neither (leave them at 1)")
+                          "the agent backend, the pairwise baseline and spectra draw "
+                          "none (leave them at 1)")
     gseed = cfgd["graph.seed"]
     if gseed is None:
         gseed = cfgd["run.seed"]
-    graph = build_topology(cfgd["graph.kind"], cfgd["graph.n"], params, seed=gseed)
+    graph = build_topology(cfgd["graph.kind"], cfgd["graph.n"], anchor=cfgd["graph.anchor"],
+                           radius=cfgd["graph.radius"], erdos_p=cfgd["graph.erdos_p"],
+                           seed=gseed)
     rule = UpdateRule.parse(cfgd["rule.variant"], cfgd["rule.alpha"])
     init = cfgd["run.initial_states"]
     return RunConfig(
-        graph=graph, duty=duty, rule=rule,
+        graph=graph, rule=rule,
         seed=cfgd["run.seed"],
         max_iterations=cfgd["run.max_iterations"],
         tolerance=cfgd["run.tolerance"],
@@ -183,14 +182,18 @@ def build_run_config(cfgd: dict) -> RunConfig:
 
 
 def execute_run(cfgd: dict, collect_messages: bool = False) -> analysis.Trace:
-    cfg = build_run_config(cfgd)
+    # the pairwise baseline has one runner, whichever backend is named,
+    # and only the matrix backend's poll rules run on a wake/sleep chain
+    chain = (cfgd["run.backend"] == "matrix"
+             and cfgd["rule.variant"] != RuleVariant.PAIRWISE_BASELINE.value)
+    cfg = build_run_config(cfgd, chain)
     if cfg.rule.variant is RuleVariant.PAIRWISE_BASELINE:
-        # the exchange baseline has one runner, whichever backend is named
         return run_pairwise_baseline(cfg, collect_messages=collect_messages)
-    if cfgd["run.backend"] == "matrix":
-        # the duty-cycle activation process drives the scripted steps;
-        # seed offset decorrelates it from the initial-state draw
-        seq = activation_sequence(cfg.duty, cfg.graph.node_count,
+    if chain:
+        # the chain's activations drive the scripted steps; seed offset
+        # decorrelates it from the initial-state draw
+        duty = DutyCycleParams(p=cfgd["duty.p"], q=cfgd["duty.q"])
+        seq = activation_sequence(duty, cfg.graph.node_count,
                                   cfg.max_iterations, seed=cfg.seed + 1)
         return run_matrix_sim(cfg, seq, collect_messages=collect_messages)
     return run_agent_sim(cfg, collect_messages=collect_messages)
@@ -263,16 +266,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
-def _sweep_worker(task: dict) -> dict:
-    cfgd = dict(task["cfgd"])
-    cfgd["graph.kind"] = task["topology"]
-    cfgd["rule.variant"] = task["rule"]
-    cfgd["run.seed"] = task["seed"]
-    row = {"topology": task["topology"], "rule": task["rule"], "seed": task["seed"],
-           "status": "ok", "error": ""}
+def _sweep_worker(cfgd: dict) -> dict:
+    row = {"topology": cfgd["graph.kind"], "rule": cfgd["rule.variant"],
+           "seed": cfgd["run.seed"], "status": "ok", "error": ""}
     try:
-        trace = execute_run(cfgd)
-        row.update(summarize(trace))
+        row.update(summarize(execute_run(cfgd)))
     except (GossipSimError, MemoryError, OverflowError) as exc:
         row["status"] = "error"
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -292,8 +290,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"unknown sweep topology {t!r}")
     for r in rules:
         UpdateRule.parse(r)
-    base_cfg = {k: v for k, v in cfgd.items() if not k.startswith("sweep.")}
-    tasks = [{"cfgd": base_cfg, "topology": t, "rule": r, "seed": s}
+    base = {k: v for k, v in cfgd.items() if not k.startswith("sweep.")}
+    # each task is its run's own key map
+    tasks = [{**base, "graph.kind": t, "rule.variant": r, "run.seed": s}
              for t in topologies for r in rules for s in seeds]
     if not tasks:
         raise ConfigError("empty sweep grid: sweep.topologies, sweep.rules and "
@@ -323,6 +322,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         mc = dict(cfgd)
         if method == "pairwise":
             mc["rule.variant"] = RuleVariant.PAIRWISE_BASELINE.value
+            # the baseline draws no wake/sleep chain
+            mc["duty.p"] = mc["duty.q"] = 1.0
             # a pairwise iteration touches one pair; give it the same
             # per-node update budget as the protocol run
             mc["run.max_iterations"] = cfgd["run.max_iterations"] * cfgd["graph.n"]

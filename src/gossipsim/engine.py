@@ -77,7 +77,6 @@ from math import isfinite
 import numpy as np
 
 from .analysis import _BLOCK_CELLS, Trace, disagreement_rows, sustained_run
-from .duty_cycle import DutyCycleParams
 from .errors import ConfigError, SimulationError
 from .graph import Graph, assign_layers
 from .rules import RuleVariant, UpdateRule, update_block
@@ -99,7 +98,6 @@ class RunConfig:
     """Everything one run needs; validation happens at construction."""
 
     graph: Graph
-    duty: DutyCycleParams = DutyCycleParams()
     rule: UpdateRule = UpdateRule()
     seed: int = 0
     max_iterations: int = 400

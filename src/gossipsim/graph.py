@@ -32,21 +32,6 @@ ER_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
-class TopologyParams:
-    """Knobs shared by the topology builders.
-
-    Only the random geometric kind reads radius, the connection radius
-    of nodes drawn on the unit square. Setting erdos_p swaps the
-    geometric sampler for an Erdos-Renyi one with that edge probability,
-    under the same connectivity retry loop.
-    """
-
-    anchor: int = 0
-    radius: float = 0.3
-    erdos_p: float | None = None
-
-
-@dataclass(frozen=True)
 class Graph:
     """A connected graph stored as its arcs.
 
@@ -154,29 +139,30 @@ def _hops(offsets: np.ndarray, dst: np.ndarray, root: int) -> np.ndarray:
     return np.array(hop, dtype=np.int64)
 
 
-def build_topology(kind: str, n: int, params: TopologyParams | None = None,
-                   seed: int | None = None) -> Graph:
-    """Construct one of the named test topologies.
+def build_topology(kind: str, n: int, *, anchor: int = 0, radius: float = 0.3,
+                   erdos_p: float | None = None, seed: int | None = None) -> Graph:
+    """Construct one of the named test topologies, rooted at anchor.
 
-    Random kinds resample up to MAX_ATTEMPTS times until the result is
-    connected from the anchor, then fail with
-    UnconnectableTopologyError. Everything is deterministic for a fixed
-    (kind, n, params, seed).
+    Only the random geometric kind reads radius, the connection radius
+    of nodes drawn on the unit square. Setting erdos_p swaps the
+    geometric sampler for an Erdos-Renyi one with that edge probability,
+    under the same connectivity retry loop. Random kinds resample up to
+    MAX_ATTEMPTS times until the result is connected from the anchor,
+    then fail with UnconnectableTopologyError. Everything is
+    deterministic for a fixed (kind, n, anchor, radius, erdos_p, seed).
     """
-    if params is None:
-        params = TopologyParams()
     if kind not in TOPOLOGY_KINDS:
         raise ConfigError(f"unknown topology kind {kind!r}; expected one of {TOPOLOGY_KINDS}")
     if n < 2:
         raise ConfigError(f"need at least 2 nodes, got {n}")
-    if not (0 <= params.anchor < n):
-        raise ConfigError(f"anchor {params.anchor} out of range for {n} nodes")
+    if not (0 <= anchor < n):
+        raise ConfigError(f"anchor {anchor} out of range for {n} nodes")
 
     idx = np.arange(n)
     if kind == "chain":
         arcs = _undirected(idx[:-1], idx[1:], n)
     elif kind == "star":
-        arcs = _undirected(np.full(n - 1, params.anchor), np.delete(idx, params.anchor), n)
+        arcs = _undirected(np.full(n - 1, anchor), np.delete(idx, anchor), n)
     elif kind == "circular":
         arcs = _undirected(idx, (idx + 1) % n, n)
     elif kind == "circular_directed":
@@ -185,34 +171,34 @@ def build_topology(kind: str, n: int, params: TopologyParams | None = None,
         src, dst = np.divmod(np.arange(n * n), n)
         arcs = (src[src != dst], dst[src != dst])
     else:  # random_geometric, optionally Erdos-Renyi
-        return _build_random(n, params, seed)
-    return Graph(node_count=n, anchor_id=params.anchor, arcs=arcs,
+        return _build_random(n, anchor, radius, erdos_p, seed)
+    return Graph(node_count=n, anchor_id=anchor, arcs=arcs,
                  directed=kind == "circular_directed")
 
 
-def _build_random(n: int, params: TopologyParams, seed: int | None) -> Graph:
-    if params.erdos_p is None and not 0.0 < params.radius:
+def _build_random(n: int, anchor: int, radius: float, erdos_p: float | None,
+                  seed: int | None) -> Graph:
+    if erdos_p is None and not 0.0 < radius:
         raise ConfigError("random_geometric needs a positive radius")
-    if params.erdos_p is not None and not (0.0 < params.erdos_p <= 1.0):
-        raise ConfigError(f"erdos_p must lie in (0, 1], got {params.erdos_p}")
+    if erdos_p is not None and not (0.0 < erdos_p <= 1.0):
+        raise ConfigError(f"erdos_p must lie in (0, 1], got {erdos_p}")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_ATTEMPTS):
-        if params.erdos_p is not None:
-            src, dst = _erdos_renyi_arcs(rng, n, params.erdos_p)
+        if erdos_p is not None:
+            src, dst = _erdos_renyi_arcs(rng, n, erdos_p)
         else:
             # any radius of 2 or more joins every pair of the unit square;
             # capped there so that radius ** 2 cannot overflow
-            src, dst = _geometric_arcs(rng.uniform(0.0, 1.0, size=(n, 2)),
-                                       min(params.radius, 2.0))
+            src, dst = _geometric_arcs(rng.uniform(0.0, 1.0, size=(n, 2)), min(radius, 2.0))
         if not np.bincount(src, minlength=n).all():
             continue  # a node without arcs: disconnected, with no search
         try:  # the graph's own connectivity check is the sample's one search
-            return Graph(node_count=n, anchor_id=params.anchor, arcs=(src, dst))
+            return Graph(node_count=n, anchor_id=anchor, arcs=(src, dst))
         except DisconnectedTopologyError:
             continue
     raise UnconnectableTopologyError(
         f"no connected sample in {MAX_ATTEMPTS} attempts "
-        f"(n={n}, radius={params.radius}, erdos_p={params.erdos_p})")
+        f"(n={n}, radius={radius}, erdos_p={erdos_p})")
 
 
 def _erdos_renyi_arcs(rng: np.random.Generator, n: int,

@@ -5,7 +5,7 @@ import concurrent.futures
 import numpy as np
 import pytest
 
-from gossipsim import Graph, TopologyParams, build_topology
+from gossipsim import Graph, build_topology
 
 # the five standard 50-node evaluation topologies
 FIFTY_NODE_KINDS = ["chain", "star", "circular", "circular_directed", "random_geometric"]
@@ -33,8 +33,7 @@ def small_graph_family(max_n: int = 10):
         out.append(("complete", build_topology("complete", n)))
     for seed in (0, 1, 2):
         out.append(("random_geometric",
-                    build_topology("random_geometric", 8,
-                                   TopologyParams(radius=0.55), seed=seed)))
+                    build_topology("random_geometric", 8, radius=0.55, seed=seed)))
     return out
 
 
@@ -44,7 +43,7 @@ def random_connected_graph(rng: np.random.Generator) -> Graph:
     if kind == "circular" and n < 3:
         n = 3
     if kind == "random_geometric":
-        return build_topology(kind, max(n, 4), TopologyParams(radius=0.6),
+        return build_topology(kind, max(n, 4), radius=0.6,
                               seed=int(rng.integers(2 ** 31)))
     return build_topology(kind, n)
 

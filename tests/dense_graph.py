@@ -26,20 +26,21 @@ def dense_hops(und: np.ndarray, root: int) -> np.ndarray:
     return hop
 
 
-def dense_random_graph(n: int, params, seed) -> tuple[np.ndarray | None, int]:
-    """(adjacency, attempts): the first sample of the random kind that is
-    connected from the anchor and the number of samples drawn, or
-    (None, MAX_ATTEMPTS) when no sample is."""
+def dense_random_graph(n: int, seed, *, anchor: int = 0, radius: float = 0.3,
+                       erdos_p: float | None = None) -> tuple[np.ndarray | None, int]:
+    """(adjacency, attempts): the first sample of the random kind, with
+    build_topology's keywords, that is connected from the anchor and the
+    number of samples drawn, or (None, MAX_ATTEMPTS) when no sample is."""
     rng = np.random.default_rng(seed)
     for attempt in range(1, MAX_ATTEMPTS + 1):
-        if params.erdos_p is not None:
-            upper = np.triu(rng.random((n, n)) < params.erdos_p, k=1)
+        if erdos_p is not None:
+            upper = np.triu(rng.random((n, n)) < erdos_p, k=1)
             adj = upper | upper.T
         else:
             pts = rng.uniform(0.0, 1.0, size=(n, 2))
             d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            adj = d2 <= params.radius ** 2
+            adj = d2 <= radius ** 2
             np.fill_diagonal(adj, False)
-        if (dense_hops(adj, params.anchor) >= 0).all():
+        if (dense_hops(adj, anchor) >= 0).all():
             return adj, attempt
     return None, MAX_ATTEMPTS

@@ -11,7 +11,6 @@ import pytest
 from gossipsim import (
     DutyCycleParams,
     RunConfig,
-    TopologyParams,
     activation_sequence,
     analysis,
     build_topology,
@@ -268,7 +267,7 @@ class TestExpectedMatrix:
     def test_pairwise_expectation_matches_graph_matrix(self):
         # oracle: the mean of the exchange matrix I - alpha (e_i - e_j)(e_i - e_j)^T
         # over a uniform initiator i and a uniform neighbor j of it
-        g = build_topology("random_geometric", 8, TopologyParams(radius=0.5), seed=2)
+        g = build_topology("random_geometric", 8, radius=0.5, seed=2)
         rule = UpdateRule(RuleVariant.PAIRWISE_BASELINE, alpha=0.3)
         n = g.node_count
         want = np.zeros((n, n))
@@ -315,14 +314,14 @@ def reference_trace_csv(trace):
     return buf.getvalue()
 
 
-def _agent_trace(kind, n, params=TopologyParams(), cycles=20):
-    g = build_topology(kind, n, params, seed=3)
+def _agent_trace(kind, n, cycles=20, **params):
+    g = build_topology(kind, n, **params, seed=3)
     x0 = np.random.default_rng(5).uniform(0.0, 100.0, n)
     return run_agent_sim(RunConfig(graph=g, initial_states=x0, max_iterations=cycles))
 
 
 def _pairwise_trace():
-    g = build_topology("random_geometric", 12, TopologyParams(radius=0.5), seed=2)
+    g = build_topology("random_geometric", 12, radius=0.5, seed=2)
     return run_pairwise_baseline(RunConfig(graph=g, rule=UpdateRule(RuleVariant.PAIRWISE_BASELINE),
                                            seed=4, max_iterations=300))
 
@@ -330,7 +329,7 @@ def _pairwise_trace():
 def _stochastic_matrix_trace():
     g = build_topology("circular", 9)
     duty = DutyCycleParams(p=0.4, q=0.3)
-    cfg = RunConfig(graph=g, duty=duty, seed=6, max_iterations=120)
+    cfg = RunConfig(graph=g, seed=6, max_iterations=120)
     return run_matrix_sim(cfg, activation_sequence(duty, 9, 120, seed=7))
 
 
@@ -590,7 +589,7 @@ def sequential_disagreement(x, graph):
 
 SERIES_TRACES = {
     "chain": lambda: _agent_trace("chain", 10),
-    "random_geometric": lambda: _agent_trace("random_geometric", 30, TopologyParams(radius=0.4)),
+    "random_geometric": lambda: _agent_trace("random_geometric", 30, radius=0.4),
     "ring_directed": lambda: _agent_trace("circular_directed", 10),
 }
 
@@ -599,7 +598,7 @@ ONE_ROW_GRAPHS = [build_topology(kind, 40) for kind in ("chain", "star", "circul
 ONE_ROW_GRAPHS += [
     build_topology("circular_directed", 40),
     build_topology("random_geometric", 40, seed=1),
-    build_topology("random_geometric", 300, TopologyParams(radius=0.1), seed=2),
+    build_topology("random_geometric", 300, radius=0.1, seed=2),
 ]
 
 

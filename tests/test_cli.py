@@ -27,6 +27,7 @@ def run_cli(*argv):
 
 
 FAST = ("--graph.kind", "star", "--graph.n", "8", "--run.max_iterations", "20")
+DUTY_ERROR = "duty.p and duty.q drive the matrix backend's wake/sleep chain"
 # a self-additive run whose states reach +inf and -inf
 INFINITIES = ("--graph.kind", "circular", "--graph.n", "5", "--rule.variant", "self_additive",
               "--run.initial_states", "1e308,1e308,-1e308,-1e308,0",
@@ -237,6 +238,41 @@ class TestConfigHandling:
         assert err.startswith("config error: duty.p and duty.q drive the matrix backend's ")
         assert err.count("\n") == 1
 
+    # an input each check refuses, and the duty flags on a run and a
+    # command that draw no wake/sleep chain
+    @pytest.mark.parametrize("argv, err", [
+        (("run", "--config", "{cfg}"), "{cfg}:2: expected key=value, got 'graph.n 8'"),
+        (("sweep", "--sweep.topologies", "star,torus", "--jobs", "1"),
+         "unknown sweep topology 'torus'"),
+        (("run", "--graph.kind", "random_geometric", "--graph.radius", "0"),
+         "random_geometric needs a positive radius"),
+        (("run", "--graph.kind", "random_geometric", "--graph.erdos_p", "1.5"),
+         "erdos_p must lie in (0, 1], got 1.5"),
+        (("run", *FAST, "--rule.variant", "bogus"), "unknown rule variant 'bogus'; "),
+        (("run", "--preset", "circular", "--rule.variant", "pairwise_baseline",
+          "--run.backend", "matrix", "--duty.p", "0.3", "--duty.q", "0.5"), DUTY_ERROR),
+        (("spectra", "--preset", "circular", "--run.backend", "matrix", "--duty.p", "0.3"),
+         DUTY_ERROR),
+    ], ids=["config_line_without_equals", "sweep_topology", "radius_zero", "erdos_p_above_one",
+            "rule_variant", "duty_on_the_matrix_baseline", "duty_on_matrix_spectra"])
+    def test_bad_input_exits_one_with_one_line(self, tmp_path, capsys, argv, err):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("graph.kind = star\ngraph.n 8\n")
+        argv = [a.format(cfg=cfg) for a in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("config error: " + err.format(cfg=cfg))
+        assert stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, key, value", [
+        (("--graph.kind", "random_geometric", "--graph.erdos_p", "0.3"), "graph.erdos_p", 0.3),
+        (("--run.initial_states", "uniform"), "run.initial_states", None),
+    ])
+    def test_parsed_flags_run(self, tmp_path, flags, key, value):
+        argv = ["run", "--graph.n", "12", "--run.max_iterations", "20", *flags]
+        assert cli.resolve_config(cli.build_parser().parse_args(argv))[key] == value
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) in (0, 3)
+
     def test_duty_flags_at_one_or_on_the_matrix_backend_run(self, tmp_path):
         for flags in (("--duty.p", "1", "--duty.q", "1"),
                       ("--run.backend", "matrix", "--duty.p", "0.3", "--duty.q", "0.5")):
@@ -349,6 +385,22 @@ class TestSweepCommand:
         assert [r["status"] for r in rows] == ["error", "error"]
         assert all(r["error"].startswith("ConfigError") for r in rows)
 
+    def test_duty_flags_give_error_rows_for_the_cells_without_a_chain(self, tmp_path):
+        out = tmp_path / "o"
+        rc = run_cli("sweep", "--graph.n", "6", "--run.backend", "matrix", "--duty.p", "0.3",
+                     "--sweep.topologies", "star,chain",
+                     "--sweep.rules", "neighborhood_set,pairwise_baseline",
+                     "--sweep.seeds", "0:2", "--jobs", "1", "--out", str(out))
+        assert rc == 0
+        rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 8
+        for r in rows:
+            if r["rule"] == "pairwise_baseline":
+                assert r["status"] == "error"
+                assert r["error"].startswith("ConfigError: " + DUTY_ERROR)
+            else:
+                assert (r["status"], r["error"]) == ("ok", "")
+
     def test_bad_seed_list_exits_one(self, tmp_path, capsys):
         rc = run_cli("sweep", "--sweep.topologies", "star", "--sweep.seeds", "x",
                      "--jobs", "1", "--out", str(tmp_path / "o"))
@@ -452,6 +504,19 @@ class TestCompareCommand:
         assert rc == 0
         protocol, _ = read_csv(tmp_path / "o" / "compare.csv")
         assert int(protocol["messages_total"]) > 0
+
+    def test_duty_flags_drive_the_matrix_protocol_only(self, tmp_path):
+        # the pairwise side draws no chain, so compare resets its flags
+        common = ("--graph.kind", "circular", "--graph.n", "10", "--run.backend", "matrix",
+                  "--run.max_iterations", "30")
+        duty = ("--duty.p", "0.3", "--duty.q", "0.5")
+        assert run_cli("compare", *common, *duty, "--out", str(tmp_path / "a")) == 0
+        assert run_cli("compare", *common, "--out", str(tmp_path / "b")) == 0
+        assert run_cli("run", *common, *duty, "--out", str(tmp_path / "r")) in (0, 3)
+        protocol, pairwise = read_csv(tmp_path / "a" / "compare.csv")
+        assert pairwise == read_csv(tmp_path / "b" / "compare.csv")[1]
+        summary = read_kv(tmp_path / "r" / "summary.txt")
+        assert {k: protocol[k] for k in summary} == summary
 
 
 class TestSpectraCommand:

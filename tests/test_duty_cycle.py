@@ -19,6 +19,10 @@ class TestParams:
         with pytest.raises(ConfigError):
             DutyCycleParams(p=0.0, q=0.0)
 
+    def test_negative_steps(self):
+        with pytest.raises(ConfigError, match="steps must be >= 0, got -1"):
+            activation_sequence(DutyCycleParams(), 3, -1)
+
 
 class TestAlternating:
     def test_toggle_from_zero(self):

@@ -12,7 +12,6 @@ from gossipsim import (
     Graph,
     RunConfig,
     SimulationError,
-    TopologyParams,
     UpdateRule,
     assign_layers,
     build_topology,
@@ -150,7 +149,7 @@ class TestStepMatrix:
         assert np.allclose(w, np.full((3, 3), 1 / 3), atol=1e-15)
 
     def test_neighborhood_set_is_the_product_of_one_hot_steps(self):
-        g = build_topology("random_geometric", 12, TopologyParams(radius=0.5), seed=3)
+        g = build_topology("random_geometric", 12, radius=0.5, seed=3)
         rng = np.random.default_rng(4)
         for _ in range(5):
             phi = rng.random(12) < 0.5
@@ -378,10 +377,10 @@ STOP_RUNS = {
     "star8": (build_topology("star", 8), UpdateRule(), 3, 50, 1e-6),
     "ring10_directed": (build_topology("circular_directed", 10),
                         UpdateRule(), 4, 400, 1e-4),
-    "rgg30": (build_topology("random_geometric", 30, TopologyParams(radius=0.4), seed=2),
+    "rgg30": (build_topology("random_geometric", 30, radius=0.4, seed=2),
               UpdateRule(), 5, 200, 1e-8),
     "pairwise_ring12": (build_topology("circular", 12), PAIRWISE, 6, 5000, 1e-3),
-    "pairwise_rgg12": (build_topology("random_geometric", 12, TopologyParams(radius=0.5),
+    "pairwise_rgg12": (build_topology("random_geometric", 12, radius=0.5,
                                       seed=2), PAIRWISE, 7, 5000, 1e-2),
 }
 

@@ -10,7 +10,6 @@ import pytest
 from gossipsim import (
     DisconnectedTopologyError,
     Graph,
-    TopologyParams,
     TopologyError,
     UnconnectableTopologyError,
     assign_layers,
@@ -79,40 +78,37 @@ class TestBuilders:
             build_topology("chain", 1)
 
     def test_rgg_deterministic_and_connected(self):
-        a = build_topology("random_geometric", 30, TopologyParams(radius=0.35), seed=9)
-        b = build_topology("random_geometric", 30, TopologyParams(radius=0.35), seed=9)
+        a = build_topology("random_geometric", 30, radius=0.35, seed=9)
+        b = build_topology("random_geometric", 30, radius=0.35, seed=9)
         assert np.array_equal(a.adjacency, b.adjacency)
         assert nx.is_connected(to_networkx(a))
 
     def test_rgg_unconnectable(self):
         with pytest.raises(UnconnectableTopologyError):
-            build_topology("random_geometric", 40,
-                           TopologyParams(radius=0.01), seed=0)
+            build_topology("random_geometric", 40, radius=0.01, seed=0)
 
     def test_erdos_renyi_option(self):
-        g = build_topology("random_geometric", 20,
-                           TopologyParams(erdos_p=0.3), seed=4)
+        g = build_topology("random_geometric", 20, erdos_p=0.3, seed=4)
         assert nx.is_connected(to_networkx(g))
-        h = build_topology("random_geometric", 20,
-                           TopologyParams(erdos_p=0.3), seed=4)
+        h = build_topology("random_geometric", 20, erdos_p=0.3, seed=4)
         assert np.array_equal(g.adjacency, h.adjacency)
 
     def test_anchor_out_of_range(self):
         with pytest.raises(ConfigError):
-            build_topology("chain", 4, TopologyParams(anchor=4))
+            build_topology("chain", 4, anchor=4)
 
 
-def assert_built_as_dense(params, n, seed):
+def assert_built_as_dense(n, seed, *, anchor, **params):
     """build_topology's random graph is the dense builder's, arcs and hops."""
-    adj, attempts = dense_random_graph(n, params, seed)
+    adj, attempts = dense_random_graph(n, seed, anchor=anchor, **params)
     if adj is None:
         with pytest.raises(UnconnectableTopologyError):
-            build_topology("random_geometric", n, params, seed=seed)
+            build_topology("random_geometric", n, anchor=anchor, **params, seed=seed)
         return attempts
-    g = build_topology("random_geometric", n, params, seed=seed)
+    g = build_topology("random_geometric", n, anchor=anchor, **params, seed=seed)
     i, j = np.nonzero(adj)
     assert np.array_equal(g.arcs[0], i) and np.array_equal(g.arcs[1], j)
-    assert np.array_equal(g.hops, dense_hops(adj, params.anchor))
+    assert np.array_equal(g.hops, dense_hops(adj, anchor))
     return attempts
 
 
@@ -133,20 +129,18 @@ class TestRandomBuilders:
         (25, 1.0, 4), (20, 1.7, 0), (50, 0.2, 17),
     ])
     def test_cell_grid_matches_dense_builder(self, n, radius, anchor):
-        params = TopologyParams(anchor=anchor, radius=radius)
         for seed in range(50):
-            assert_built_as_dense(params, n, seed)
+            assert_built_as_dense(n, seed, anchor=anchor, radius=radius)
 
     def test_second_attempt_matches_dense_builder(self):
-        params = TopologyParams(anchor=7, radius=0.25)
-        assert assert_built_as_dense(params, 40, 8) == 2
-        assert assert_built_as_dense(params, 40, 15) == 6
+        assert assert_built_as_dense(40, 8, anchor=7, radius=0.25) == 2
+        assert assert_built_as_dense(40, 15, anchor=7, radius=0.25) == 6
 
     @pytest.mark.parametrize("block_rows", [1, 7, graph_module.ER_BLOCK_ROWS])
     @pytest.mark.parametrize("n, p", [(10, 0.5), (50, 0.1), (150, 0.03)])
     def test_erdos_renyi_matches_one_dense_draw(self, monkeypatch, block_rows, n, p):
         monkeypatch.setattr(graph_module, "ER_BLOCK_ROWS", block_rows)
-        attempts = [assert_built_as_dense(TopologyParams(anchor=seed % n, erdos_p=p), n, seed)
+        attempts = [assert_built_as_dense(n, seed, anchor=seed % n, erdos_p=p)
                     for seed in range(6)]
         assert max(attempts) > 1 or n == 10
 
@@ -160,21 +154,20 @@ class TestRandomBuilders:
 
         hops = graph_module._hops
         monkeypatch.setattr(graph_module, "_hops", counted)
-        params = TopologyParams(anchor=anchor, radius=0.25)
-        assert assert_built_as_dense(params, 40, seed) == attempts
+        assert assert_built_as_dense(40, seed, anchor=anchor, radius=0.25) == attempts
         # the graph's own check searches the sample it keeps; a rejected
         # sample is searched only when it has no node without arcs
         assert 1 <= len(searched) <= attempts
 
     def test_huge_radius_joins_every_pair(self):
         for radius in (2.0, 1e300, float("inf")):
-            g = build_topology("random_geometric", 6, TopologyParams(radius=radius), seed=0)
+            g = build_topology("random_geometric", 6, radius=radius, seed=0)
             assert np.array_equal(g.arcs, build_topology("complete", 6).arcs)
 
     def test_tiny_radius_fails_fast_in_little_memory(self):
         def build():
             with pytest.raises(UnconnectableTopologyError):
-                build_topology("random_geometric", 2000, TopologyParams(radius=1e-9), seed=0)
+                build_topology("random_geometric", 2000, radius=1e-9, seed=0)
 
         t0 = time.perf_counter()
         assert traced_peak_bytes(build) < 4 * 2 ** 20
@@ -184,7 +177,7 @@ class TestRandomBuilders:
         # the dense builder would hold 1.6 GB of pairwise differences
         g = []
         peak = traced_peak_bytes(lambda: g.append(build_topology(
-            "random_geometric", 10_000, TopologyParams(radius=0.022), seed=0)))
+            "random_geometric", 10_000, radius=0.022, seed=0)))
         assert peak < 64 * 2 ** 20
         assert (g[0].hops >= 0).all() and len(g[0].arcs[0]) > 10 * 10_000
 
@@ -251,7 +244,7 @@ class TestNeighborhoods:
 class TestDerivedViews:
     @pytest.mark.parametrize("kind", graph_module.TOPOLOGY_KINDS)
     def test_in_neighbors_are_column_scans(self, kind):
-        g = build_topology(kind, 9, TopologyParams(radius=0.6), seed=2)
+        g = build_topology(kind, 9, radius=0.6, seed=2)
         for i in range(g.node_count):
             assert np.array_equal(g.in_neighbors[i], np.flatnonzero(g.adjacency[:, i]))
         assert g.in_neighbors is g.in_neighbors
@@ -267,7 +260,7 @@ class TestDerivedViews:
             assert np.array_equal(g.in_neighbors[i], np.flatnonzero(adj[:, i]))
 
     def test_layers_reuse_the_connectivity_bfs(self, monkeypatch):
-        g = build_topology("random_geometric", 30, TopologyParams(radius=0.4), seed=1)
+        g = build_topology("random_geometric", 30, radius=0.4, seed=1)
         dist = nx.single_source_shortest_path_length(to_networkx(g), g.anchor_id)
         assert list(g.hops) == [dist[i] for i in range(g.node_count)]
         assert not g.hops.flags.writeable
@@ -310,7 +303,7 @@ class TestLayers:
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)
-        g = build_topology("random_geometric", 12, TopologyParams(radius=0.5), seed=3)
+        g = build_topology("random_geometric", 12, radius=0.5, seed=3)
         perm = rng.permutation(g.node_count)
         padj = np.zeros_like(g.adjacency)
         padj[np.ix_(perm, perm)] = g.adjacency
@@ -320,7 +313,7 @@ class TestLayers:
         assert np.array_equal(play[perm], lay)
 
     def test_custom_root(self):
-        g = build_topology("chain", 4, TopologyParams(anchor=3))
+        g = build_topology("chain", 4, anchor=3)
         lay = assign_layers(g)
         assert list(lay.layer_of) == [3, 2, 1, 1]
 

@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gossipsim import RunConfig, TopologyParams, UpdateRule, build_topology, cli, engine
+from gossipsim import RunConfig, UpdateRule, build_topology, cli, engine
 from gossipsim.engine import run_agent_sim, run_pairwise_baseline
 from gossipsim.errors import SimulationError
 
@@ -229,7 +229,7 @@ def traced_blocks(monkeypatch):
 
 def pairwise_graph(kind, n):
     if kind == "random_geometric":
-        return build_topology(kind, n, TopologyParams(radius=0.6), seed=n)
+        return build_topology(kind, n, radius=0.6, seed=n)
     return build_topology(kind, n)
 
 
@@ -344,11 +344,12 @@ class ZeroWords:
     0, which every bound but a power of two rejects; the other words are
     default_rng(seed)'s. Its scalar integers(bound) draws the way numpy's
     Generator does, and its bulk integers(0, 2**32, size, uint64) hands
-    out the next words."""
+    out the next words. rejected lists the bound of each scalar draw
+    whose word it rejected."""
 
     def __init__(self, seed, zero_every):
         self.rng, self.zero_every = np.random.default_rng(seed), zero_every
-        self.words = self.rejected = 0
+        self.words, self.rejected = 0, []
 
     def word(self):
         self.words += 1
@@ -364,7 +365,7 @@ class ZeroWords:
                 m = self.word() * low
                 if m & 0xFFFFFFFF >= (1 << 32) % low:
                     return m >> 32
-                self.rejected += 1
+                self.rejected.append(low)
         assert (low, high, dtype) == (0, 1 << 32, np.uint64)
         return np.array([self.word() for _ in range(size)], dtype=np.uint64)
 
@@ -375,27 +376,44 @@ class TestRejectedWords:
         scalar, stand_in = np.random.default_rng(5), ZeroWords(5, 0)
         assert ([int(scalar.integers(b)) for b in bounds]
                 == [stand_in.integers(b) for b in bounds])
-        assert stand_in.rejected > 0
+        assert stand_in.rejected
 
-    @pytest.mark.parametrize("kind, n", [("circular", 5), ("complete", 6),
-                                         ("random_geometric", 20)])
-    def test_runs_whose_draws_are_rejected(self, kind, n, monkeypatch):
-        # real runs reject a word about once in 2**32 / n draws; here one
-        # word in seven is rejected, inside blocks and across them
+    @staticmethod
+    def rejected_run(kind, n, zero_every, monkeypatch):
+        """The bounds of the rejected draws of a baseline run whose rng
+        zeroes every zero_every-th word, once its trace is checked against
+        the per-exchange runner's."""
         cfg = RunConfig(graph=pairwise_graph(kind, n), rule=PAIRWISE, seed=2,
                         max_iterations=40 * n, tolerance=1e-300)
         x0, _ = engine.initial_states(cfg)
         rngs = []
 
         def initial_states(cfg):
-            rngs.append(ZeroWords(cfg.seed, 7))
+            rngs.append(ZeroWords(cfg.seed, zero_every))
             return x0.copy(), rngs[-1]
 
         monkeypatch.setattr(pairwise_exchanges, "initial_states", initial_states)
         monkeypatch.setattr(engine, "initial_states", initial_states)
         want = run_pairwise_per_exchange(cfg, collect_messages=True)
         assert_same_trace(run_pairwise_baseline(cfg, collect_messages=True), want)
-        assert rngs[0].rejected > 0
+        return rngs[0].rejected
+
+    @pytest.mark.parametrize("kind, n", [("circular", 5), ("complete", 6),
+                                         ("random_geometric", 20)])
+    def test_runs_whose_draws_are_rejected(self, kind, n, monkeypatch):
+        # real runs reject a word about once in 2**32 / n draws; here one
+        # word in seven is rejected, inside blocks and across them. Each
+        # rejection shifts the stream by one word, so while every exchange
+        # takes two words, every seventh word stays on a node draw.
+        assert self.rejected_run(kind, n, 7, monkeypatch)
+
+    # an even zero_every keeps the zero words on partner draws, bounded by
+    # n - 1 in the complete graph; in the star, whose leaves take no
+    # partner word, they fall on the hub's partner draws, bounded by n - 1,
+    # as well as on node draws
+    @pytest.mark.parametrize("kind, n, zero_every", [("complete", 6, 8), ("star", 6, 7)])
+    def test_runs_whose_partner_draws_are_rejected(self, kind, n, zero_every, monkeypatch):
+        assert n - 1 in self.rejected_run(kind, n, zero_every, monkeypatch)
 
 
 #: small cycles the engine compiles as span copies, run in blocks of 1,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gossipsim import ConfigError, TopologyParams, build_topology, step_matrix
+from gossipsim import ConfigError, build_topology, step_matrix
 from gossipsim.rules import RuleVariant, UpdateRule
 
 POLL_RULES = (RuleVariant.NEIGHBORHOOD_SET, RuleVariant.PURE_NEIGHBOR,
@@ -39,7 +39,7 @@ class TestFold:
 class TestMatrixForm:
     @pytest.mark.parametrize("variant", POLL_RULES)
     def test_matrix_applies_the_fold(self, variant):
-        g = build_topology("random_geometric", 9, TopologyParams(radius=0.5), seed=4)
+        g = build_topology("random_geometric", 9, radius=0.5, seed=4)
         x = np.random.default_rng(2).uniform(0.0, 100.0, 9)
         rule = UpdateRule(variant)
         for i in range(g.node_count):

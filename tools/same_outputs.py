@@ -84,6 +84,13 @@ INVOCATIONS = [
     # self-additive states that reach +inf and -inf, which a fold then meets
     ["run", "--graph.kind", "circular", "--graph.n", "5", "--rule.variant", "self_additive",
      "--run.initial_states", "1e308,1e308,-1e308,-1e308,0", "--run.max_iterations", "50"],
+    # duty flags where no wake/sleep chain is drawn, a config error, and on
+    # compare, whose pairwise side runs without them
+    ["run", "--preset", "circular", "--rule.variant", "pairwise_baseline", "--run.backend",
+     "matrix", "--duty.p", "0.3", "--duty.q", "0.5"],
+    ["spectra", "--preset", "circular", "--run.backend", "matrix", "--duty.p", "0.3"],
+    ["compare", "--preset", "circular", "--run.backend", "matrix", "--duty.p", "0.3",
+     "--duty.q", "0.5"],
 ]
 
 
