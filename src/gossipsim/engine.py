@@ -2,21 +2,26 @@
 
 Every poll-round run goes through one schedule kernel, _Schedule: a
 fixed list of ticks, each the initiators it wakes in order, compiled
-once. Its run folds the initiators with UpdateRule.fold on a Python list
-of the states and appends the value each adopts, in schedule order, to
-a list that starts as the states before them. Its rows turns that list
-into the schedule's trace rows with one gather, through the source map
-built when it was compiled: for every (tick, node) cell, the entry of
-the list that the cell holds.
+once into static read maps. A run goes through it in passes. A pass
+folds on a Python list of values that starts as the states before it:
+each initiator gathers its reads, its polled in-neighbors' entries and
+then its own, through its map, with one operator.itemgetter, and its
+rule's plain fold (rules.FOLDS) appends the value it adopts. No fold
+writes a state back; the next pass starts from one gather of the list's
+end states, and the pass's trace rows are one gather of the list
+through the source map built at compile time: for every (tick, node)
+cell, the entry of the list that the cell holds. A message log is built
+from the same reads, once a pass is complete.
 
 * run_agent_sim runs the beacon protocol. The anchor's beacon wakes hop
   layer 1 and each layer's wake-up flood wakes the next, so every beacon
-  cycle updates layer m at its tick m, initiators in ascending id; the
-  run computes the hop layers once and compiles that cycle once, as
-  span copies when it fits span > 1 times in _SPAN_CELLS cells; each
-  block runs the first 1, 2, 4, ... span copies. The per-message
-  protocol handlers that tests/test_protocol_oracle.py drives are the
-  reference it is tested against; no run calls them.
+  cycle updates layer m at its tick m, initiators in ascending id. The
+  cycle is compiled once per graph, rule and block budget and kept on
+  the Graph, and a block of c cycles runs c passes of it: blocks of
+  1, 2, 4, ... span cycles when the cycle fits span > 1 times in
+  _SPAN_CELLS cells. The per-message protocol handlers that
+  tests/test_protocol_oracle.py drives are the reference it is tested
+  against; no run calls them.
 * run_matrix_sim is the one scripted runner: it wakes the nodes of
   activation row k at tick k + 1, compiling its script a block at a
   time.
@@ -60,26 +65,29 @@ Trace.rounds_to_tolerance converts a trace's convergence row back to
 per-node update rounds.
 
 Within one tick the neighborhood-set rule processes initiators
-sequentially in ascending node id, each full poll round atomic, so the
-polled values include same-tick write-backs; that ordering is what keeps
-the global sum exact. The pure-neighbor and self-additive rules instead
-answer all polls before anyone computes, which makes same-tick updates
-simultaneous and matches the activation-gated matrix form
-diag(phi) A + (I - diag(phi)): inactive rows hold their value.
+sequentially in ascending node id, each full poll round atomic, so an
+initiator reads the common values of the ones before it in its tick;
+that ordering is what keeps the global sum exact. The pure-neighbor and
+self-additive rules instead answer all polls before anyone computes, so
+every initiator reads the states at the start of its tick, which makes
+same-tick updates simultaneous and matches the activation-gated matrix
+form diag(phi) A + (I - diag(phi)): inactive rows hold their value.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from math import isfinite
+from operator import itemgetter
 
 import numpy as np
 
 from .analysis import _BLOCK_CELLS, Trace, disagreement_rows, sustained_run
 from .errors import ConfigError, SimulationError
 from .graph import Graph, assign_layers
-from .rules import RuleVariant, UpdateRule, update_block
+from .rules import FOLDS, RuleVariant, UpdateRule, update_block
 
 #: cells of the schedule run_agent_sim compiles from several beacon cycles
 #: when more than one cycle fits. Far below _BLOCK_CELLS: a small run
@@ -223,95 +231,112 @@ class _Recorder:
                      message_counts=counts(acts), messages=log, judged=self.series)
 
 
-class _Schedule:
-    """A fixed list of ticks, each the initiators it wakes in order,
-    compiled for the runs of its poll rule on a graph whose nodes poll
-    nbrs, their in-neighbor lists, and repeated copies times. A schedule
-    of beacon cycles of cycle ticks logs the anchor's beacon before every
-    tick t with (t - 1) % cycle == 0, row 0 being x0; one of cycle 0 logs
-    none.
+def _nobody(i: int, values: list[float]) -> tuple[float, ...]:
+    """The reads of node i, which has no in-neighbor: they fail its fold."""
+    raise SimulationError(f"node {i} has nobody to poll")
 
-    run applies the first ticks to a list of states, appending the
-    values they give to a list that starts as the states before them;
-    rows turns that list into those ticks' trace rows with one gather
-    through src, whose cell (t, i) is the entry of the list that node i
-    holds after tick t. src is built here by walking ticks once,
-    one initiator at a time, so that a later write to a cell wins; copy
-    k's writes are copy 0's moved by k times the values a copy gives,
-    and a cell copy k has not written yet holds the largest entry written
-    to it before. acts flags each tick's initiators.
+
+class _Schedule:
+    """A fixed list of ticks, each the initiators it wakes in ascending
+    id, compiled for the runs of its poll rule on graph g. A run goes
+    through it in passes, each from the end states of the one before;
+    beacon says whether each pass starts a beacon cycle, which logs the
+    anchor's beacon first.
+
+    A pass folds on a list of values that starts as the n states before
+    it and to which each initiator's value is appended, in schedule
+    order, so a pass's list holds width = n + folds entries. Compiling
+    walks the ticks once and records static read maps: reads[k] gathers,
+    from that list, the entries fold k reads, its polled in-neighbors
+    and then itself, as they stand at that point of the schedule; under
+    the simultaneous rules that point is the start of its tick. end
+    gathers the pass's end states, and src holds, for every (tick, node)
+    cell of the first passes passes, the entry of their joined lists that
+    the node holds after that tick: the one-pass map shifted by p * width
+    for pass p. acts flags each tick's initiators, for as many passes.
     """
 
-    def __init__(self, rule: UpdateRule, nbrs: list[list[int]], ticks: list[list[int]],
-                 cycle: int = 0, copies: int = 1):
-        n = len(nbrs)
-        self.rule, self.nbrs, self.ticks, self.cycle = rule, nbrs, ticks * copies, cycle
+    def __init__(self, rule: UpdateRule, g: Graph, ticks: list[list[int]],
+                 beacon: bool = False, passes: int = 1):
+        n = g.node_count
+        self.variant, self.height, self.beacon = rule.variant, len(ticks), beacon
+        self.passes = passes  # the most a block runs
         self.sequential = rule.variant is RuleVariant.NEIGHBORHOOD_SET
         src = np.empty((len(ticks), n), dtype=np.intp)
         acts = np.zeros((len(ticks), n), dtype=np.uint8)
+        self.reads = []
         holds = list(range(n))  # the entry each node holds
         v = n  # entry of the next initiator's value
         for t, ids in enumerate(ticks):
+            # the simultaneous rules' initiators all read the tick's start
+            seen = holds if self.sequential else holds[:]
             for i in ids:
+                # listed one node at a time: lists of every node's
+                # in-neighbors would leave memory behind that the run
+                # cannot reuse (1 MB on 4000 nodes of mean degree 15)
+                nb = g.in_neighbors[i].tolist()
+                self.reads.append(itemgetter(*[seen[j] for j in nb], seen[i]) if nb
+                                  else partial(_nobody, i))
                 holds[i] = v
                 if self.sequential:
-                    for j in nbrs[i]:
+                    for j in nb:
                         holds[j] = v
                 v += 1
             src[t] = holds
             acts[t, ids] = 1
-        shift = np.arange(copies)[:, None, None] * (v - n)
-        self.src = np.maximum.accumulate((src + (src >= n) * shift).reshape(-1, n), axis=0)
-        self.acts = np.tile(acts, (copies, 1))
+        self.end = itemgetter(*holds)
+        self.width = v
+        self.src = (src + np.arange(passes)[:, None, None] * v).reshape(-1, n)
+        self.acts = np.tile(acts, (passes, 1))
 
-    def run(self, xs: list[float], tick: int, log: list | None, values: list[float],
-            ticks: int) -> None:
-        """Run the first ticks ticks' poll rounds on xs in place, the first
-        as tick tick, appending the value of every initiator to values,
-        which starts as xs did, in schedule order; if a fold raises,
-        values holds those of the initiators before it.
-
-        Under the neighborhood-set rule the initiators go one after
-        another, each writing the common value back to itself and the
-        nodes it polled, so later initiators read earlier ones' results.
-        Under the other rules every initiator reads xs as it stood at the
-        start of the tick. log, if given, receives one (tick, kind, src,
-        dst, payload) per message, in the order the anchor and the
-        protocol's per-node handlers emit them.
+    def run(self, x: list[float], passes: int, values: list[float]) -> list[float]:
+        """Run passes passes from the states x and return the end states
+        of the last, extending values by each pass's list once the pass
+        is complete: if a fold raises, values holds the passes before it.
+        No fold writes a state back: each reads through its map.
         """
-        fold, nbrs, sequential, cycle = self.rule.fold, self.nbrs, self.sequential, self.cycle
-        for ids in self.ticks[:ticks]:
-            if log is not None and cycle and (tick - 1) % cycle == 0:
-                log.append((tick, _BEACON, ANCHOR_SRC, BROADCAST, None))
-            first = len(values)
-            for i in ids:
-                nb = nbrs[i]
-                if not nb:
-                    raise SimulationError(f"node {i} has nobody to poll")
-                polled = [xs[j] for j in nb]
-                if log is not None:
-                    for j, p in zip(nb, polled):
-                        log.append((tick, _REQUEST, i, j, None))
-                        log.append((tick, _ACK, j, i, p))
-                v = fold(xs[i], polled)
-                values.append(v)
-                if sequential:
-                    xs[i] = v
-                    for j in nb:
-                        xs[j] = v
-                    if log is not None:
-                        log.append((tick, _WAKE_UP, i, BROADCAST, 1))
-            if not sequential:
-                for i, v in zip(ids, values[first:]):
-                    xs[i] = v
-                if log is not None:
-                    log.extend((tick, _WAKE_UP, i, BROADCAST, 1) for i in ids)
-            tick += 1
+        fold, reads, end = FOLDS[self.variant], self.reads, self.end
+        for _ in range(passes):
+            cur = list(x)
+            append = cur.append
+            try:
+                for get in reads:
+                    append(fold(get(cur)))
+            except ValueError as exc:  # -inf + inf, as UpdateRule.fold raises it
+                raise OverflowError(str(exc)) from None
+            values += cur
+            x = end(cur)
+        return x
 
-    def rows(self, values: list[float], ticks: int) -> np.ndarray:
-        """The trace rows of the first ticks ticks, from the values run
-        gave them."""
-        return np.take(values, self.src[:ticks])
+    def record(self, rec: _Recorder, values: list[float], passes: int) -> None:
+        """Record the rows of the first passes passes, whose lists values
+        holds, and log their messages if rec collects them: one (tick,
+        kind, src, dst, payload) each, in the order the anchor and the
+        protocol's per-node handlers emit them, each ack carrying the
+        state its fold read."""
+        ticks = passes * self.height
+        log = rec.log
+        if log is not None:
+            in_nbrs, tick, w = rec.graph.in_neighbors, rec.rows, self.width
+            for p in range(passes):
+                cur = values[p * w:(p + 1) * w]
+                reads = iter(self.reads)
+                if self.beacon:
+                    log.append((tick, _BEACON, ANCHOR_SRC, BROADCAST, None))
+                for phi in self.acts[:self.height]:
+                    ids = np.flatnonzero(phi).tolist()
+                    for i in ids:
+                        for j, s in zip(in_nbrs[i].tolist(), next(reads)(cur)):
+                            log += ((tick, _REQUEST, i, j, None), (tick, _ACK, j, i, s))
+                        if self.sequential:
+                            log.append((tick, _WAKE_UP, i, BROADCAST, 1))
+                    if not self.sequential:
+                        log.extend((tick, _WAKE_UP, i, BROADCAST, 1) for i in ids)
+                    tick += 1
+        # fromiter, given the length, skips the dtype discovery of np.take's
+        # conversion of a list: a third of a small block's gather
+        rows = np.fromiter(values, float, len(values)).take(self.src[:ticks])
+        rec.record(rows, self.acts[:ticks])
 
 
 def _poll_lists(graph: Graph) -> list[list[int]]:
@@ -341,47 +366,57 @@ def _message_counts(graph: Graph, activations: np.ndarray, beacons: int) -> dict
             _REQUEST: polls, _ACK: polls}
 
 
+def _beacon_cycle(g: Graph, rule: UpdateRule) -> list[_Schedule]:
+    """The beacon cycle of g under rule, compiled once per compile input
+    and kept on g: tick m - 1 of every cycle wakes hop layer m, in
+    ascending id. A cycle longer than _BLOCK_CELLS cells is compiled in
+    parts of as many whole ticks as fit; one that fits span > 1 times in
+    _SPAN_CELLS cells is compiled for blocks of up to span passes."""
+    key = (rule.variant, _BLOCK_CELLS, _SPAN_CELLS)
+    parts = g.schedules.get(key)
+    if parts is None:
+        lay = assign_layers(g)
+        cycle_ticks = lay.layer_count
+        waves = [np.flatnonzero(lay.layer_of == m).tolist() for m in range(1, cycle_ticks + 1)]
+        step = max(1, _BLOCK_CELLS // g.node_count)
+        span = max(1, min(_SPAN_CELLS, _BLOCK_CELLS) // (cycle_ticks * g.node_count))
+        parts = g.schedules[key] = [_Schedule(rule, g, waves[t:t + step], t == 0, span)
+                                    for t in range(0, cycle_ticks, step)]
+    return parts
+
+
 def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
     """Agent-level simulation: max_iterations beacon cycles of the full
     protocol, or fewer once disagreement holds below tolerance for one
     full beacon cycle of layer_count ticks.
 
-    The cycle is compiled once, as span copies when it fits span > 1
-    times in _SPAN_CELLS cells, and the run's blocks run the first 1, 2,
-    4, ... span cycles of them, so that a run computes at most span - 1
-    cycles past its stop, never more than it kept.
+    The run's blocks run 1, 2, 4, ... span cycles, each a pass of the
+    compiled cycle, so that a run computes at most span - 1 cycles past
+    its stop, never more than it kept.
     """
     g = cfg.graph
-    lay = assign_layers(g)
-    cycle_ticks = lay.layer_count
-    # tick m - 1 of every cycle wakes hop layer m
-    waves = [np.flatnonzero(lay.layer_of == m).tolist() for m in range(1, cycle_ticks + 1)]
-    folds = sum(map(len, waves))
-    nbrs = _poll_lists(g)
-    step = max(1, _BLOCK_CELLS // g.node_count)
-    span = max(1, min(_SPAN_CELLS, _BLOCK_CELLS) // (cycle_ticks * g.node_count))
-    parts = [_Schedule(cfg.rule, nbrs, waves[t:t + step], cycle_ticks, span)
-             for t in range(0, cycle_ticks, step)]
+    parts = _beacon_cycle(g, cfg.rule)
+    cycle_ticks = sum(part.height for part in parts)
+    span = parts[0].passes
     x0, _ = initial_states(cfg)
     rec = _Recorder(g, x0, cycle_ticks, cfg.tolerance, collect_messages)
-    xs = x0.tolist()
-    # blocks of 1, 2, 4, ... span cycles, counted in ticks
-    for ticks in _heights(cycle_ticks, span * cycle_ticks, cfg.max_iterations * cycle_ticks):
-        for part in parts:  # a part's ticks, or the first cycles of span copies
-            values = xs[:]
+    x = x0.tolist()
+    for passes in _heights(1, span, cfg.max_iterations):
+        for part in parts:  # a part's ticks, or whole cycles
+            values: list[float] = []
             try:
-                part.run(xs, rec.rows, rec.log, values, ticks)
-            except (OverflowError, ValueError, SimulationError):
+                x = part.run(x, passes, values)
+            except (OverflowError, SimulationError):
                 # the cycles before the one that failed ran as they would
                 # have one by one: the run stops there if they converge,
                 # and otherwise fails as it would have in that cycle
-                ticks = (len(values) - len(xs)) // folds * cycle_ticks
-                if ticks:
-                    rec.record(part.rows(values, ticks), part.acts[:ticks])
-                if not (ticks and rec.judge()):
+                done = len(values) // part.width
+                if done:
+                    part.record(rec, values, done)
+                if not (done and rec.judge()):
                     raise
                 break  # the judge below finds the run converged
-            rec.record(part.rows(values, ticks), part.acts[:ticks])
+            part.record(rec, values, passes)
         if rec.judge():
             break
     # one beacon for each cycle with a row kept
@@ -429,19 +464,18 @@ def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray,
         raise ConfigError("scripted runs use the poll-round rules; "
                           "see run_pairwise_baseline")
     g = cfg.graph
-    nbrs = _poll_lists(g)
     x0, _ = initial_states(cfg)
     rec = _Recorder(g, x0, 1, cfg.tolerance, collect_messages)
     step = max(1, _BLOCK_CELLS // n)
-    xs = x0.tolist()
+    x = x0.tolist()
     for m in _heights(step, step, cfg.max_iterations):
         # each block of the script is compiled when its turn comes; tick
         # k + 1 wakes the nodes of row k
         k = rec.rows - 1
-        part = _Schedule(cfg.rule, nbrs, [np.flatnonzero(phi).tolist() for phi in seq[k:k + m]])
-        values = xs[:]
-        part.run(xs, rec.rows, rec.log, values, m)
-        rec.record(part.rows(values, m), part.acts)
+        part = _Schedule(cfg.rule, g, [np.flatnonzero(phi).tolist() for phi in seq[k:k + m]])
+        values: list[float] = []
+        x = part.run(x, 1, values)
+        part.record(rec, values, 1)
     return rec.finish(lambda acts: _message_counts(g, acts, 0))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,6 +29,10 @@ MAX_ATTEMPTS = 100
 
 #: rows of the Erdos-Renyi uniform draw held at once
 ER_BLOCK_ROWS = 64
+
+#: graphs of the kinds drawn from no seed that one process keeps built:
+#: a sweep's workers then build each of its (kind, n, anchor) once
+DETERMINISTIC_GRAPHS = 16
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,13 @@ class Graph:
         bounds = np.cumsum(np.bincount(dst, minlength=self.node_count))[:-1]
         return tuple(np.split(by_dst, bounds))
 
+    @cached_property
+    def schedules(self) -> dict:
+        """Run schedules compiled for this graph, keyed by every other
+        compile input; the engine fills it, so that a graph built once
+        is compiled once for each."""
+        return {}
+
 
 def _undirected(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major arcs of the undirected graph on n nodes with edges (a, b),
@@ -127,7 +138,10 @@ def _hops(offsets: np.ndarray, dst: np.ndarray, root: int) -> np.ndarray:
     hop = [-1] * (len(off) - 1)
     hop[root] = 0
     frontier, h = [root], 0
-    while frontier:
+    left = len(hop) - 1  # nodes without a hop count
+    # a level that leaves no node without a count ends the search: the
+    # next would only rescan arcs, (n - 1) ** 2 of them on a complete graph
+    while frontier and left:
         h += 1
         reached = []
         for u in frontier:
@@ -135,6 +149,7 @@ def _hops(offsets: np.ndarray, dst: np.ndarray, root: int) -> np.ndarray:
                 if hop[v] < 0:
                     hop[v] = h
                     reached.append(v)
+        left -= len(reached)
         frontier = reached
     return np.array(hop, dtype=np.int64)
 
@@ -150,6 +165,10 @@ def build_topology(kind: str, n: int, *, anchor: int = 0, radius: float = 0.3,
     MAX_ATTEMPTS times until the result is connected from the anchor,
     then fail with UnconnectableTopologyError. Everything is
     deterministic for a fixed (kind, n, anchor, radius, erdos_p, seed).
+    The other kinds read none of radius, erdos_p and seed, and each of
+    the last DETERMINISTIC_GRAPHS (kind, n, anchor) built is built once
+    per process: the same Graph object is returned, with the schedules
+    compiled for it.
     """
     if kind not in TOPOLOGY_KINDS:
         raise ConfigError(f"unknown topology kind {kind!r}; expected one of {TOPOLOGY_KINDS}")
@@ -158,6 +177,13 @@ def build_topology(kind: str, n: int, *, anchor: int = 0, radius: float = 0.3,
     if not (0 <= anchor < n):
         raise ConfigError(f"anchor {anchor} out of range for {n} nodes")
 
+    if kind == "random_geometric":  # optionally Erdos-Renyi
+        return _build_random(n, anchor, radius, erdos_p, seed)
+    return _build_deterministic(kind, n, anchor)
+
+
+@lru_cache(maxsize=DETERMINISTIC_GRAPHS)
+def _build_deterministic(kind: str, n: int, anchor: int) -> Graph:
     idx = np.arange(n)
     if kind == "chain":
         arcs = _undirected(idx[:-1], idx[1:], n)
@@ -167,11 +193,9 @@ def build_topology(kind: str, n: int, *, anchor: int = 0, radius: float = 0.3,
         arcs = _undirected(idx, (idx + 1) % n, n)
     elif kind == "circular_directed":
         arcs = (idx, (idx + 1) % n)
-    elif kind == "complete":
+    else:  # complete
         src, dst = np.divmod(np.arange(n * n), n)
         arcs = (src[src != dst], dst[src != dst])
-    else:  # random_geometric, optionally Erdos-Renyi
-        return _build_random(n, anchor, radius, erdos_p, seed)
     return Graph(node_count=n, anchor_id=anchor, arcs=arcs,
                  directed=kind == "circular_directed")
 

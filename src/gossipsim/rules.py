@@ -6,9 +6,14 @@ behavior because the variants have visibly different conservation and
 convergence properties, and comparing them is half the point of the
 simulator.
 
-Each poll rule is written down here twice and nowhere else: as the
-scalar UpdateRule.fold an initiator applies, and as update_block, the
-state-matrix block of one node's update. Every backend calls one of them.
+Each poll rule is written down here twice and nowhere else: as its
+scalar fold, the value an initiator adopts from its reads (*polled, own),
+and as update_block, the state-matrix block of one node's update. FOLDS
+holds the plain folds: the engine's schedule kernel looks its rule's up
+once per schedule run and calls it on every read tuple, so that no fold
+dispatches on the variant. UpdateRule.fold, which the test oracles call,
+is the same function behind that lookup. Every backend calls one of the
+two forms.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import fsum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +42,31 @@ class RuleVariant(str, Enum):
     SELF_ADDITIVE = "self_additive"
     # Classic randomized two-node exchange used as the energy baseline.
     PAIRWISE_BASELINE = "pairwise_baseline"
+
+
+def _set_mean(reads: Sequence[float]) -> float:
+    return fsum(reads) / len(reads)
+
+
+def _neighbor_mean(reads: Sequence[float]) -> float:
+    return fsum(reads[:-1]) / (len(reads) - 1)
+
+
+def _self_additive(reads: Sequence[float]) -> float:
+    return fsum(reads[:-1]) / (len(reads) - 1) + reads[-1]
+
+
+#: the fold of each poll rule: the value an initiator adopts from its
+#: reads, the states of the nodes it polled and then its own. fsum is
+#: correctly rounded, so the result does not depend on the order of the
+#: polled states; that is what lets the backends agree bit for bit. An
+#: fsum that meets both infinities raises ValueError, which every caller
+#: turns into the OverflowError of one that overflows.
+FOLDS: dict[RuleVariant, Callable[[Sequence[float]], float]] = {
+    RuleVariant.NEIGHBORHOOD_SET: _set_mean,
+    RuleVariant.PURE_NEIGHBOR: _neighbor_mean,
+    RuleVariant.SELF_ADDITIVE: _self_additive,
+}
 
 
 @dataclass(frozen=True)
@@ -66,24 +96,18 @@ class UpdateRule:
             raise ConfigError(f"unknown rule variant {variant!r}; expected one of {names}")
         return cls(variant=v, alpha=alpha)
 
-    def fold(self, own: float, polled: Sequence[float]) -> float:
-        """Value an initiator with state own adopts from the states it polled.
-
-        fsum is correctly rounded, so the result does not depend on the
-        order of polled; that is what lets the backends agree bit for bit.
+    def fold(self, reads: Sequence[float]) -> float:
+        """Value an initiator adopts from its reads (*polled, own): the
+        states it polled, then its own, by the rule's entry of FOLDS.
         States that have left float range raise OverflowError, whether
         fsum overflows or meets both infinities.
         """
+        if self.variant not in FOLDS:
+            raise ConfigError(f"rule {self.variant.value} is not a poll-round rule")
         try:
-            if self.variant is RuleVariant.NEIGHBORHOOD_SET:
-                return fsum([*polled, own]) / (len(polled) + 1)
-            if self.variant is RuleVariant.PURE_NEIGHBOR:
-                return fsum(polled) / len(polled)
-            if self.variant is RuleVariant.SELF_ADDITIVE:
-                return fsum(polled) / len(polled) + own
+            return FOLDS[self.variant](reads)
         except ValueError as exc:  # -inf + inf
             raise OverflowError(str(exc)) from None
-        raise ConfigError(f"rule {self.variant.value} is not a poll-round rule")
 
 
 def update_block(g: Graph, i: int, rule: UpdateRule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

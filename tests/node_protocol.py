@@ -136,7 +136,7 @@ def on_state_ack(node: NodeState, msg: Message,
     pending = node.pending_acks - {msg.src}
     if pending:
         return replace(node, pending_acks=pending, heard=heard), []
-    new_x = rule.fold(node.x, [v for _, v in heard])
+    new_x = rule.fold((*(v for _, v in heard), node.x))
     done = replace(node, x=new_x, phi=1, phase=Phase.INACTIVE,
                    pending_acks=frozenset(), heard=())
     wake = Message(MessageKind.WAKE_UP, node.id, BROADCAST, payload=1)

@@ -268,6 +268,44 @@ class TestDerivedViews:
         assert np.array_equal(assign_layers(g).layer_of, np.maximum(g.hops, 1))
 
 
+class TestHops:
+    @pytest.mark.parametrize("n, anchor", [(2, 1), (9, 4), (40, 0)])
+    @pytest.mark.parametrize("kind", graph_module.TOPOLOGY_KINDS)
+    def test_hops_are_the_full_search(self, kind, n, anchor):
+        # the search stops at the first level that leaves no node without
+        # a count; the dense search runs until its frontier is empty
+        g = build_topology(kind, n, anchor=anchor, radius=0.6, seed=3)
+        assert np.array_equal(g.hops, dense_hops(radio(g), anchor))
+
+    def test_a_disconnected_graph(self):
+        # the chain 0 - 1 - 2 and the edge 3 - 4: the search from 0 runs
+        # out of frontier with two nodes unreached
+        src, dst = graph_module._undirected(np.array([0, 1, 3]), np.array([1, 2, 4]), 5)
+        und = np.zeros((5, 5), dtype=bool)
+        und[src, dst] = True
+        for root in range(5):
+            hop = graph_module._hops(graph_module._offsets(src, 5), dst, root)
+            assert np.array_equal(hop, dense_hops(und, root))
+        assert list(graph_module._hops(graph_module._offsets(src, 5), dst, 0)) == [0, 1, 2, -1, -1]
+
+
+class TestBuiltOnce:
+    @pytest.mark.parametrize("kind", ["chain", "star", "circular", "circular_directed",
+                                      "complete"])
+    def test_equal_keys_give_the_same_graph(self, kind):
+        g = build_topology(kind, 9, anchor=2)
+        # the kinds drawn from no seed read neither the seed nor the radius
+        assert build_topology(kind, 9, anchor=2, radius=0.5, seed=7) is g
+        assert build_topology(kind, 9) is not g
+        assert build_topology(kind, 10, anchor=2) is not g
+
+    def test_random_graphs_are_never_shared(self):
+        a, b, c = (build_topology("random_geometric", 12, radius=0.5, seed=s) for s in (1, 2, 1))
+        assert a is not b and a is not c
+        assert not np.array_equal(a.arcs[0], b.arcs[0])
+        assert a.schedules is not c.schedules
+
+
 class TestLayers:
     def test_chain4_layers(self):
         lay = assign_layers(build_topology("chain", 4))

@@ -20,9 +20,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gossipsim import RunConfig, UpdateRule, build_topology, cli, engine
+from gossipsim import Graph, RunConfig, UpdateRule, build_topology, cli, engine
 from gossipsim.engine import run_agent_sim, run_pairwise_baseline
 from gossipsim.errors import SimulationError
+from gossipsim.rules import FOLDS, RuleVariant
 
 import pairwise_exchanges
 from list_recorder import ListRecorder
@@ -497,7 +498,8 @@ class TestSpans:
         # fails in one of them changes nothing
         cfg = span_run(name, monkeypatch)
         want = run_agent_sim(cfg, collect_messages=True)
-        failed = fail_fold(monkeypatch, stop_cycle(want) * folds_per_cycle(want) + 1, exc)
+        failed = fail_fold(monkeypatch, cfg.rule, stop_cycle(want) * folds_per_cycle(want) + 1,
+                           exc)
         assert_same_trace(run_agent_sim(cfg, collect_messages=True), want)
         assert failed
 
@@ -509,9 +511,11 @@ class TestSpans:
         cfg = span_run(name, monkeypatch)
         want = run_agent_sim(cfg)
         c, folds = stop_cycle(want), folds_per_cycle(want)
-        fail_fold(monkeypatch, c * folds if last else (c - 1) * folds + 1, OverflowError)
+        failed = fail_fold(monkeypatch, cfg.rule, c * folds if last else (c - 1) * folds + 1,
+                           OverflowError)
         with pytest.raises(OverflowError, match="patched"):
             run_agent_sim(cfg)
+        assert failed
 
     def test_a_fold_failing_in_a_later_part_of_the_stop_cycle(self, monkeypatch):
         # a cycle compiled in parts of three ticks, one cycle a block: as
@@ -521,9 +525,109 @@ class TestSpans:
         monkeypatch.setattr(engine, "_BLOCK_CELLS", 3 * cfg.graph.node_count)
         want = run_agent_sim(cfg)
         assert (want.iterations - 2) % want.cycle_ticks < 9  # before the last part
-        fail_fold(monkeypatch, stop_cycle(want) * folds_per_cycle(want), OverflowError)
+        failed = fail_fold(monkeypatch, cfg.rule, stop_cycle(want) * folds_per_cycle(want),
+                           OverflowError)
         with pytest.raises(OverflowError, match="patched"):
             run_agent_sim(cfg)
+        assert failed
+
+    @pytest.mark.parametrize("name", ["chain12", "circle20", "star20"])
+    def test_a_fold_failing_in_a_later_pass_of_a_block(self, name, monkeypatch):
+        # the stop cycle runs as pass p > 0 of a block of passes: a fold
+        # failing in pass p + 1 leaves the passes before it recorded and
+        # judged, and the trace as it was; one failing in pass p fails
+        # the run
+        cfg = span_run(name, monkeypatch)
+        want = run_agent_sim(cfg, collect_messages=True)
+        c, folds, ticks = stop_cycle(want), folds_per_cycle(want), want.cycle_ticks
+        span = min(engine._SPAN_CELLS, engine._BLOCK_CELLS) // (ticks * cfg.graph.node_count)
+        first = 1  # the first cycle of the stop cycle's block
+        for height in engine._heights(1, span, cfg.max_iterations):
+            if c < first + height:
+                break
+            first += height
+        assert 0 < c - first < height - 1
+        heights = traced_blocks(monkeypatch)
+        failed = fail_fold(monkeypatch, cfg.rule, c * folds + 1, OverflowError)
+        assert_same_trace(run_agent_sim(cfg, collect_messages=True), want)
+        assert failed and heights[-1] == (c + 1 - first) * ticks
+        failed = fail_fold(monkeypatch, cfg.rule, (c - 1) * folds + 1, OverflowError)
+        with pytest.raises(OverflowError, match="patched"):
+            run_agent_sim(cfg)
+        assert failed
+
+    def test_the_runs_of_a_later_pass_cover_every_poll_rule(self):
+        names = ["chain12", "circle20", "star20"]
+        assert {SPAN_RUNS[name][1].variant for name in names} == set(FOLDS)
+
+    @pytest.mark.parametrize("collect", [False, True])
+    @pytest.mark.parametrize("variant", sorted(FOLDS))
+    def test_a_node_without_in_neighbors(self, variant, collect, monkeypatch):
+        # node 2 hears nobody and is woken in layer 2, after nodes 0 and
+        # 1: the run fails at its fold, the third, as the per-tick kernel
+        # does
+        g = Graph(node_count=4, anchor_id=0, directed=True,
+                  arcs=([0, 1, 1, 2, 3], [1, 0, 3, 1, 1]))
+        cfg = RunConfig(graph=g, rule=UpdateRule(variant), max_iterations=5)
+        errors = []
+        for run in (run_agent_per_tick, run_agent_sim):
+            calls = count_folds(monkeypatch, variant)
+            with pytest.raises(SimulationError) as exc:
+                run(cfg, collect_messages=collect)
+            errors.append((str(exc.value), len(calls)))
+        assert errors == [("node 2 has nobody to poll", 2)] * 2
+
+    def test_pure_neighbor_reads_of_one_in_neighbor(self, monkeypatch):
+        # on the directed ring every node polls one in-neighbor: each
+        # reads tuple is (polled, own)
+        g = build_topology("circular_directed", 9)
+        cfg = RunConfig(graph=g, rule=UpdateRule("pure_neighbor"), seed=2,
+                        max_iterations=300, tolerance=1e-3)
+        want = run_agent_per_tick(cfg, collect_messages=True)
+        calls = count_folds(monkeypatch, RuleVariant.PURE_NEIGHBOR)
+        assert_same_trace(run_agent_sim(cfg, collect_messages=True), want)
+        assert calls and {len(reads) for reads in calls} == {2}
+
+
+class TestCompiledOnce:
+    """A graph keeps the cycles compiled for it, one per rule and block
+    budget; a run on it must give the trace of a run on a graph that has
+    compiled nothing, whatever ran on it before."""
+
+    @staticmethod
+    def check(g, rule):
+        cfg = RunConfig(graph=g, rule=rule, seed=3, max_iterations=300, tolerance=1e-3)
+        fresh = Graph(node_count=g.node_count, anchor_id=g.anchor_id, arcs=g.arcs,
+                      directed=g.directed)
+        want = run_agent_sim(replace(cfg, graph=fresh), collect_messages=True)
+        assert_same_trace(run_agent_sim(cfg, collect_messages=True), want)
+
+    @pytest.mark.parametrize("kind", ["chain", "circular_directed"])
+    def test_runs_after_runs(self, kind, monkeypatch):
+        g = build_topology(kind, 12)
+        rules = [UpdateRule(v) for v in FOLDS]
+        for rule in rules * 2:  # the second time from the cycles compiled
+            self.check(g, rule)
+        compiled = [engine._beacon_cycle(g, rule) for rule in rules]
+        assert len({id(parts) for parts in compiled}) == len(rules)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_SPAN_CELLS", 200)  # blocks of fewer passes
+            for rule in rules:
+                self.check(g, rule)
+            mp.setattr(engine, "_BLOCK_CELLS", 3 * g.node_count)  # cycles in parts
+            for rule in rules:
+                self.check(g, rule)
+                assert len(engine._beacon_cycle(g, rule)) > 1
+        # every compile input is in the key: the first cycles are kept
+        assert all(engine._beacon_cycle(g, rule) is parts for rule, parts in zip(rules, compiled))
+        for rule in rules:
+            cfg = RunConfig(graph=g, rule=rule, seed=3, max_iterations=300)
+            with pytest.MonkeyPatch.context() as mp:
+                failed = fail_fold(mp, rule, 2 * len(g.arcs[0]), OverflowError)
+                with pytest.raises(OverflowError, match="patched"):
+                    run_agent_sim(cfg, collect_messages=True)
+                assert failed
+            self.check(g, rule)
 
 
 def stop_cycle(trace):
@@ -535,20 +639,33 @@ def folds_per_cycle(trace):
     return int(trace.activations[1:trace.cycle_ticks + 1].sum())
 
 
-def fail_fold(monkeypatch, call, exc):
-    """Make UpdateRule.fold raise exc on its call-th call from now on, and
-    only then; returns a list that holds True once it has."""
-    fold, calls, failed = UpdateRule.fold, [0], []
+def fail_fold(monkeypatch, rule, call, exc):
+    """Make the kernel's fold of rule raise exc on its call-th call from
+    now on, and only then; returns a list that holds True once it has."""
+    fold, calls, failed = FOLDS[rule.variant], [0], []
 
-    def patched(self, own, polled):
+    def patched(reads):
         calls[0] += 1
         if calls[0] == call:
             failed.append(True)
             raise exc("patched")
-        return fold(self, own, polled)
+        return fold(reads)
 
-    monkeypatch.setattr(UpdateRule, "fold", patched)
+    monkeypatch.setitem(FOLDS, rule.variant, patched)
     return failed
+
+
+def count_folds(monkeypatch, variant):
+    """Record every reads tuple the fold of variant is called on from
+    now on; returns the list of them."""
+    fold, calls = FOLDS[variant], []
+
+    def counted(reads):
+        calls.append(reads)
+        return fold(reads)
+
+    monkeypatch.setitem(FOLDS, variant, counted)
+    return calls
 
 
 class TestChunks:

@@ -17,7 +17,7 @@ class TestFold:
         (RuleVariant.SELF_ADDITIVE, 7.5),     # (0 + 3) / 2 + 6
     ])
     def test_hand_computed(self, variant, want):
-        assert UpdateRule(variant).fold(6.0, [0.0, 3.0]) == want
+        assert UpdateRule(variant).fold((0.0, 3.0, 6.0)) == want
 
     @pytest.mark.parametrize("variant", POLL_RULES)
     def test_order_of_polled_does_not_change_a_bit(self, variant):
@@ -28,12 +28,12 @@ class TestFold:
         # the data is order-sensitive: a plain left-to-right sum differs
         assert len({sum(p) for p in orders}) > 1
         rule = UpdateRule(variant)
-        bits = {rule.fold(own, p).hex() for p in orders}
-        assert bits == {rule.fold(own, polled).hex()}
+        bits = {rule.fold((*p, own)).hex() for p in orders}
+        assert bits == {rule.fold((*polled, own)).hex()}
 
     def test_pairwise_baseline_has_no_fold(self):
         with pytest.raises(ConfigError):
-            UpdateRule(RuleVariant.PAIRWISE_BASELINE).fold(1.0, [2.0])
+            UpdateRule(RuleVariant.PAIRWISE_BASELINE).fold((2.0, 1.0))
 
 
 class TestMatrixForm:
@@ -45,7 +45,7 @@ class TestMatrixForm:
         for i in range(g.node_count):
             nbrs = np.flatnonzero(g.adjacency[:, i])
             want = x.copy()
-            want[i] = rule.fold(x[i], x[nbrs])
+            want[i] = rule.fold((*x[nbrs], x[i]))
             if variant is RuleVariant.NEIGHBORHOOD_SET:
                 want[nbrs] = want[i]
             one_hot = np.arange(g.node_count) == i

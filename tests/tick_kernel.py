@@ -36,11 +36,11 @@ def apply_tick(x: np.ndarray, ids: list[int], rule: UpdateRule,
                 log.append((tick, _REQUEST, i, j, None))
                 log.append((tick, _ACK, j, i, v))
         if sequential:
-            x[nb] = x[i] = rule.fold(float(x[i]), polled)
+            x[nb] = x[i] = rule.fold((*polled, float(x[i])))
             if log is not None:
                 log.append((tick, _WAKE_UP, i, BROADCAST, 1))
         else:
-            staged.append(rule.fold(float(x[i]), polled))
+            staged.append(rule.fold((*polled, float(x[i]))))
     if not sequential:
         x[ids] = staged
         if log is not None:

@@ -63,6 +63,11 @@ INVOCATIONS = [
      "--sweep.topologies", "chain,star,circular_directed,random_geometric",
      "--sweep.rules", "neighborhood_set,self_additive,pairwise_baseline",
      "--sweep.seeds", "0:6", "--jobs", "1"],
+    # every poll rule on every kind drawn from no seed: each worker builds
+    # a graph and compiles its cycle once and reuses them across tasks
+    ["sweep", "--graph.n", "12", "--sweep.topologies", "chain,star,circular,circular_directed",
+     "--sweep.rules", "neighborhood_set,pure_neighbor,self_additive", "--sweep.seeds", "0:4",
+     "--jobs", "2"],
     # the Erdos-Renyi sampler over more than one block of rows, and a
     # geometric graph rooted away from node 0; both graph seeds draw two
     # samples before one is connected
