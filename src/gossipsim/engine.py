@@ -43,14 +43,17 @@ summed with it, so a block may span many windows. After each block the
 recorder applies the window rule of analysis.sustained_run to the new
 rows, which stops the run on the first row that completes a window;
 the runners size their blocks so that a run computes past its stop at
-most about as many rows as it kept. When the run ends it builds its
-frozen Trace in one call: the rows kept, the disagreements it judged
-them by, their closed-form message counts and, on request, the message
-log up to the last row. The recorder writes rows into preallocated
-chunks of about 2 MiB of states and copies them into the trace's arrays
-once, releasing each chunk as it goes, so a run holds its trace and one
-chunk, not two copies of the trace. The trace reads converged off those
-rows by the same rule for every backend.
+most about as many rows as it kept. A block reaches the recorder as the
+kernel made it, a values array and the source map its rows are gathered
+through, with the block's activation flags, and the recorder keeps it
+in that form: an agent block's maps are views of its compiled cycle, so
+the block holds only the n + folds values of each pass, where its rows
+would hold n states a tick. When the run ends it builds its frozen
+Trace in one call: the blocks cut to the rows kept, the disagreements
+it judged them by, their closed-form message counts and, on request,
+the message log up to the last row. The trace reads converged off
+those rows by the same rule for every backend, and every pass over its
+rows gathers them a block at a time.
 step_matrix writes the same steps as explicit matrices, built from
 rules.update_block.
 
@@ -147,49 +150,38 @@ class _Recorder:
     list the run appends its messages to, each stamped with rows: the
     index of the row its tick is recorded in.
 
-    Each block recorded is judged as the runner hands it over, before
-    its rows are written into chunks of chunk_rows preallocated rows,
-    about _BLOCK_CELLS cells of states each, so that recording allocates
-    nothing and no block is ever joined from chunks. finish copies the
-    chunks into the trace's arrays one at a time, releasing each once it
-    is copied, so the run holds at most the trace and one chunk more.
+    A runner hands over each block as the kernel made it: a values
+    array, a (rows, n) source map into it and the block's (rows, n)
+    activation flags. The recorder gathers the block's rows once, to
+    judge them, and keeps the triple, not the rows: the agent's maps are
+    views of its compiled cycle, so each of its blocks costs its values
+    alone. finish cuts the blocks to the rows kept and hands them to the
+    trace as they are.
     """
 
     def __init__(self, graph: Graph, x0: np.ndarray, cycle_ticks: int, tol: float,
                  collect_messages: bool):
+        n = graph.node_count
         self.graph = graph
         self.cycle_ticks = cycle_ticks
         self.tol = tol
         self.log: list | None = [] if collect_messages else None
-        self.chunk_rows = max(1, _BLOCK_CELLS // graph.node_count)
-        # chunk k of each list holds rows k * chunk_rows onward
-        self.states: list[np.ndarray] = []
-        self.acts: list[np.ndarray] = []
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.rows = 0  # rows recorded and kept
         self.checked = 0  # rows the window rule has seen
         self.series = np.empty(0)  # the disagreement of every row, and room for more
         self.converged = False
-        self.record(x0[None], np.zeros((1, graph.node_count), dtype=np.uint8))
+        self.record(x0, np.arange(n)[None], np.zeros((1, n), dtype=np.uint8))
 
-    def record(self, states: np.ndarray, acts: np.ndarray) -> None:
-        """Judge a (rows, n) block of states in one pass and append it and
-        its activation flags."""
-        end = self.rows + len(states)
+    def record(self, values: np.ndarray, src: np.ndarray, acts: np.ndarray) -> None:
+        """Judge the (rows, n) block of states values.take(src) in one
+        pass and keep the block, with its activation flags acts."""
+        end = self.rows + len(src)
         if len(self.series) < end:  # no view of it is ever taken
             self.series.resize(2 * end, refcheck=False)
-        self.series[self.rows:end] = disagreement_rows(states, self.graph)
-        done = 0
-        while done < len(states):
-            k, r = divmod(self.rows, self.chunk_rows)
-            if k == len(self.states):
-                shape = (self.chunk_rows, self.graph.node_count)
-                self.states.append(np.empty(shape))
-                self.acts.append(np.empty(shape, dtype=np.uint8))
-            m = min(self.chunk_rows - r, len(states) - done)
-            self.states[k][r:r + m] = states[done:done + m]
-            self.acts[k][r:r + m] = acts[done:done + m]
-            self.rows += m
-            done += m
+        self.series[self.rows:end] = disagreement_rows(values.take(src), self.graph)
+        self.blocks.append((values, src, acts))
+        self.rows = end
 
     def judge(self) -> bool:
         """Apply the window rule to the rows recorded since the last call.
@@ -203,32 +195,29 @@ class _Recorder:
         self.checked = self.rows
         if run is not None:
             self.rows = lo + run[1] + 1
-            kept = -(-self.rows // self.chunk_rows)
-            del self.states[kept:], self.acts[kept:]
             self.converged = True
         return self.converged
 
-    def _gather(self, chunks: list[np.ndarray]) -> np.ndarray:
-        """The rows kept, as one array; each chunk is released once copied."""
-        out = np.empty((self.rows, *chunks[0].shape[1:]), dtype=chunks[0].dtype)
-        for k, lo in enumerate(range(0, self.rows, self.chunk_rows)):
-            out[lo:lo + self.chunk_rows] = chunks[k][:self.rows - lo]
-            chunks[k] = None
-        return out
-
-    def finish(self, counts: Callable[[np.ndarray], dict[str, int]]) -> Trace:
-        """The trace of the rows kept, with counts(activation rows) as its
-        message counts, the messages sent in the ticks of those rows, and
-        the disagreements of those rows."""
+    def finish(self, counts: Callable[[np.ndarray, int], dict[str, int]]) -> Trace:
+        """The trace of the rows kept, with counts(updates, rows) as its
+        message counts, updates being each node's update count over those
+        rows, the messages sent in the ticks of those rows, and the
+        disagreements of those rows."""
         log = self.log
         while log and log[-1][0] >= self.rows:
             log.pop()
-        acts = self._gather(self.acts)
-        states = self._gather(self.states)
+        blocks, top = [], 0
+        for values, src, acts in self.blocks:
+            if top == self.rows:
+                break
+            h = min(len(src), self.rows - top)
+            blocks.append((values, src[:h], acts[:h]))
+            top += h
+        updates = sum(acts.sum(axis=0, dtype=np.int64) for _, _, acts in blocks)
         self.series.resize(self.rows, refcheck=False)
-        return Trace(graph=self.graph, states=states, activations=acts,
-                     cycle_ticks=self.cycle_ticks, tolerance=self.tol,
-                     message_counts=counts(acts), messages=log, judged=self.series)
+        return Trace(graph=self.graph, blocks=tuple(blocks), cycle_ticks=self.cycle_ticks,
+                     tolerance=self.tol, message_counts=counts(updates, self.rows),
+                     messages=log, judged=self.series)
 
 
 def _nobody(i: int, values: list[float]) -> tuple[float, ...]:
@@ -333,10 +322,10 @@ class _Schedule:
                     if not self.sequential:
                         log.extend((tick, _WAKE_UP, i, BROADCAST, 1) for i in ids)
                     tick += 1
-        # fromiter, given the length, skips the dtype discovery of np.take's
-        # conversion of a list: a third of a small block's gather
-        rows = np.fromiter(values, float, len(values)).take(self.src[:ticks])
-        rec.record(rows, self.acts[:ticks])
+        # fromiter, given the length, skips the dtype discovery of
+        # converting a list: a third of a small block's gather
+        rec.record(np.fromiter(values, float, len(values)), self.src[:ticks],
+                   self.acts[:ticks])
 
 
 def _poll_lists(graph: Graph) -> list[list[int]]:
@@ -356,11 +345,10 @@ def _heights(first: int, most: int, total: int) -> Iterator[int]:
         height = min(2 * height, most)
 
 
-def _message_counts(graph: Graph, activations: np.ndarray, beacons: int) -> dict[str, int]:
-    """Messages of a poll-round run's activation rows, in closed form: each
-    update sends one request to and gets one ack from every in-neighbor,
-    then broadcasts one wake-up."""
-    updates = activations.sum(axis=0, dtype=np.int64)
+def _message_counts(graph: Graph, updates: np.ndarray, beacons: int) -> dict[str, int]:
+    """Messages of a poll-round run whose nodes updated updates[i] times
+    each, in closed form: each update sends one request to and gets one
+    ack from every in-neighbor, then broadcasts one wake-up."""
     polls = int(updates @ np.bincount(graph.arcs[1], minlength=graph.node_count))
     return {_BEACON: beacons, _WAKE_UP: int(updates.sum()),
             _REQUEST: polls, _ACK: polls}
@@ -420,8 +408,8 @@ def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
         if rec.judge():
             break
     # one beacon for each cycle with a row kept
-    return rec.finish(lambda acts: _message_counts(
-        g, acts, -(-(len(acts) - 1) // cycle_ticks)))
+    return rec.finish(lambda updates, rows: _message_counts(
+        g, updates, -(-(rows - 1) // cycle_ticks)))
 
 
 def step_matrix(g: Graph, rule: UpdateRule, phi: np.ndarray) -> np.ndarray:
@@ -476,7 +464,7 @@ def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray,
         values: list[float] = []
         x = part.run(x, 1, values)
         part.record(rec, values, 1)
-    return rec.finish(lambda acts: _message_counts(g, acts, 0))
+    return rec.finish(lambda updates, rows: _message_counts(g, updates, 0))
 
 
 def _bounded(rng: np.random.Generator, words: list[int], p: int, bound: int) -> tuple[int, int]:
@@ -572,8 +560,9 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
         src[at, pairs] = np.arange(n, n + 2 * m)
         acts = np.zeros((m, n), dtype=np.uint8)
         acts[at, pairs] = 1
-        rec.record(np.take(values, np.maximum.accumulate(src, axis=0, out=src)), acts)
+        rec.record(np.fromiter(values, float, len(values)),
+                   np.maximum.accumulate(src, axis=0, out=src), acts)
         if rec.judge():
             break
     # one request and one ack per exchange, one exchange per row after x0
-    return rec.finish(lambda acts: dict.fromkeys((_REQUEST, _ACK), len(acts) - 1))
+    return rec.finish(lambda updates, rows: dict.fromkeys((_REQUEST, _ACK), rows - 1))

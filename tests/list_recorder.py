@@ -1,9 +1,11 @@
 """List-based reference recorder, and the disagreement pass it judges by.
 
-The engine's recorder writes each block of rows into preallocated chunks
-and joins them once, when the run ends. This is the recorder it
-replaced: one copy of each row appended to Python lists, every judged
-block built from the lists, and np.vstack at the end. Patched over
+The engine's recorder keeps each block as the kernel hands it over, its
+values and the maps its rows are gathered through, and the trace reads
+its rows from those blocks. This is a recorder that shares none of
+that: it gathers each block's rows itself, appends one copy of each row
+to Python lists, builds every judged block from the lists, and hands
+the trace its rows np.vstack-ed into one block at the end. Patched over
 engine._Recorder, it runs the same runners, and the tests compare the
 traces bit for bit.
 
@@ -20,6 +22,17 @@ import numpy as np
 from gossipsim import analysis
 from gossipsim.analysis import Trace, sustained_run
 from gossipsim.graph import Graph
+
+
+def trace_of_rows(graph: Graph, states, activations=None, **fields) -> Trace:
+    """A trace of the given (rows, n) states and activation flags (all
+    zero unless given), kept as one block whose source map lists every
+    cell in row order."""
+    states = np.array(states, dtype=float)
+    acts = (np.zeros(states.shape, dtype=np.uint8) if activations is None
+            else np.array(activations, dtype=np.uint8))
+    src = np.arange(states.size).reshape(states.shape)
+    return Trace(graph=graph, blocks=((states.ravel(), src, acts),), **fields)
 
 
 def block_disagreements(states: np.ndarray, graph: Graph) -> np.ndarray:
@@ -51,8 +64,8 @@ class ListRecorder:
         self.judged = self.run_from = 0
         self.converged = False
 
-    def record(self, states: np.ndarray, acts: np.ndarray) -> None:
-        for x, active in zip(states, acts):
+    def record(self, values: np.ndarray, src: np.ndarray, acts: np.ndarray) -> None:
+        for x, active in zip(np.asarray(values)[src], acts):
             self.states.append(x.copy())
             self.acts.append(active.astype(np.uint8))
 
@@ -62,6 +75,8 @@ class ListRecorder:
 
     def judge(self) -> bool:
         new = len(self.states) - self.judged
+        if not new:  # a runner judges again after a stop judged already
+            return self.converged
         block = np.array(self.states[max(self.judged - 1, 0):])
         ok = np.ones(len(self.states) - self.run_from, dtype=bool)
         ok[-new:] = block_disagreements(block, self.graph)[-new:] < self.tol
@@ -75,13 +90,14 @@ class ListRecorder:
         self.judged = len(self.states)
         return self.converged
 
-    def finish(self, counts: Callable[[np.ndarray], dict[str, int]]) -> Trace:
+    def finish(self, counts: Callable[[np.ndarray, int], dict[str, int]]) -> Trace:
         log = self.log
         while log and log[-1][0] >= self.rows:
             log.pop()
         acts = np.vstack(self.acts)
         states = np.vstack(self.states)
-        return Trace(graph=self.graph, states=states, activations=acts,
-                     cycle_ticks=self.cycle_ticks, tolerance=self.tol,
-                     message_counts=counts(acts), messages=log,
-                     judged=block_disagreements(states, self.graph))
+        return trace_of_rows(self.graph, states, acts,
+                             cycle_ticks=self.cycle_ticks, tolerance=self.tol,
+                             message_counts=counts(acts.sum(axis=0, dtype=np.int64),
+                                                   len(acts)),
+                             messages=log, judged=block_disagreements(states, self.graph))

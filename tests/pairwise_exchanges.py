@@ -35,7 +35,7 @@ def run_pairwise_per_exchange(cfg: RunConfig, collect_messages: bool = False):
             rec.log.append((k, _ACK, j, i, float(x[j])))
         active[:] = 0
         active[[i, j]] = 1
-        rec.record(x[None], active[None])
+        rec.record(x, np.arange(n)[None], active[None])
         if (k % n == 0 or k == cfg.max_iterations) and rec.judge():
             break
-    return rec.finish(lambda acts: dict.fromkeys((_REQUEST, _ACK), len(acts) - 1))
+    return rec.finish(lambda updates, rows: dict.fromkeys((_REQUEST, _ACK), rows - 1))

@@ -36,7 +36,7 @@ from gossipsim.analysis import (
 from gossipsim.rules import RuleVariant, UpdateRule
 
 from fsum_drifts import fsum_drifts
-from list_recorder import block_disagreements
+from list_recorder import block_disagreements, trace_of_rows
 
 CHAIN3 = build_topology("chain", 3)
 PAIR = build_topology("chain", 2)
@@ -46,10 +46,8 @@ def synthetic_trace(graph, rows, cycle_ticks=1, tolerance=1e-6, activations=None
     """Trace with hand-picked state rows (activation rows all zero unless
     given)."""
     states = np.vstack([np.asarray(r, dtype=float) for r in rows])
-    return Trace(graph=graph, states=states,
-                 activations=(np.zeros(states.shape, dtype=np.uint8) if activations is None
-                              else np.asarray(activations, dtype=np.uint8)),
-                 cycle_ticks=cycle_ticks, tolerance=tolerance)
+    return trace_of_rows(graph, states, activations, cycle_ticks=cycle_ticks,
+                         tolerance=tolerance)
 
 
 class TestDrift:
@@ -307,10 +305,10 @@ def reference_trace_csv(trace):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["iteration", "node_id", "x", "phi"])
+    states, acts = trace.states, trace.activations
     for k in range(trace.iterations):
         for i in range(trace.graph.node_count):
-            w.writerow([k, i, f"{trace.states[k, i]:.17g}",
-                        int(trace.activations[k, i])])
+            w.writerow([k, i, f"{states[k, i]:.17g}", int(acts[k, i])])
     return buf.getvalue()
 
 
@@ -524,6 +522,21 @@ class TestDriftOracle:
         assert metrics_csv_text(tr) == "iteration,drift,disagreement\n" + "".join(
             f"{k},{d:.17g},{e:.17g}\n" for k, (d, e) in enumerate(rows))
 
+    # one row, and one block of metrics_csv_text's rows, a row short of
+    # one and a row past one
+    @pytest.mark.parametrize("extra", [None, -1, 0, 1])
+    def test_metrics_csv_blocks_match_per_row_loop(self, extra):
+        step = analysis._WRITE_CHARS // 64
+        rows = 1 if extra is None else step + extra
+        x = np.random.default_rng(rows).uniform(-50.0, 50.0, (rows, 3))
+        x[::7] = x[0]  # drifts of 0.0 among the others
+        tr = synthetic_trace(CHAIN3, x)
+        lines = [f"{k},{d:.17g},{e:.17g}\n"
+                 for k, (d, e) in enumerate(zip(fsum_drifts(tr).tolist(),
+                                                tr.disagreements.tolist()))]
+        assert len(lines) == rows
+        assert metrics_csv_text(tr) == "iteration,drift,disagreement\n" + "".join(lines)
+
     @pytest.mark.parametrize("cells", DRIFT_BLOCK_CELLS)
     @pytest.mark.parametrize("kind", sorted(CRAFTED_ROWS))
     def test_crafted_rows(self, kind, cells, monkeypatch):
@@ -620,13 +633,13 @@ class TestSeriesAgainstRecorder:
         g = tr.graph
         series = tr.disagreements
         i, j = np.nonzero(g.adjacency)
-        whole = tr.states[:, i] - tr.states[:, j]
+        states = tr.states
+        whole = states[:, i] - states[:, j]
         assert np.array_equal(series, np.sqrt((whole * whole).sum(axis=1) / g.node_count))
         # the recorder sums one row pairwise, the series left to right:
         # each within arcs * eps of the true sum of nonnegative terms
         rel = len(i) * np.finfo(float).eps
-        for k in range(tr.iterations):
-            x = tr.states[k]
+        for k, x in enumerate(states):
             diff = x[i] - x[j]
             assert disagreement_of(x, g) == float(np.sqrt((diff * diff).sum() / g.node_count))
             assert series[k] == sequential_disagreement(x, g)
@@ -676,16 +689,17 @@ class TestDisagreementOracle:
     @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
     def test_matches_whole_block_sums(self, name, cells, monkeypatch):
         tr = ORACLE_TRACES[name]()
-        want = block_disagreements(tr.states, tr.graph)
+        states = tr.states
+        want = block_disagreements(states, tr.graph)
         # the recorder's series, then fresh passes over every row alone
         # and over slices of the trace
         assert np.array_equal(_bits(tr.disagreements), _bits(want))
         if cells is not None:
             monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
         for lo, hi in _slices(tr.iterations):
-            got = disagreement_rows(tr.states[lo:hi], tr.graph)
+            got = disagreement_rows(states[lo:hi], tr.graph)
             assert np.array_equal(_bits(got), _bits(want[lo:hi])), (lo, hi)
-            assert np.array_equal(_bits(block_disagreements(tr.states[lo:hi], tr.graph)),
+            assert np.array_equal(_bits(block_disagreements(states[lo:hi], tr.graph)),
                                   _bits(want[lo:hi])), (lo, hi)
 
     @pytest.mark.parametrize("cells", DISAGREEMENT_BLOCK_CELLS)
@@ -710,11 +724,11 @@ class TestDisagreementOracle:
 
     def test_judged_series_seeds_the_trace_and_replace_recomputes(self):
         tr = synthetic_trace(CHAIN3, [[0.0, 6.0, 0.0], [2.0, 2.0, 2.0]])
-        judged = Trace(graph=tr.graph, states=tr.states, activations=tr.activations,
-                       cycle_ticks=1, tolerance=1e-6, judged=np.array([7.0, 8.0]))
+        judged = Trace(graph=tr.graph, blocks=tr.blocks, cycle_ticks=1, tolerance=1e-6,
+                       judged=np.array([7.0, 8.0]))
         assert judged.disagreements.tolist() == [7.0, 8.0]
         assert not judged.disagreements.flags.writeable
         assert judged.convergence_row is None
-        again = dataclasses.replace(judged, states=judged.states)
+        again = dataclasses.replace(judged)
         assert np.array_equal(again.disagreements, tr.disagreements)
         assert again.convergence_row == 1

@@ -82,6 +82,33 @@ class TestRunCommand:
         want = text(cli.execute_run(cfgd)).encode("utf-8")
         assert (out / "trace.csv").read_bytes() == want
 
+    @pytest.mark.parametrize("dump", [False, True], ids=["plain", "messages"])
+    @pytest.mark.parametrize("argv", [
+        ("--preset", "random_geometric"),
+        ("--preset", "circular", "--run.backend", "matrix", "--run.max_iterations", "60"),
+        ("--preset", "star", "--rule.variant", "pairwise_baseline",
+         "--run.max_iterations", "2000"),
+    ], ids=["agent", "matrix", "pairwise"])
+    def test_run_never_materializes_the_trace(self, tmp_path, monkeypatch, argv, dump):
+        # the run reads its trace's rows a block at a time and never
+        # builds the whole states or activations array
+        flags = ("--dump-messages",) if dump else ()
+        want = tmp_path / "want"
+        assert run_cli("run", *argv, *flags, "--out", str(want)) in (0, 3)
+
+        def whole(trace):
+            raise AssertionError("a whole trace array built on the run path")
+
+        monkeypatch.setattr(analysis.Trace, "states", property(whole))
+        monkeypatch.setattr(analysis.Trace, "activations", property(whole))
+        out = tmp_path / "o"
+        assert run_cli("run", *argv, *flags, "--out", str(out)) in (0, 3)
+        names = sorted(os.listdir(want))
+        assert ("messages.csv" in names) == dump
+        assert sorted(os.listdir(out)) == names
+        for name in names:
+            assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
     def test_dump_messages(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli("run", *FAST, "--dump-messages", "--out", str(out)) == 0

@@ -461,9 +461,9 @@ class TestStopRule:
             return out
 
         class Spy(engine._Recorder):
-            def record(self, states, acts):
-                recorded.append(np.array(states))
-                super().record(states, acts)
+            def record(self, values, src, acts):
+                recorded.append(values.take(src))
+                super().record(values, src, acts)
 
         monkeypatch.setattr(engine, "disagreement_rows", spy)
         monkeypatch.setattr(engine, "_Recorder", Spy)
@@ -532,7 +532,7 @@ class TestOneVerdict:
 class TestFrozenTrace:
     def test_fields_cannot_be_assigned(self):
         tr = run_agent_sim(RunConfig(graph=CHAIN4, max_iterations=3))
-        for name in ("states", "converged", "x_avg", "message_counts"):
+        for name in ("blocks", "states", "converged", "x_avg", "message_counts"):
             with pytest.raises(FrozenInstanceError):
                 setattr(tr, name, None)
 
@@ -541,6 +541,11 @@ class TestFrozenTrace:
         for rows in (tr.states, tr.activations):
             with pytest.raises(ValueError, match="read-only"):
                 rows[-1] = 0
+        # and so are the blocks they are gathered from
+        for block in tr.blocks:
+            for a in block:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[-1] = 0
 
     def test_verdict_and_mean_are_derived_from_the_rows(self):
         tr = run_agent_sim(RunConfig(graph=CHAIN4, seed=2, max_iterations=200))

@@ -2,17 +2,19 @@
 
 Every runner's trace must be the one tests/list_recorder.py records, bit
 for bit: states, activations, disagreements, message counts and message
-log, at the default chunk size and at chunks of a few rows, where
-recorded blocks span chunk boundaries and the rows a converged run
-drops can fill whole chunks. The poll-round runners must also give the
+log, at the default block budget and at blocks of a few rows, where a
+converged run stops inside a recorded block, or in a pass of a
+multi-pass block, and the trace keeps that block cut to its rows. The
+poll-round runners must also give the
 traces of the per-tick kernel in tests/tick_kernel.py: on every preset
 under every poll rule and backend, and with the cycles and scripts
-compiled in slices of a few ticks, which chunks of a few rows bring
+compiled in slices of a few ticks, which blocks of a few rows bring
 about; and on small graphs whose cycles the engine runs several at a
 time. The pairwise baseline must give the traces of the scalar loop in
 tests/pairwise_exchanges.py, and its bounded draws must be numpy's.
 """
 
+import math
 import weakref
 from argparse import Namespace
 from dataclasses import replace
@@ -20,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gossipsim import Graph, RunConfig, UpdateRule, build_topology, cli, engine
+from gossipsim import Graph, RunConfig, UpdateRule, analysis, build_topology, cli, engine
 from gossipsim.engine import run_agent_sim, run_pairwise_baseline
 from gossipsim.errors import SimulationError
 from gossipsim.rules import FOLDS, RuleVariant
@@ -86,9 +88,10 @@ def with_list_recorder(run):
         return run()
 
 
-def with_chunk_rows(rows, n, run):
-    """run() with recorder chunks of the given number of rows, or the
-    default chunks when rows is None."""
+def with_block_rows(rows, n, run):
+    """run() with source maps, and so recorded blocks and compiled parts
+    of a cycle, of at most the given number of rows, or of the default
+    budget when rows is None."""
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
             mp.setattr(engine, "_BLOCK_CELLS", rows * n)
@@ -107,8 +110,11 @@ def assert_same_trace(got, want):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.tobytes() == b.tobytes(), field
+    # the rows every pass over the trace reads are those rows
+    read = np.concatenate([states.copy() for _, states, _ in got.row_blocks()])
+    assert read.tobytes() == want.states.tobytes()
     # the series the recorder hands over is the one a fresh pass computes
-    fresh = replace(got, states=got.states).disagreements
+    fresh = replace(got).disagreements
     assert fresh.tobytes() == got.disagreements.tobytes()
     assert got.message_counts == want.message_counts
     # repr tells -0.0 from 0.0 and a float payload from an int one; no
@@ -125,7 +131,7 @@ class TestAgainstListRecorder:
         cfgd = CLI_RUNS[name]
         want = with_list_recorder(lambda: cli.execute_run(cfgd))
         for rows in (None, 3):
-            got = with_chunk_rows(rows, cfgd["graph.n"], lambda: cli.execute_run(cfgd))
+            got = with_block_rows(rows, cfgd["graph.n"], lambda: cli.execute_run(cfgd))
             assert_same_trace(got, want)
 
     @pytest.mark.parametrize("name", MESSAGE_RUNS)
@@ -134,7 +140,7 @@ class TestAgainstListRecorder:
         want = with_list_recorder(lambda: cli.execute_run(cfgd, collect_messages=True))
         assert want.messages
         for rows in (None, 2):
-            got = with_chunk_rows(rows, cfgd["graph.n"],
+            got = with_block_rows(rows, cfgd["graph.n"],
                                   lambda: cli.execute_run(cfgd, collect_messages=True))
             assert_same_trace(got, want)
 
@@ -144,17 +150,17 @@ class TestAgainstListRecorder:
         want = run_small(name, per_tick=True, collect_messages=collect)
         assert want.converged
         n, rows = want.graph.node_count, want.iterations
-        # chunks of a few rows, which every recorded block spans; chunks of
-        # rows rows, which the rows kept fill exactly; and chunks of
-        # rows - 1 rows, whose second holds just the last row kept
+        # blocks of a few rows, cut where the run stops; blocks up to rows
+        # rows, which the rows kept can fill exactly; and up to rows - 1
+        # rows, the last row kept alone in the block after
         for c in sorted({*range(1, 9), rows - 1, rows, rows + 1}):
-            got = with_chunk_rows(c, n, lambda: run_small(name, collect_messages=collect))
+            got = with_block_rows(c, n, lambda: run_small(name, collect_messages=collect))
             assert_same_trace(got, want)
 
     # star8's one-tick cycles end on their spanning row, so it drops none
     @pytest.mark.parametrize("name", sorted(set(SMALL_RUNS) - {"star8"}))
     def test_converged_runs_drop_recorded_rows(self, name, monkeypatch):
-        # the premise of the chunk sweep above: each run stops with rows
+        # the premise of the block sweep above: each run stops with rows
         # recorded past its spanning row, which the stop then drops
         recorded = []
 
@@ -210,7 +216,7 @@ class TestAgainstPerTickKernel:
                        **BACKENDS["matrix_random"])
         want = with_per_tick_kernel(lambda: cli.execute_run(cfgd, collect_messages=True))
         for rows in range(1, 9):
-            got = with_chunk_rows(rows, cfgd["graph.n"],
+            got = with_block_rows(rows, cfgd["graph.n"],
                                   lambda: cli.execute_run(cfgd, collect_messages=True))
             assert_same_trace(got, want)
 
@@ -220,9 +226,9 @@ def traced_blocks(monkeypatch):
     heights = []
 
     class Spy(engine._Recorder):
-        def record(self, states, acts):
-            heights.append(len(states))
-            super().record(states, acts)
+        def record(self, values, src, acts):
+            heights.append(len(src))
+            super().record(values, src, acts)
 
     monkeypatch.setattr(engine, "_Recorder", Spy)
     return heights
@@ -556,6 +562,41 @@ class TestSpans:
             run_agent_sim(cfg)
         assert failed
 
+    @pytest.mark.parametrize("name", STOP_RUNS)
+    def test_a_stop_inside_a_multi_pass_block_against_the_list_recorder(self, name,
+                                                                         monkeypatch):
+        # the trace keeps the stop's block cut to the rows kept: its
+        # values and its maps cut inside a pass of several
+        cfg = span_run(name, monkeypatch)
+        want = with_list_recorder(lambda: run_agent_sim(cfg, collect_messages=True))
+        heights = traced_blocks(monkeypatch)
+        got = run_agent_sim(cfg, collect_messages=True)
+        assert_same_trace(got, want)
+        assert heights[-1] > got.cycle_ticks
+        assert sum(heights) - heights[-1] < got.iterations < sum(heights)
+        assert len(got.blocks[-1][1]) == got.iterations - (sum(heights) - heights[-1])
+
+    @pytest.mark.parametrize("name", ["chain12", "circle20", "star20"])
+    def test_a_fold_failing_in_a_later_pass_against_the_list_recorder(self, name,
+                                                                       monkeypatch):
+        # the complete passes before the failing fold are recorded as the
+        # block's values and the first rows of its maps
+        cfg = span_run(name, monkeypatch)
+        clean = run_agent_sim(cfg)
+        call = stop_cycle(clean) * folds_per_cycle(clean) + 1
+        with pytest.MonkeyPatch.context() as mp:
+            failed = fail_fold(mp, cfg.rule, call, OverflowError)
+            want = with_list_recorder(lambda: run_agent_sim(cfg, collect_messages=True))
+            assert failed
+        failed = fail_fold(monkeypatch, cfg.rule, call, OverflowError)
+        got = run_agent_sim(cfg, collect_messages=True)
+        assert failed
+        assert_same_trace(got, want)
+        part = engine._beacon_cycle(cfg.graph, cfg.rule)[0]
+        values, src, _ = got.blocks[-1]
+        assert len(values) % part.width == 0 and len(values) // part.width > 1
+        assert len(src) <= len(values) // part.width * part.height
+
     def test_the_runs_of_a_later_pass_cover_every_poll_rule(self):
         names = ["chain12", "circle20", "star20"]
         assert {SPAN_RUNS[name][1].variant for name in names} == set(FOLDS)
@@ -669,16 +710,39 @@ def count_folds(monkeypatch, variant):
 
 
 class TestChunks:
+    """The chunks a trace's passes read its rows in, Trace.row_blocks,
+    and the blocks the trace keeps."""
+
+    @staticmethod
+    def chunks(tr):
+        """(k, states, acts) of each chunk row_blocks yields, copied."""
+        return [(k, s.copy(), a.copy()) for k, s, a in tr.row_blocks()]
+
     def test_chunks_hold_about_block_cells(self):
+        # chain-50 blocks of one cycle each, read in chunks of
+        # _BLOCK_CELLS // 50 rows across the block boundaries
         g = build_topology("chain", 50)
-        rec = engine._Recorder(g, np.zeros(50), 50, 1e-6, False)
-        assert rec.chunk_rows == engine._BLOCK_CELLS // 50
-        assert rec.states[0].shape == (rec.chunk_rows, 50)
+        tr = run_agent_sim(RunConfig(graph=g, seed=1, max_iterations=300))
+        height = analysis._BLOCK_CELLS // 50
+        assert len(tr.blocks) > 2 and tr.iterations > 2 * height
+        chunks = self.chunks(tr)
+        assert [k for k, _, _ in chunks] == list(range(0, tr.iterations, height))
+        assert all(len(s) == height for _, s, _ in chunks[:-1])
+        assert np.concatenate([s for _, s, _ in chunks]).tobytes() == tr.states.tobytes()
+        assert (np.concatenate([a for _, _, a in chunks]).tobytes()
+                == tr.activations.tobytes())
+        # the first and last rows, read from the first and last blocks
+        states = tr.states
+        assert tr.final_state.tobytes() == states[-1].tobytes()
+        assert tr.x_avg == math.fsum(states[0]) / 50
 
     def test_a_chunk_holds_at_least_one_row(self, monkeypatch):
-        monkeypatch.setattr(engine, "_BLOCK_CELLS", 49)
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 49)
         g = build_topology("chain", 50)
-        assert engine._Recorder(g, np.zeros(50), 50, 1e-6, False).chunk_rows == 1
+        tr = run_agent_sim(RunConfig(graph=g, seed=1, max_iterations=3))
+        chunks = self.chunks(tr)
+        assert [k for k, _, _ in chunks] == list(range(tr.iterations))
+        assert np.concatenate([s for _, s, _ in chunks]).tobytes() == tr.states.tobytes()
 
     @pytest.mark.parametrize("cells", [1, 20, 64, 1000])
     def test_pairwise_blocks_keep_the_budget(self, cells, monkeypatch):
@@ -696,17 +760,33 @@ class TestChunks:
         assert all(h * 8 <= max(cells, 8) for h in blocks)
 
     def test_trace_keeps_no_chunk(self, monkeypatch):
-        # the trace's arrays are copies: no chunk outlives finish
-        monkeypatch.setattr(engine, "_BLOCK_CELLS", 6 * 3)
-        chunks = []
+        # the recorder gathers each block's rows to judge them and keeps
+        # none of them: an agent trace keeps its values and views of the
+        # compiled cycle's maps, no chunk outlives its turn, and the
+        # trace's passes read the rows again from the blocks
+        gathered = []
 
-        class Spy(engine._Recorder):
-            def finish(self, counts):
-                chunks.extend(weakref.ref(c) for c in self.states + self.acts)
-                return super().finish(counts)
+        def spy(states, graph):
+            gathered.append(weakref.ref(states))
+            return analysis.disagreement_rows(states, graph)
 
-        monkeypatch.setattr(engine, "_Recorder", Spy)
+        monkeypatch.setattr(engine, "disagreement_rows", spy)
+        monkeypatch.setattr(engine, "_SPAN_CELLS", 6 * 5 * 4)  # blocks of up to 4 cycles
         tr = run_small("chain6")
-        assert len(chunks) == 2 * -(-tr.iterations // 3)
+        assert len(gathered) == len(tr.blocks) > 3
+        assert all(ref() is None for ref in gathered)
+        (part,) = engine._beacon_cycle(tr.graph, UpdateRule())
+        assert part.passes == 4
+        # each block holds its passes' values; the last is cut to the
+        # rows kept, short of its passes' rows
+        passes = [len(values) // part.width for values, _, _ in tr.blocks[1:]]
+        assert passes[:3] == [1, 2, 4]
+        for p, (values, src, acts) in zip(passes, tr.blocks[1:]):
+            assert len(values) == p * part.width
+            assert np.shares_memory(src, part.src) and np.shares_memory(acts, part.acts)
+        assert [len(src) for _, src, _ in tr.blocks[1:-1]] == [p * part.height
+                                                             for p in passes[:-1]]
+        assert len(tr.blocks[-1][1]) < passes[-1] * part.height
+        assert tr.iterations == sum(len(src) for _, src, _ in tr.blocks)
+        chunks = [weakref.ref(s) for _, s, _ in tr.row_blocks()]
         assert all(ref() is None for ref in chunks)
-        assert all(a.base is None for a in (tr.states, tr.activations))

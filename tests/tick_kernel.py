@@ -54,6 +54,7 @@ def run_agent_per_tick(cfg: RunConfig, collect_messages: bool = False):
     x0, _ = initial_states(cfg)
     x = x0.copy()
     rec = ListRecorder(cfg.graph, x0, lay.layer_count, cfg.tolerance, collect_messages)
+    every = np.arange(cfg.graph.node_count)[None]  # a row's source map into x
     if lay.layer_count == 1:
         rec.judge()
     cycles = 0
@@ -63,9 +64,9 @@ def run_agent_per_tick(cfg: RunConfig, collect_messages: bool = False):
             rec.log.append((rec.rows, _BEACON, ANCHOR_SRC, BROADCAST, None))
         for m in range(lay.layer_count):
             apply_tick(x, wave_ids[m], cfg.rule, cfg.graph.in_neighbors, rec.rows, rec.log)
-            rec.record(x[None], waves[m][None])
+            rec.record(x, every, waves[m][None])
         rec.judge()
-    return rec.finish(lambda acts: engine._message_counts(cfg.graph, acts, cycles))
+    return rec.finish(lambda updates, _: engine._message_counts(cfg.graph, updates, cycles))
 
 
 def run_matrix_per_tick(cfg: RunConfig, activation_sequence: np.ndarray,
@@ -73,8 +74,9 @@ def run_matrix_per_tick(cfg: RunConfig, activation_sequence: np.ndarray,
     seq = np.asarray(activation_sequence)
     x, _ = initial_states(cfg)
     rec = ListRecorder(cfg.graph, x, 1, cfg.tolerance, collect_messages)
+    every = np.arange(cfg.graph.node_count)[None]
     for k in range(cfg.max_iterations):
         apply_tick(x, np.flatnonzero(seq[k]).tolist(), cfg.rule, cfg.graph.in_neighbors,
                    k + 1, rec.log)
-        rec.record(x[None], (seq[k] != 0)[None])
-    return rec.finish(lambda acts: engine._message_counts(cfg.graph, acts, 0))
+        rec.record(x, every, (seq[k] != 0)[None])
+    return rec.finish(lambda updates, _: engine._message_counts(cfg.graph, updates, 0))
