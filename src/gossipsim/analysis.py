@@ -34,8 +34,8 @@ SPECTRAL_TOL = 1e-9
 
 #: cells per block of rows in the passes over a whole trace, so that their
 #: (rows, n) and (rows, arcs) work arrays stay near 2 MiB of float64 each;
-#: Trace.row_blocks, the engine's source maps and the duty cycle's blocks
-#: of draws keep the same budget
+#: Trace.row_blocks, the engine's recorder, its scripted and pairwise
+#: blocks and the duty cycle's blocks of draws keep the same budget
 _BLOCK_CELLS = 1 << 18
 
 #: characters per write of an output file: 256 KiB of the CSVs' ASCII

@@ -281,6 +281,8 @@ SWEEP_FIELDS = ("topology", "rule", "seed", "status", *SUMMARY_FIELDS, "error")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfgd = resolve_config(args, SWEEP_SPEC)
     topologies = [t.strip() for t in cfgd["sweep.topologies"].split(",") if t.strip()]
     rules = [r.strip() for r in cfgd["sweep.rules"].split(",") if r.strip()]

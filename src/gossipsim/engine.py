@@ -16,10 +16,10 @@ from the same reads, once a pass is complete.
 * run_agent_sim runs the beacon protocol. The anchor's beacon wakes hop
   layer 1 and each layer's wake-up flood wakes the next, so every beacon
   cycle updates layer m at its tick m, initiators in ascending id. The
-  cycle is compiled once per graph, rule and block budget and kept on
-  the Graph, and a block of c cycles runs c passes of it: blocks of
-  1, 2, 4, ... span cycles when the cycle fits span > 1 times in
-  _SPAN_CELLS cells. The per-message protocol handlers that
+  cycle is compiled as one schedule once per graph, rule and span
+  budget and kept on the Graph, and a block of c cycles runs c passes of
+  it: blocks of 1, 2, 4, ... span cycles when the cycle fits span > 1
+  times in _SPAN_CELLS cells. The per-message protocol handlers that
   tests/test_protocol_oracle.py drives are the reference it is tested
   against; no run calls them.
 * run_matrix_sim is the one scripted runner: it wakes the nodes of
@@ -31,9 +31,11 @@ from the same reads, once a pass is complete.
   Generator.integers calls would draw them, and fills the block's rows
   with one gather through a last-writer source map.
 
-No source map, and so no block of rows gathered through one, holds more
-than _BLOCK_CELLS cells: a longer cycle is compiled as several schedules.
-Every runner takes its block heights from _heights: a first height, then
+No array of rows gathered through a source map holds more than
+_BLOCK_CELLS cells: the recorder judges a block, and the trace's passes
+read it, _BLOCK_CELLS // n rows at a time, however tall the block; the
+scripted and pairwise runners also size their blocks by it. Every
+runner takes its block heights from _heights: a first height, then
 twice the one before, up to a most.
 
 Each runner records its rows in a _Recorder, a block of rows at a time,
@@ -153,7 +155,8 @@ class _Recorder:
     A runner hands over each block as the kernel made it: a values
     array, a (rows, n) source map into it and the block's (rows, n)
     activation flags. The recorder gathers the block's rows once, to
-    judge them, and keeps the triple, not the rows: the agent's maps are
+    judge them, a budget of rows at a time whatever the block's height,
+    and keeps the triple, not the rows: the agent's maps are
     views of its compiled cycle, so each of its blocks costs its values
     alone. finish cuts the blocks to the rows kept and hands them to the
     trace as they are.
@@ -174,12 +177,16 @@ class _Recorder:
         self.record(x0, np.arange(n)[None], np.zeros((1, n), dtype=np.uint8))
 
     def record(self, values: np.ndarray, src: np.ndarray, acts: np.ndarray) -> None:
-        """Judge the (rows, n) block of states values.take(src) in one
-        pass and keep the block, with its activation flags acts."""
+        """Judge the (rows, n) block of states values.take(src), gathered
+        _BLOCK_CELLS // n rows at a time, and keep the block, with its
+        activation flags acts."""
         end = self.rows + len(src)
         if len(self.series) < end:  # no view of it is ever taken
             self.series.resize(2 * end, refcheck=False)
-        self.series[self.rows:end] = disagreement_rows(values.take(src), self.graph)
+        step = max(1, _BLOCK_CELLS // self.graph.node_count)
+        for k in range(self.rows, end, step):  # no gathered chunk exceeds the budget
+            chunk = src[k - self.rows:k - self.rows + step]
+            self.series[k:k + len(chunk)] = disagreement_rows(values.take(chunk), self.graph)
         self.blocks.append((values, src, acts))
         self.rows = end
 
@@ -354,23 +361,20 @@ def _message_counts(graph: Graph, updates: np.ndarray, beacons: int) -> dict[str
             _REQUEST: polls, _ACK: polls}
 
 
-def _beacon_cycle(g: Graph, rule: UpdateRule) -> list[_Schedule]:
+def _beacon_cycle(g: Graph, rule: UpdateRule) -> _Schedule:
     """The beacon cycle of g under rule, compiled once per compile input
     and kept on g: tick m - 1 of every cycle wakes hop layer m, in
-    ascending id. A cycle longer than _BLOCK_CELLS cells is compiled in
-    parts of as many whole ticks as fit; one that fits span > 1 times in
-    _SPAN_CELLS cells is compiled for blocks of up to span passes."""
-    key = (rule.variant, _BLOCK_CELLS, _SPAN_CELLS)
-    parts = g.schedules.get(key)
-    if parts is None:
+    ascending id. A cycle that fits span > 1 times in _SPAN_CELLS cells
+    is compiled for blocks of up to span passes."""
+    key = (rule.variant, _SPAN_CELLS)
+    cycle = g.schedules.get(key)
+    if cycle is None:
         lay = assign_layers(g)
-        cycle_ticks = lay.layer_count
-        waves = [np.flatnonzero(lay.layer_of == m).tolist() for m in range(1, cycle_ticks + 1)]
-        step = max(1, _BLOCK_CELLS // g.node_count)
-        span = max(1, min(_SPAN_CELLS, _BLOCK_CELLS) // (cycle_ticks * g.node_count))
-        parts = g.schedules[key] = [_Schedule(rule, g, waves[t:t + step], t == 0, span)
-                                    for t in range(0, cycle_ticks, step)]
-    return parts
+        waves = [np.flatnonzero(lay.layer_of == m).tolist()
+                 for m in range(1, lay.layer_count + 1)]
+        span = max(1, _SPAN_CELLS // (lay.layer_count * g.node_count))
+        cycle = g.schedules[key] = _Schedule(rule, g, waves, beacon=True, passes=span)
+    return cycle
 
 
 def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
@@ -383,33 +387,30 @@ def run_agent_sim(cfg: RunConfig, collect_messages: bool = False) -> Trace:
     its stop, never more than it kept.
     """
     g = cfg.graph
-    parts = _beacon_cycle(g, cfg.rule)
-    cycle_ticks = sum(part.height for part in parts)
-    span = parts[0].passes
+    cycle = _beacon_cycle(g, cfg.rule)
     x0, _ = initial_states(cfg)
-    rec = _Recorder(g, x0, cycle_ticks, cfg.tolerance, collect_messages)
+    rec = _Recorder(g, x0, cycle.height, cfg.tolerance, collect_messages)
     x = x0.tolist()
-    for passes in _heights(1, span, cfg.max_iterations):
-        for part in parts:  # a part's ticks, or whole cycles
-            values: list[float] = []
-            try:
-                x = part.run(x, passes, values)
-            except (OverflowError, SimulationError):
-                # the cycles before the one that failed ran as they would
-                # have one by one: the run stops there if they converge,
-                # and otherwise fails as it would have in that cycle
-                done = len(values) // part.width
-                if done:
-                    part.record(rec, values, done)
-                if not (done and rec.judge()):
-                    raise
-                break  # the judge below finds the run converged
-            part.record(rec, values, passes)
+    for passes in _heights(1, cycle.passes, cfg.max_iterations):
+        values: list[float] = []
+        try:
+            x = cycle.run(x, passes, values)
+        except (OverflowError, SimulationError):
+            # the cycles before the one that failed ran as they would
+            # have one by one: the run stops there if they converge,
+            # and otherwise fails as it would have in that cycle
+            done = len(values) // cycle.width
+            if done:
+                cycle.record(rec, values, done)
+            if not (done and rec.judge()):
+                raise
+            break
+        cycle.record(rec, values, passes)
         if rec.judge():
             break
     # one beacon for each cycle with a row kept
     return rec.finish(lambda updates, rows: _message_counts(
-        g, updates, -(-(rows - 1) // cycle_ticks)))
+        g, updates, -(-(rows - 1) // cycle.height)))
 
 
 def step_matrix(g: Graph, rule: UpdateRule, phi: np.ndarray) -> np.ndarray:

@@ -271,6 +271,8 @@ class TestConfigHandling:
         (("run", "--config", "{cfg}"), "{cfg}:2: expected key=value, got 'graph.n 8'"),
         (("sweep", "--sweep.topologies", "star,torus", "--jobs", "1"),
          "unknown sweep topology 'torus'"),
+        (("sweep", "--sweep.topologies", "star", "--jobs", "0"), "--jobs must be >= 1, got 0"),
+        (("sweep", "--sweep.topologies", "star", "--jobs", "-2"), "--jobs must be >= 1, got -2"),
         (("run", "--graph.kind", "random_geometric", "--graph.radius", "0"),
          "random_geometric needs a positive radius"),
         (("run", "--graph.kind", "random_geometric", "--graph.erdos_p", "1.5"),
@@ -280,7 +282,8 @@ class TestConfigHandling:
           "--run.backend", "matrix", "--duty.p", "0.3", "--duty.q", "0.5"), DUTY_ERROR),
         (("spectra", "--preset", "circular", "--run.backend", "matrix", "--duty.p", "0.3"),
          DUTY_ERROR),
-    ], ids=["config_line_without_equals", "sweep_topology", "radius_zero", "erdos_p_above_one",
+    ], ids=["config_line_without_equals", "sweep_topology", "sweep_jobs_zero",
+            "sweep_jobs_negative", "radius_zero", "erdos_p_above_one",
             "rule_variant", "duty_on_the_matrix_baseline", "duty_on_matrix_spectra"])
     def test_bad_input_exits_one_with_one_line(self, tmp_path, capsys, argv, err):
         cfg = tmp_path / "sim.cfg"

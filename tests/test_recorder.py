@@ -5,10 +5,10 @@ for bit: states, activations, disagreements, message counts and message
 log, at the default block budget and at blocks of a few rows, where a
 converged run stops inside a recorded block, or in a pass of a
 multi-pass block, and the trace keeps that block cut to its rows. The
-poll-round runners must also give the
-traces of the per-tick kernel in tests/tick_kernel.py: on every preset
-under every poll rule and backend, and with the cycles and scripts
-compiled in slices of a few ticks, which blocks of a few rows bring
+poll-round runners must also give the traces of the per-tick kernel in
+tests/tick_kernel.py: on every preset under every poll rule and
+backend, and with the scripts compiled, and every block's rows judged,
+in slices of a few ticks, which a gather budget of a few rows brings
 about; and on small graphs whose cycles the engine runs several at a
 time. The pairwise baseline must give the traces of the scalar loop in
 tests/pairwise_exchanges.py, and its bounded draws must be numpy's.
@@ -89,9 +89,10 @@ def with_list_recorder(run):
 
 
 def with_block_rows(rows, n, run):
-    """run() with source maps, and so recorded blocks and compiled parts
-    of a cycle, of at most the given number of rows, or of the default
-    budget when rows is None."""
+    """run() with a gather budget of the given number of rows, or of the
+    default budget when rows is None: the recorder judges every block that
+    many rows at a time, and the scripted and pairwise runners' blocks
+    hold at most that many."""
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
             mp.setattr(engine, "_BLOCK_CELLS", rows * n)
@@ -524,13 +525,16 @@ class TestSpans:
         assert failed
 
     def test_a_fold_failing_in_a_later_part_of_the_stop_cycle(self, monkeypatch):
-        # a cycle compiled in parts of three ticks, one cycle a block: as
-        # when run tick by tick, its rows are judged once it is complete,
-        # so a fold failing after the stop row, in its cycle, fails the run
+        # one cycle a block, its rows gathered three at a time: as when
+        # run tick by tick, they are judged once the cycle is complete, so
+        # a fold failing after the stop row, in a later chunk of its
+        # cycle, fails the run
         cfg = span_run("chain12", monkeypatch)
+        monkeypatch.setattr(engine, "_SPAN_CELLS", 200)
         monkeypatch.setattr(engine, "_BLOCK_CELLS", 3 * cfg.graph.node_count)
         want = run_agent_sim(cfg)
-        assert (want.iterations - 2) % want.cycle_ticks < 9  # before the last part
+        assert engine._beacon_cycle(cfg.graph, cfg.rule).passes == 1
+        assert (want.iterations - 2) % want.cycle_ticks < 9  # before the last chunk
         failed = fail_fold(monkeypatch, cfg.rule, stop_cycle(want) * folds_per_cycle(want),
                            OverflowError)
         with pytest.raises(OverflowError, match="patched"):
@@ -588,14 +592,17 @@ class TestSpans:
             failed = fail_fold(mp, cfg.rule, call, OverflowError)
             want = with_list_recorder(lambda: run_agent_sim(cfg, collect_messages=True))
             assert failed
-        failed = fail_fold(monkeypatch, cfg.rule, call, OverflowError)
-        got = run_agent_sim(cfg, collect_messages=True)
-        assert failed
-        assert_same_trace(got, want)
-        part = engine._beacon_cycle(cfg.graph, cfg.rule)[0]
-        values, src, _ = got.blocks[-1]
-        assert len(values) % part.width == 0 and len(values) // part.width > 1
-        assert len(src) <= len(values) // part.width * part.height
+        for rows in (None, 2):  # and with the block judged two rows at a time
+            with pytest.MonkeyPatch.context() as mp:
+                failed = fail_fold(mp, cfg.rule, call, OverflowError)
+                got = with_block_rows(rows, cfg.graph.node_count,
+                                      lambda: run_agent_sim(cfg, collect_messages=True))
+                assert failed
+            assert_same_trace(got, want)
+            cycle = engine._beacon_cycle(cfg.graph, cfg.rule)
+            values, src, _ = got.blocks[-1]
+            assert len(values) % cycle.width == 0 and len(values) // cycle.width > 1
+            assert len(src) <= len(values) // cycle.width * cycle.height
 
     def test_the_runs_of_a_later_pass_cover_every_poll_rule(self):
         names = ["chain12", "circle20", "star20"]
@@ -631,7 +638,7 @@ class TestSpans:
 
 
 class TestCompiledOnce:
-    """A graph keeps the cycles compiled for it, one per rule and block
+    """A graph keeps the cycles compiled for it, one per rule and span
     budget; a run on it must give the trace of a run on a graph that has
     compiled nothing, whatever ran on it before."""
 
@@ -650,17 +657,20 @@ class TestCompiledOnce:
         for rule in rules * 2:  # the second time from the cycles compiled
             self.check(g, rule)
         compiled = [engine._beacon_cycle(g, rule) for rule in rules]
-        assert len({id(parts) for parts in compiled}) == len(rules)
+        assert len({id(cycle) for cycle in compiled}) == len(rules)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_SPAN_CELLS", 200)  # blocks of fewer passes
             for rule in rules:
                 self.check(g, rule)
-            mp.setattr(engine, "_BLOCK_CELLS", 3 * g.node_count)  # cycles in parts
-            for rule in rules:
+            spans = [engine._beacon_cycle(g, rule) for rule in rules]
+            assert all(s.passes < c.passes for s, c in zip(spans, compiled))
+            mp.setattr(engine, "_BLOCK_CELLS", 3 * g.node_count)  # gathers of three rows
+            for rule, cycle in zip(rules, spans):
                 self.check(g, rule)
-                assert len(engine._beacon_cycle(g, rule)) > 1
+                # the gather budget is no compile input
+                assert engine._beacon_cycle(g, rule) is cycle
         # every compile input is in the key: the first cycles are kept
-        assert all(engine._beacon_cycle(g, rule) is parts for rule, parts in zip(rules, compiled))
+        assert all(engine._beacon_cycle(g, rule) is cycle for rule, cycle in zip(rules, compiled))
         for rule in rules:
             cfg = RunConfig(graph=g, rule=rule, seed=3, max_iterations=300)
             with pytest.MonkeyPatch.context() as mp:
@@ -775,18 +785,48 @@ class TestChunks:
         tr = run_small("chain6")
         assert len(gathered) == len(tr.blocks) > 3
         assert all(ref() is None for ref in gathered)
-        (part,) = engine._beacon_cycle(tr.graph, UpdateRule())
-        assert part.passes == 4
+        cycle = engine._beacon_cycle(tr.graph, UpdateRule())
+        assert cycle.passes == 4
         # each block holds its passes' values; the last is cut to the
         # rows kept, short of its passes' rows
-        passes = [len(values) // part.width for values, _, _ in tr.blocks[1:]]
+        passes = [len(values) // cycle.width for values, _, _ in tr.blocks[1:]]
         assert passes[:3] == [1, 2, 4]
         for p, (values, src, acts) in zip(passes, tr.blocks[1:]):
-            assert len(values) == p * part.width
-            assert np.shares_memory(src, part.src) and np.shares_memory(acts, part.acts)
-        assert [len(src) for _, src, _ in tr.blocks[1:-1]] == [p * part.height
+            assert len(values) == p * cycle.width
+            assert np.shares_memory(src, cycle.src) and np.shares_memory(acts, cycle.acts)
+        assert [len(src) for _, src, _ in tr.blocks[1:-1]] == [p * cycle.height
                                                              for p in passes[:-1]]
-        assert len(tr.blocks[-1][1]) < passes[-1] * part.height
+        assert len(tr.blocks[-1][1]) < passes[-1] * cycle.height
         assert tr.iterations == sum(len(src) for _, src, _ in tr.blocks)
         chunks = [weakref.ref(s) for _, s, _ in tr.row_blocks()]
         assert all(ref() is None for ref in chunks)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("name", ["chain12", "circle20"])
+    def test_a_cycle_above_the_budget_is_judged_in_chunks(self, name, rows, monkeypatch):
+        # a gather budget of fewer rows than a cycle has ticks: the cycle
+        # is still one schedule, its blocks of passes are kept whole, n +
+        # folds values a pass, and only the recorder's gathers are cut
+        cfg = span_run(name, monkeypatch)
+        want = run_agent_per_tick(cfg, collect_messages=True)
+        n = cfg.graph.node_count
+        assert want.cycle_ticks > rows
+        gathered = []
+
+        def spy(states, graph):
+            gathered.append(len(states))
+            return analysis.disagreement_rows(states, graph)
+
+        monkeypatch.setattr(engine, "disagreement_rows", spy)
+        monkeypatch.setattr(engine, "_BLOCK_CELLS", rows * n)
+        heights = traced_blocks(monkeypatch)
+        got = run_agent_sim(cfg, collect_messages=True)
+        assert_same_trace(got, want)
+        assert max(gathered) == rows and sum(gathered) == sum(heights)
+        cycle = engine._beacon_cycle(cfg.graph, cfg.rule)
+        assert cycle.passes > 1 and cycle.height * n > engine._BLOCK_CELLS
+        # each block kept holds the values of the passes it ran, the last
+        # cut to the rows kept
+        for h, (values, src, _) in zip(heights[1:], got.blocks[1:]):
+            assert len(values) == h // cycle.height * cycle.width
+            assert len(src) <= h
