@@ -7,6 +7,13 @@ Two scalar metrics summarize a state vector x against the graph:
 * disagreement: sqrt((1/n) * sum_ij A_ij (x_i - x_j)^2) over ordered
   adjacent pairs, zero exactly at consensus.
 
+Every pass over a trace's rows reads them _BLOCK_CELLS cells at a time,
+through Trace.row_blocks, and allocates no work array larger than that
+budget: the drift sums' trees, which run in place on two arrays shared
+by all the blocks of a pass, the judge's arc terms (disagreement_rows,
+which takes a block of fewer than _SHORT_ROWS rows a row at a time) and
+the trace writer's lists of changed cells all keep to it.
+
 Spectral certification works on an averaging matrix (usually the
 expected one under an activation model): row stochasticity plus a
 second eigenvalue strictly inside the unit circle certify consensus;
@@ -17,7 +24,7 @@ projector, certifies convergence to the exact average.
 from __future__ import annotations
 
 import io
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from math import fsum
@@ -32,15 +39,24 @@ from .rules import RuleVariant, UpdateRule, update_block
 #: and use the same tolerance for stochasticity checks
 SPECTRAL_TOL = 1e-9
 
-#: cells per block of rows in the passes over a whole trace, so that their
-#: (rows, n) and (rows, arcs) work arrays stay near 2 MiB of float64 each;
-#: Trace.row_blocks, the engine's recorder, its scripted and pairwise
-#: blocks and the duty cycle's blocks of draws keep the same budget
-_BLOCK_CELLS = 1 << 18
+#: cells per block of rows in the passes over a whole trace, so that a
+#: block's (rows, n) states take 512 KiB of float64; Trace.row_blocks, the
+#: engine's recorder, its scripted and pairwise blocks and the duty cycle's
+#: blocks of draws keep the same budget. The work arrays of a pass hold no
+#: more each: the row sums' two arrays a budget each, the judge's two
+#: arrays of arc terms half of one, the trace writer's cells a sixteenth
+_BLOCK_CELLS = 1 << 16
 
-#: characters per write of an output file: 256 KiB of the CSVs' ASCII
-#: text, and at most 1 MiB of any text once UTF-8 encoded
-_WRITE_CHARS = 1 << 18
+#: blocks of fewer rows than this are judged a row at a time: summed down
+#: their first axis, their arc terms would run inner loops of two or three
+#: values (measured slower than a row's cumulative sum at n = 4000 to 10^5)
+_SHORT_ROWS = 4
+
+#: characters per write of an output file: 64 KiB of the CSVs' ASCII
+#: text, and at most 256 KiB of any text once UTF-8 encoded. Larger
+#: batches measured no faster on narrow rows and slower on wide ones,
+#: whose joined and encoded copies then outgrow what the allocator reuses
+_WRITE_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -140,9 +156,7 @@ class Trace:
     def drifts(self) -> np.ndarray:
         """|mean(x) - x_avg| of every row, each mean from a correctly
         rounded sum, bit for bit as math.fsum gives it; read-only."""
-        sums = np.empty(self.iterations)
-        for k, states, _ in self.row_blocks():
-            sums[k:k + len(states)] = _row_fsums(states)
+        sums = np.concatenate(list(_row_fsums(states for _, states, _ in self.row_blocks())))
         with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
             d = np.abs(sums / self.graph.node_count - self.x_avg)
         d.flags.writeable = False
@@ -202,14 +216,12 @@ def disagreement_rows(states: np.ndarray, graph: Graph) -> np.ndarray:
     Each row's arc terms are added left to right, in arc order, whatever
     the height of the block, so disagreement_rows(s)[k] is bit-equal to
     disagreement_rows(s[k:k + 1])[0]. The rows go in blocks of at least
-    two, unless there is one, and each block carries one accumulator per
-    row across chunks of arcs: it adds the accumulators into the chunk's
-    first terms, then sums the chunk down its first axis, which numpy
-    does in order while a row of the chunk holds two or more values. A
-    lone row, which numpy would sum pairwise, takes a cumulative sum,
-    which is in order. The (n, rows) and (arcs, rows) work arrays stay
-    within about _BLOCK_CELLS cells each. Rows of a diverging run read
-    inf or nan without a warning.
+    two, unless there is one, of about _BLOCK_CELLS // n rows. A block of
+    _SHORT_ROWS or more rows is summed as its (n, rows) columns, read in
+    place when states is the transpose of a C-contiguous array, as the
+    engine's recorder gathers it; a shorter one a row at a time. Both go
+    through _arc_sums. Rows of a diverging run read inf or nan without a
+    warning.
     """
     i, j = graph.arcs
     rows, n = states.shape
@@ -218,50 +230,70 @@ def disagreement_rows(states: np.ndarray, graph: Graph) -> np.ndarray:
         blocks = max(1, rows // max(2, _BLOCK_CELLS // n))
         for b in range(blocks):
             lo, hi = b * rows // blocks, (b + 1) * rows // blocks
-            cols = np.ascontiguousarray(states[lo:hi].T)
-            step = max(1, _BLOCK_CELLS // (hi - lo))
-            acc = None
-            for a in range(0, len(i), step):
-                terms = cols[i[a:a + step]]
-                terms -= cols[j[a:a + step]]
-                terms *= terms
-                if acc is not None:
-                    np.add(acc, terms[0], out=terms[0])
-                acc = terms.sum(axis=0) if rows > 1 else np.cumsum(terms, axis=0)[-1]
-            np.sqrt(acc / n, out=out[lo:hi])
+            if hi - lo < _SHORT_ROWS:
+                for k in range(lo, hi):
+                    out[k] = _arc_sums(np.ascontiguousarray(states[k]), i, j)
+            else:
+                out[lo:hi] = _arc_sums(np.ascontiguousarray(states[lo:hi].T), i, j)
+        np.sqrt(out / n, out=out)
     return out
 
 
-def _two_sum_tree(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float sum down axis 0 of an (m, rows) array, adding its halves
-    pairwise in about log2(m) levels, with Knuth's TwoSum error of every
-    addition: (total, errors), errors an (m - 1, rows) array. While no
-    addition overflows, total plus the exact sum of the errors is the
-    exact sum of the column. Overwrites cols with partial sums.
+def _arc_sums(cols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Sum of (cols[i] - cols[j]) ** 2 over the arcs (i, j), in arc order:
+    of one row, cols of shape (n,), or of each column of an (n, rows)
+    array. The arcs go in chunks whose two work arrays of terms hold about
+    _BLOCK_CELLS // 2 cells each, reused from chunk to chunk; each chunk
+    adds the sums so far into its first terms. A row's chunk takes a
+    cumulative sum, which is in order, where numpy would sum a flat vector
+    pairwise; a chunk of columns is summed down its first axis, which
+    numpy does in order while a row of it holds two or more values.
     """
-    m, rows = cols.shape
-    errors = np.empty((max(m - 1, 0), rows))
-    done = 0
+    lone = cols.ndim == 1
+    step = max(1, _BLOCK_CELLS // 2 // (1 if lone else cols.shape[1]))
+    acc = t = u = None
+    for a in range(0, len(i), step):
+        ia, ja = i[a:a + step], j[a:a + step]
+        if t is None:  # the first chunk's terms are the work arrays
+            t, u = cols.take(ia, axis=0), cols.take(ja, axis=0)
+        else:  # clip: the arcs are in range, and out is not buffered
+            t, u = t[:len(ia)], u[:len(ia)]
+            cols.take(ia, axis=0, out=t, mode="clip")
+            cols.take(ja, axis=0, out=u, mode="clip")
+        np.subtract(t, u, out=t)
+        np.multiply(t, t, out=t)
+        if acc is not None:
+            np.add(acc, t[:1], out=t[:1])
+        acc = np.cumsum(t, out=u)[-1] if lone else t.sum(axis=0)
+    return acc
+
+
+def _two_sum_tree(cols: np.ndarray, work: np.ndarray) -> None:
+    """Float sum down axis 0 of an (m, rows) array, in place: its halves
+    are added pairwise in about log2(m) levels, an odd row left unpaired
+    at the front, with Knuth's TwoSum error of every addition. Leaves the
+    total in cols[0] and the m - 1 errors in cols[1:]; while no addition
+    overflows, the total plus the exact sum of the errors is the exact
+    sum of the column. work is scratch of at least m rows.
+    """
+    m = len(cols)
     while m > 1:
-        h = m // 2
-        a, b = cols[:h], cols[h:2 * h]
-        s = a + b
-        z = s - a
-        e = errors[done:done + h]
-        np.subtract(s, z, out=e)
-        np.subtract(a, e, out=e)  # a - (s - z)
-        np.subtract(b, z, out=z)
-        e += z
-        cols[:h] = s
-        if m % 2:  # the odd column moves up a level unpaired
-            cols[h] = cols[2 * h]
-        done += h
-        m = h + m % 2
-    return (cols[0] if m else np.zeros(rows)), errors
+        h, o = m // 2, m % 2
+        a, b = cols[o:o + h], cols[o + h:m]
+        s, z = work[:h], work[h:2 * h]
+        np.add(a, b, out=s)
+        np.subtract(s, a, out=z)
+        np.subtract(b, z, out=b)
+        np.subtract(s, z, out=z)
+        np.subtract(a, z, out=z)  # a - (s - z)
+        np.add(z, b, out=b)  # the level's errors, after its sums
+        a[...] = s
+        m = o + h
 
 
-def _row_fsums(states: np.ndarray) -> np.ndarray:
-    """math.fsum of every row of a (rows, n) array, in blocks of rows.
+def _row_fsums(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """math.fsum of every row of each (rows, n) block in turn: an array
+    of a block's sums for each block.
 
     A TwoSum tree gives each row's float sum hi and its errors; a second
     tree sums those to lo and leaves m errors of its own, whose exact sum
@@ -274,29 +306,44 @@ def _row_fsums(states: np.ndarray) -> np.ndarray:
     at a power of two). Every other row, and every row with a value that
     is not finite or large enough that a sum could overflow, goes to
     fsum, so the values and the exceptions (OverflowError, ValueError)
-    are fsum's.
+    are fsum's. Both trees run in place on the (n, rows) columns of
+    _BLOCK_CELLS // n rows at a time, with one work array. The blocks
+    share those two arrays of about _BLOCK_CELLS cells, allocated again
+    only for a block with more cells than every one before it: a fresh
+    pair for each block of a pass would fault their pages in anew.
     """
-    rows, n = states.shape
-    sums = np.empty(rows)
-    step = max(1, _BLOCK_CELLS // (4 * n))  # its four (n, step) work arrays share the budget
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b in range(0, rows, step):
-            block = states[b:b + step]
-            cols = np.array(block.T, dtype=np.float64, order="C")
-            small = np.abs(cols).max(axis=0) < 2.0 ** 1020 / n  # False at nan and inf
-            hi, errors = _two_sum_tree(cols)
-            lo, rest = _two_sum_tree(errors)
-            c = hi + lo
-            z = c - hi
-            r = (hi - (c - z)) + (lo - z)
-            bound = 2.0 * len(rest) * np.abs(rest).max(axis=0, initial=0.0)
-            mag = np.abs(c)
-            half_gap = 0.5 * (mag - np.nextafter(mag, 0.0))
-            exact = small & ((bound == 0.0) | (np.abs(r) + bound < half_gap))
-            sums[b:b + step] = c
-            for k in np.flatnonzero(~exact).tolist():
-                sums[b + k] = fsum(block[k])
-    return sums
+    flat = scratch = None
+    for states in blocks:
+        rows, n = states.shape
+        sums = np.empty(rows)
+        step = max(1, min(rows, _BLOCK_CELLS // n))
+        if flat is None or len(flat) < n * step:
+            flat, scratch = np.empty(n * step), np.empty(n * step)
+        limit = 2.0 ** 1020 / n  # no sum of n values below it overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in range(0, rows, step):
+                block = states[b:b + step]
+                cols = flat[:n * len(block)].reshape(n, len(block))
+                work = scratch[:cols.size].reshape(cols.shape)
+                np.copyto(cols, block.T)
+                # False at nan and inf
+                small = (cols.max(axis=0) < limit) & (cols.min(axis=0) > -limit)
+                _two_sum_tree(cols, work)
+                _two_sum_tree(cols[1:], work)
+                hi, lo, rest = cols[0], (cols[1] if n > 1 else 0.0), cols[2:]
+                c = hi + lo
+                z = c - hi
+                r = (hi - (c - z)) + (lo - z)
+                biggest = np.maximum(rest.max(axis=0, initial=0.0),
+                                     -rest.min(axis=0, initial=0.0))
+                bound = 2.0 * len(rest) * biggest
+                mag = np.abs(c)
+                half_gap = 0.5 * (mag - np.nextafter(mag, 0.0))
+                exact = small & ((bound == 0.0) | (np.abs(r) + bound < half_gap))
+                sums[b:b + step] = c
+                for k in np.flatnonzero(~exact).tolist():
+                    sums[b + k] = fsum(block[k])
+        yield sums
 
 
 def sustained_run(ok: np.ndarray, cycle_ticks: int) -> tuple[int, int] | None:
@@ -459,15 +506,18 @@ def write_trace_csv(trace: Trace, fh) -> None:
     Trace.row_blocks, and each block's last row is carried into the
     next's comparison. A neighborhood-set fold writes one value to its
     whole closed neighbourhood, so the changed cells of a block of rows
-    hold few distinct values: each distinct bit pattern is formatted
-    once. Every field but x is an integer, so no field ever
-    needs CSV quoting. Rows are written about _WRITE_CHARS at a time.
+    hold few distinct values. They are listed a group of rows at a time,
+    at most about _BLOCK_CELLS // 16 cells a group, and each distinct bit
+    pattern of a group is formatted once. Every field but x is an
+    integer, so no field ever needs CSV quoting. Rows are written about
+    _WRITE_CHARS at a time.
     """
     fh.write("iteration,node_id,x,phi\n")
     n = trace.graph.node_count
     parts = [""] * (n + 1)  # a first empty part, so that a row is f"{k},".join(parts)
     batch, size = [], 0
     last = None  # the bits and flags of the row before the block
+    group = max(1, _BLOCK_CELLS // 16)
     for b, states, acts in trace.row_blocks():
         bits = states.view(np.int64)
         changed = np.empty(states.shape, dtype=bool)
@@ -479,19 +529,27 @@ def write_trace_csv(trace: Trace, fh) -> None:
             changed[0] = (bits[0] != last[0]) | (acts[0] != last[1])
         last = bits[-1].copy(), acts[-1].copy()
         r, c = np.nonzero(changed)
-        values, index = np.unique(bits[r, c], return_inverse=True)
-        texts = [f"{x:.17g}" for x in values.view(np.float64).tolist()]
-        cells = zip(c.tolist(), index.tolist(), acts[r, c].tolist())
-        counts = np.bincount(r, minlength=len(states)).tolist()
-        for k, m in enumerate(counts, b):
-            for _, (i, x, a) in zip(range(m), cells):
-                parts[i + 1] = f"{i},{texts[x]},{a}\n"
-            row = f"{k},".join(parts)
-            batch.append(row)
-            size += len(row)
-            if size >= _WRITE_CHARS:
-                fh.write("".join(batch))
-                batch, size = [], 0
+        counts = np.bincount(r, minlength=len(states))
+        ends = np.cumsum(counts)  # of each row's cells in r and c
+        lo = 0
+        while lo < len(states):
+            # rows lo to hi, at least one, with at most group changed cells
+            first = ends[lo] - counts[lo]
+            hi = max(lo + 1, int(np.searchsorted(ends, first + group, "right")))
+            rg, cg = r[first:ends[hi - 1]], c[first:ends[hi - 1]]
+            values, index = np.unique(bits[rg, cg], return_inverse=True)
+            texts = [f"{x:.17g}" for x in values.view(np.float64).tolist()]
+            cells = zip(cg.tolist(), index.tolist(), acts[rg, cg].tolist())
+            for k, m in enumerate(counts[lo:hi].tolist(), b + lo):
+                for _, (i, x, a) in zip(range(m), cells):
+                    parts[i + 1] = f"{i},{texts[x]},{a}\n"
+                row = f"{k},".join(parts)
+                batch.append(row)
+                size += len(row)
+                if size >= _WRITE_CHARS:
+                    fh.write("".join(batch))
+                    batch, size = [], 0
+            lo = hi
     fh.write("".join(batch))
 
 

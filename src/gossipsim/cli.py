@@ -167,6 +167,9 @@ def build_run_config(cfgd: dict, chain: bool = False) -> RunConfig:
     gseed = cfgd["graph.seed"]
     if gseed is None:
         gseed = cfgd["run.seed"]
+    for key in ("run.seed", "graph.seed"):  # numpy's generators take none below 0
+        if (cfgd[key] or 0) < 0:
+            raise ConfigError(f"{key} must be >= 0, got {cfgd[key]}")
     graph = build_topology(cfgd["graph.kind"], cfgd["graph.n"], anchor=cfgd["graph.anchor"],
                            radius=cfgd["graph.radius"], erdos_p=cfgd["graph.erdos_p"],
                            seed=gseed)

@@ -34,9 +34,14 @@ from the same reads, once a pass is complete.
 No array of rows gathered through a source map holds more than
 _BLOCK_CELLS cells: the recorder judges a block, and the trace's passes
 read it, _BLOCK_CELLS // n rows at a time, however tall the block; the
-scripted and pairwise runners also size their blocks by it. Every
-runner takes its block heights from _heights: a first height, then
-twice the one before, up to a most.
+scripted and pairwise runners also size their blocks by it. The
+recorder gathers each chunk straight into the (n, rows) columns that
+analysis.disagreement_rows sums, which takes a chunk of fewer than
+_SHORT_ROWS rows a row at a time instead. A schedule compiled for
+several passes writes every pass's source map into one array, in place,
+as the first pass's shifted; a map of more than _BLOCK_CELLS cells is
+int32 while its entries fit. Every runner takes its block heights from
+_heights: a first height, then twice the one before, up to a most.
 
 Each runner records its rows in a _Recorder, a block of rows at a time,
 and the recorder judges every row once, as it records it:
@@ -186,7 +191,9 @@ class _Recorder:
         step = max(1, _BLOCK_CELLS // self.graph.node_count)
         for k in range(self.rows, end, step):  # no gathered chunk exceeds the budget
             chunk = src[k - self.rows:k - self.rows + step]
-            self.series[k:k + len(chunk)] = disagreement_rows(values.take(chunk), self.graph)
+            # gathered as the (n, rows) columns the judge sums, and handed
+            # over as their (rows, n) transpose: no copy of either
+            self.series[k:k + len(chunk)] = disagreement_rows(values[chunk.T].T, self.graph)
         self.blocks.append((values, src, acts))
         self.rows = end
 
@@ -258,8 +265,13 @@ class _Schedule:
         self.variant, self.height, self.beacon = rule.variant, len(ticks), beacon
         self.passes = passes  # the most a block runs
         self.sequential = rule.variant is RuleVariant.NEIGHBORHOOD_SET
-        src = np.empty((len(ticks), n), dtype=np.intp)
-        acts = np.zeros((len(ticks), n), dtype=np.uint8)
+        h = len(ticks)
+        # a map wider than a gather budget halves as int32, while its entries
+        # fit; a smaller one stays intp, which take reads without a cast
+        width = n + sum(map(len, ticks))
+        wide = passes * h * n > _BLOCK_CELLS and passes * width < 1 << 31
+        self.src = src = np.empty((passes * h, n), dtype=np.int32 if wide else np.intp)
+        self.acts = acts = np.zeros((passes * h, n), dtype=np.uint8)
         self.reads = []
         holds = list(range(n))  # the entry each node holds
         v = n  # entry of the next initiator's value
@@ -282,8 +294,9 @@ class _Schedule:
             acts[t, ids] = 1
         self.end = itemgetter(*holds)
         self.width = v
-        self.src = (src + np.arange(passes)[:, None, None] * v).reshape(-1, n)
-        self.acts = np.tile(acts, (passes, 1))
+        for p in range(1, passes):  # pass p's map is the first's shifted, in place
+            np.add(src[:h], p * v, out=src[p * h:(p + 1) * h])
+            acts[p * h:(p + 1) * h] = acts[:h]
 
     def run(self, x: list[float], passes: int, values: list[float]) -> list[float]:
         """Run passes passes from the states x and return the end states

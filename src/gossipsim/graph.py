@@ -30,6 +30,10 @@ MAX_ATTEMPTS = 100
 #: rows of the Erdos-Renyi uniform draw held at once
 ER_BLOCK_ROWS = 64
 
+#: candidate pairs of the geometric build, and arcs of a graph's checks,
+#: held at once: 256 KiB of int64 per work array
+PAIR_BLOCK = 1 << 15
+
 #: graphs of the kinds drawn from no seed that one process keeps built:
 #: a sweep's workers then build each of its (kind, n, anchor) once
 DETERMINISTIC_GRAPHS = 16
@@ -57,15 +61,25 @@ class Graph:
         src, dst = (np.array(a, dtype=np.int64, ndmin=1) for a in self.arcs)
         if src.ndim != 1 or src.shape != dst.shape:
             raise TopologyError(f"arc arrays of shapes {src.shape} and {dst.shape}")
-        if ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).any():
+        if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
             raise TopologyError(f"arc endpoint out of range for {n} nodes")
         if (src == dst).any():
             raise TopologyError("self-loops are not allowed")
-        keys = src * n + dst
-        if (np.diff(keys) <= 0).any():
-            raise TopologyError("arcs are not in strictly increasing row-major order")
-        if not self.directed and not np.array_equal(np.sort(dst * n + src), keys):
-            raise TopologyError("undirected graph has an arc without its reverse")
+        # the keys, PAIR_BLOCK at a time, each chunk with the key after it
+        for a in range(0, len(src), PAIR_BLOCK):
+            keys = src[a:a + PAIR_BLOCK + 1] * n + dst[a:a + PAIR_BLOCK + 1]
+            if (np.diff(keys) <= 0).any():
+                raise TopologyError("arcs are not in strictly increasing row-major order")
+        if not self.directed:
+            # the reverse arcs' keys, sorted, are the keys, chunk by chunk
+            rev = dst * n
+            rev += src
+            rev.sort()
+            for a in range(0, len(src), PAIR_BLOCK):
+                if not np.array_equal(rev[a:a + PAIR_BLOCK],
+                                      src[a:a + PAIR_BLOCK] * n + dst[a:a + PAIR_BLOCK]):
+                    raise TopologyError("undirected graph has an arc without its reverse")
+            del rev  # before the search
         src.flags.writeable = False
         dst.flags.writeable = False
         object.__setattr__(self, "arcs", (src, dst))
@@ -101,6 +115,8 @@ class Graph:
     def in_neighbors(self) -> tuple[np.ndarray, ...]:
         """Each node's averaging in-neighbors (sources of its in-arcs), ascending."""
         src, dst = self.arcs
+        if not self.directed:  # each node's in-neighbors are its out-neighbors
+            return tuple(np.split(dst, _offsets(src, self.node_count)[1:-1]))
         # arcs come in row-major order, so a stable sort by target keeps
         # each node's sources ascending
         by_dst = src[np.argsort(dst, kind="stable")]
@@ -119,9 +135,16 @@ class Graph:
 def _undirected(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major arcs of the undirected graph on n nodes with edges (a, b),
     each edge as both of its arcs, repeated edges once."""
-    keys = np.sort(np.concatenate([a * n + b, b * n + a]))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    return keys // n, keys % n
+    keys = np.empty(2 * len(a), dtype=np.int64)
+    np.multiply(a, n, out=keys[:len(a)])
+    keys[:len(a)] += b
+    np.multiply(b, n, out=keys[len(a):])
+    keys[len(a):] += a
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():  # a repeated edge
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+    src = keys // n
+    return src, np.remainder(keys, n, out=keys)
 
 
 def _offsets(src: np.ndarray, n: int) -> np.ndarray:
@@ -132,9 +155,11 @@ def _offsets(src: np.ndarray, n: int) -> np.ndarray:
 def _hops(offsets: np.ndarray, dst: np.ndarray, root: int) -> np.ndarray:
     """Breadth-first hop count of every node from root over the symmetric
     graph with CSR offsets and arc targets dst; -1 for a node root cannot
-    reach. Plain Python over lists: O(n + arcs), with no per-level numpy
-    calls, which would dominate on small graphs and long chains."""
-    off, nbr = offsets.tolist(), dst.tolist()
+    reach. Plain Python: O(n + arcs), with no per-level numpy calls,
+    which would dominate on small graphs and long chains. The targets are
+    read through a memoryview, which makes each int as it is read: no
+    list of every arc's target is held."""
+    off, nbr = offsets.tolist(), memoryview(dst)
     hop = [-1] * (len(off) - 1)
     hop[root] = 0
     frontier, h = [root], 0
@@ -248,7 +273,9 @@ def _geometric_arcs(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndar
     radius spans at most 1 - 1/(isqrt(n) + 2) of a cell's side 1/m, a
     margin far above rounding, so two points within reach always lie in
     the same or adjacent cells. m is capped near sqrt(n), so no array
-    grows with 1 / radius, and only occupied cells are indexed.
+    grows with 1 / radius, and only occupied cells are indexed. The
+    points go in runs of the cell order, each with at most PAIR_BLOCK
+    candidate pairs, so that no work array grows with the arcs.
     """
     n = len(pts)
     m = max(1, int(min(1.0 / radius, math.isqrt(n) + 2)) - 1)
@@ -259,24 +286,30 @@ def _geometric_arcs(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndar
     sorted_key = key[order]
     first = np.flatnonzero(np.diff(sorted_key, prepend=-1))
     occupied, size = sorted_key[first], np.diff(first, append=n)
-    # each unordered pair once: from every point, the later points of its
-    # own cell and all points of four of the eight neighbouring cells
-    nbr = cell[order][:, None, :] + np.array([[0, 0], [0, 1], [1, -1], [1, 0], [1, 1]])
-    nx, ny = nbr[..., 0], nbr[..., 1]
-    want = nx * m + ny
-    slot = np.minimum(np.searchsorted(occupied, want), len(occupied) - 1)
-    hit = (nx < m) & (0 <= ny) & (ny < m) & (occupied[slot] == want)
-    starts = np.where(hit, first[slot], 0)
-    counts = np.where(hit, size[slot], 0)
-    own = np.arange(n)
-    counts[:, 0] += starts[:, 0] - own - 1
-    starts[:, 0] = own + 1
-    i = order[np.repeat(own, counts.sum(axis=1))]
-    starts, counts = starts.ravel(), counts.ravel()
-    # the sorted positions starts[k] .. starts[k] + counts[k] - 1, for every k
-    j = order[np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
-    near = ((pts[i] - pts[j]) ** 2).sum(axis=-1) <= radius ** 2
-    return _undirected(i[near], j[near], n)
+    # a point meets at most five cells' points
+    run = max(1, PAIR_BLOCK // (5 * int(size.max())))
+    a, b = [], []
+    for lo in range(0, n, run):
+        own = np.arange(lo, min(lo + run, n))
+        # each unordered pair once: from every point, the later points of its
+        # own cell and all points of four of the eight neighbouring cells
+        nbr = cell[order[own]][:, None, :] + np.array([[0, 0], [0, 1], [1, -1], [1, 0], [1, 1]])
+        nx, ny = nbr[..., 0], nbr[..., 1]
+        want = nx * m + ny
+        slot = np.minimum(np.searchsorted(occupied, want), len(occupied) - 1)
+        hit = (nx < m) & (0 <= ny) & (ny < m) & (occupied[slot] == want)
+        starts = np.where(hit, first[slot], 0)
+        counts = np.where(hit, size[slot], 0)
+        counts[:, 0] += starts[:, 0] - own - 1
+        starts[:, 0] = own + 1
+        i = order[np.repeat(own, counts.sum(axis=1))]
+        starts, counts = starts.ravel(), counts.ravel()
+        # the sorted positions starts[k] .. starts[k] + counts[k] - 1, for every k
+        j = order[np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+        near = ((pts[i] - pts[j]) ** 2).sum(axis=-1) <= radius ** 2
+        a.append(i[near])
+        b.append(j[near])
+    return _undirected(np.concatenate(a), np.concatenate(b), n)
 
 
 @dataclass(frozen=True)

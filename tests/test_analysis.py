@@ -499,9 +499,15 @@ def _random_rows(rows, n, seed):
     return x
 
 
-#: _BLOCK_CELLS for the drift tests: row sums take _BLOCK_CELLS // (4 n)
-#: rows per block, so 1 and 7 make one-row blocks and 100 blocks of a few
-DRIFT_BLOCK_CELLS = [None, 1, 7, 100]
+def row_fsums(x):
+    """analysis._row_fsums of the one block x."""
+    return np.concatenate(list(analysis._row_fsums([np.asarray(x)])))
+
+
+#: _BLOCK_CELLS for the drift tests: row sums take _BLOCK_CELLS // n rows
+#: per block, so 1 and 7 make one-row blocks and 28, 100 and 400 blocks of
+#: a few
+DRIFT_BLOCK_CELLS = [None, 1, 7, 28, 100, 400]
 
 
 class TestDriftOracle:
@@ -549,12 +555,12 @@ class TestDriftOracle:
                 tr = synthetic_trace(build_topology("chain", len(x)), [[0.0] * len(x), x])
                 if isinstance(want, type):
                     with pytest.raises(want):
-                        analysis._row_fsums(np.array([x]))
+                        row_fsums(np.array([x]))
                     with pytest.raises(want):
                         tr.drifts
                     continue
                 # fsum gives 0.0 for every zero sum; + 0.0 clears a -0.0
-                assert _bits(analysis._row_fsums(np.array([x]))[0] + 0.0) == _bits(want + 0.0), x
+                assert _bits(row_fsums(np.array([x]))[0] + 0.0) == _bits(want + 0.0), x
                 assert np.array_equal(_bits(tr.drifts), _bits(fsum_drifts(tr))), x
 
     @pytest.mark.parametrize("cells", DRIFT_BLOCK_CELLS)
@@ -568,8 +574,22 @@ class TestDriftOracle:
         rows = [[0.5] * 9] + [x + [0.0] * (9 - len(x)) for x in rows]
         tr = synthetic_trace(build_topology("chain", 9), rows)
         assert np.array_equal(_bits(tr.drifts), _bits(fsum_drifts(tr)))
-        assert np.array_equal(_bits(analysis._row_fsums(tr.states) + 0.0),
+        assert np.array_equal(_bits(row_fsums(tr.states) + 0.0),
                               _bits([math.fsum(x) + 0.0 for x in rows]))
+
+    @pytest.mark.parametrize("cells", [None, 1, 7, 100])
+    def test_blocks_of_growing_heights(self, cells, monkeypatch):
+        # the blocks share their work arrays, which a taller block than
+        # the first outgrows; each block's sums are its rows' fsums
+        if cells is not None:
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+        x = _random_rows(40, 7, seed=9)
+        x[5, 3] = INF
+        blocks = [x[:1], x[1:3], x[3:11], x[11:12], x[12:]]
+        got = list(analysis._row_fsums(iter(blocks)))
+        assert [len(s) for s in got] == [len(b) for b in blocks]
+        want = [math.fsum(row) + 0.0 for row in x]
+        assert np.array_equal(_bits(np.concatenate(got) + 0.0), _bits(want))
 
     def test_non_finite_initial_row(self):
         # x_avg is inf, so rows give inf - inf and inf - x without a warning
@@ -578,14 +598,14 @@ class TestDriftOracle:
 
     def test_one_column(self):
         values = [1.5, -0.0, TINY, -MAX, 2.0**-1022, 0.1, INF, -INF, NAN]
-        got = analysis._row_fsums(np.array(values)[:, None])
+        got = row_fsums(np.array(values)[:, None])
         assert np.array_equal(_bits(got + 0.0), _bits([math.fsum([v]) + 0.0 for v in values]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 50])
     def test_random_rows(self, n):
         x = _random_rows(400, n, seed=n)
         want = [math.fsum(row) + 0.0 for row in x]
-        assert np.array_equal(_bits(analysis._row_fsums(x) + 0.0), _bits(want))
+        assert np.array_equal(_bits(row_fsums(x) + 0.0), _bits(want))
         if n > 1:
             tr = synthetic_trace(build_topology("chain", n), x)
             assert np.array_equal(_bits(tr.drifts), _bits(fsum_drifts(tr)))
@@ -664,9 +684,11 @@ class TestSeriesAgainstRecorder:
 
 
 #: _BLOCK_CELLS for the disagreement tests. Row blocks hold at least
-#: max(2, _BLOCK_CELLS // n) rows and arc chunks _BLOCK_CELLS // rows arcs:
-#: 1 and 2 give chunks of one arc, and 14, on 8 or more nodes, two-row
-#: blocks with chunks of seven arcs
+#: max(2, _BLOCK_CELLS // n) rows; one of fewer than _SHORT_ROWS rows goes
+#: a row at a time in chunks of _BLOCK_CELLS // 2 arcs, a taller one in
+#: chunks of _BLOCK_CELLS // 2 // rows arcs: 1 and 2 give chunks of one
+#: arc, 14, on 8 or more nodes, two-row blocks judged row by row in chunks
+#: of seven arcs, and 100 blocks of several rows in chunks of a few arcs
 DISAGREEMENT_BLOCK_CELLS = [None, 1, 2, 14, 100]
 
 
@@ -678,6 +700,93 @@ def _slices(rows):
     out |= {(lo, min(lo + h, rows)) for lo in range(0, rows, 3) for h in (2, 3, 7)}
     out |= {(0, rows), (min(1, rows - 1), rows), (rows // 2, rows)}
     return sorted(out)
+
+
+#: rows per call of disagreement_rows in the short-chunk tests: one, two
+#: and three are judged a row at a time, and the heights either side of
+#: _SHORT_ROWS straddle the switch to summing down the columns
+SHORT_HEIGHTS = sorted({1, 2, 3, analysis._SHORT_ROWS - 1, analysis._SHORT_ROWS,
+                        analysis._SHORT_ROWS + 1})
+
+
+def _nan_inf_rows():
+    """Rows of a 9-node chain holding nan, inf, both, and values whose
+    squared gaps overflow."""
+    x = _random_rows(12, 9, seed=3)
+    x[1, 4] = np.nan
+    x[2, 0] = -np.nan
+    x[3, 5] = np.inf
+    x[4, 6:] = -np.inf
+    x[5] = np.inf
+    x[6, 2], x[6, 3] = np.inf, np.nan
+    x[7] = 1e300  # squares overflow to inf
+    x[8, ::2] = 1e300
+    return x
+
+
+def _diverging_trace():
+    # self_additive grows without bound: its last cycles' squared gaps
+    # overflow, so most of its rows judge inf
+    g = build_topology("chain", 6)
+    return run_agent_sim(RunConfig(graph=g, rule=UpdateRule("self_additive"),
+                                   max_iterations=759))
+
+
+class TestShortChunks:
+    """disagreement_rows on chunks of as few rows as the engine's recorder
+    hands it at wide n, each call one chunk and each chunk one block:
+    below _SHORT_ROWS rows a row at a time, from it down the columns,
+    against block_disagreements bit for bit, in the row-major layout and
+    in the transposed one the recorder gathers."""
+
+    @staticmethod
+    def assert_chunks_match(states, graph, height, monkeypatch):
+        want = block_disagreements(states, graph)
+        # one block of height rows a call; the arcs go in chunks of about
+        # half of that many cells
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", height * graph.node_count)
+        for lo in range(0, len(states), height):
+            chunk = states[lo:lo + height]
+            for rows in (chunk, np.ascontiguousarray(chunk.T).T):
+                got = disagreement_rows(rows, graph)
+                assert np.array_equal(_bits(got), _bits(want[lo:lo + height])), lo
+        return want
+
+    @pytest.mark.parametrize("height", SHORT_HEIGHTS)
+    @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
+    def test_oracle_traces(self, name, height, monkeypatch):
+        tr = ORACLE_TRACES[name]()
+        self.assert_chunks_match(tr.states, tr.graph, height, monkeypatch)
+
+    @pytest.mark.parametrize("height", SHORT_HEIGHTS)
+    def test_rows_of_nan_and_inf(self, height, monkeypatch):
+        x = _nan_inf_rows()
+        g = build_topology("chain", 9)
+        want = self.assert_chunks_match(x, g, height, monkeypatch)
+        assert np.isnan(want).sum() >= 4 and np.isinf(want).sum() >= 2
+
+    @pytest.mark.parametrize("height", SHORT_HEIGHTS)
+    def test_a_diverging_run_through_the_recorder(self, height, monkeypatch):
+        # the recorder judges each block height rows at a time, so each
+        # chunk starts where a block or the chunk before it ends
+        want = _diverging_trace()
+        n = want.graph.node_count
+        monkeypatch.setattr(engine, "_BLOCK_CELLS", height * n)
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", height * n)
+        got = _diverging_trace()
+        series = block_disagreements(got.states, got.graph)
+        assert np.isinf(series).sum() > got.iterations // 3
+        assert np.array_equal(_bits(got.disagreements), _bits(series))
+        assert np.array_equal(_bits(got.disagreements), _bits(want.disagreements))
+        self.assert_chunks_match(got.states, got.graph, height, monkeypatch)
+
+    def test_a_wide_random_graph(self, monkeypatch):
+        # chunks of many arcs, as at n = 10^4 and beyond: a lone row, two
+        # rows and _SHORT_ROWS rows a call
+        g = build_topology("random_geometric", 600, radius=0.08, seed=1)
+        x = np.random.default_rng(4).uniform(0.0, 100.0, (2 * analysis._SHORT_ROWS, 600))
+        for height in (1, 2, analysis._SHORT_ROWS):
+            self.assert_chunks_match(x, g, height, monkeypatch)
 
 
 class TestDisagreementOracle:
@@ -707,15 +816,7 @@ class TestDisagreementOracle:
         if cells is not None:
             monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
         g = build_topology("chain", 9)
-        x = _random_rows(12, 9, seed=3)
-        x[1, 4] = np.nan
-        x[2, 0] = -np.nan
-        x[3, 5] = np.inf
-        x[4, 6:] = -np.inf
-        x[5] = np.inf
-        x[6, 2], x[6, 3] = np.inf, np.nan
-        x[7] = 1e300  # squares overflow to inf
-        x[8, ::2] = 1e300
+        x = _nan_inf_rows()
         want = block_disagreements(x, g)
         for lo, hi in _slices(len(x)):
             assert np.array_equal(_bits(disagreement_rows(x[lo:hi], g)), _bits(want[lo:hi]))

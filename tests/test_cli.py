@@ -282,9 +282,14 @@ class TestConfigHandling:
           "--run.backend", "matrix", "--duty.p", "0.3", "--duty.q", "0.5"), DUTY_ERROR),
         (("spectra", "--preset", "circular", "--run.backend", "matrix", "--duty.p", "0.3"),
          DUTY_ERROR),
+        (("run", "--preset", "chain", "--run.seed", "-1"), "run.seed must be >= 0, got -1"),
+        (("run", "--preset", "chain", "--graph.seed", "-3"), "graph.seed must be >= 0, got -3"),
+        (("run", "--graph.kind", "random_geometric", "--run.seed", "-2"),
+         "run.seed must be >= 0, got -2"),
     ], ids=["config_line_without_equals", "sweep_topology", "sweep_jobs_zero",
             "sweep_jobs_negative", "radius_zero", "erdos_p_above_one",
-            "rule_variant", "duty_on_the_matrix_baseline", "duty_on_matrix_spectra"])
+            "rule_variant", "duty_on_the_matrix_baseline", "duty_on_matrix_spectra",
+            "run_seed_negative", "graph_seed_negative", "graph_seed_from_negative_run_seed"])
     def test_bad_input_exits_one_with_one_line(self, tmp_path, capsys, argv, err):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("graph.kind = star\ngraph.n 8\n")
@@ -414,6 +419,21 @@ class TestSweepCommand:
         rows = read_csv(out / "sweep.csv")
         assert [r["status"] for r in rows] == ["error", "error"]
         assert all(r["error"].startswith("ConfigError") for r in rows)
+
+    def test_negative_seeds_give_error_rows(self, tmp_path):
+        # numpy's generators take no negative seed; the sweep still writes
+        # a row for every cell
+        out = tmp_path / "o"
+        rc = run_cli("sweep", "--graph.n", "6", "--sweep.topologies", "star,random_geometric",
+                     "--sweep.seeds=-2,-1,0", "--jobs", "1", "--out", str(out))
+        assert rc == 0
+        rows = read_csv(out / "sweep.csv")
+        assert [(r["topology"], r["seed"], r["status"]) for r in rows] == [
+            (t, s, "error" if s != "0" else "ok")
+            for t in ("star", "random_geometric") for s in ("-2", "-1", "0")]
+        for r in rows:
+            if r["status"] == "error":
+                assert r["error"] == f"ConfigError: run.seed must be >= 0, got {r['seed']}"
 
     def test_duty_flags_give_error_rows_for_the_cells_without_a_chain(self, tmp_path):
         out = tmp_path / "o"

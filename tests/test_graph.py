@@ -132,6 +132,15 @@ class TestRandomBuilders:
         for seed in range(50):
             assert_built_as_dense(n, seed, anchor=anchor, radius=radius)
 
+    # PAIR_BLOCK of 1: runs of one point, each with more candidates than
+    # the block; of 1000: runs of a few dozen points
+    @pytest.mark.parametrize("block", [1, 1000])
+    def test_cell_grid_in_runs_of_points(self, monkeypatch, block):
+        monkeypatch.setattr(graph_module, "PAIR_BLOCK", block)
+        for n, radius, anchor in ((60, 0.25, 0), (90, 1 / 6, 3), (25, 1.0, 4)):
+            for seed in range(5):
+                assert_built_as_dense(n, seed, anchor=anchor, radius=radius)
+
     def test_second_attempt_matches_dense_builder(self):
         assert assert_built_as_dense(40, 8, anchor=7, radius=0.25) == 2
         assert assert_built_as_dense(40, 15, anchor=7, radius=0.25) == 6
@@ -216,6 +225,22 @@ class TestGraphValidation:
         with pytest.raises(TopologyError):
             Graph(node_count=3, anchor_id=0, arcs=arcs)
         Graph(node_count=3, anchor_id=0, arcs=([0, 1, 1, 2], [1, 0, 2, 1]))
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_arcs_checked_a_few_at_a_time(self, block, monkeypatch):
+        # the key checks go PAIR_BLOCK arcs at a time: a fault in any
+        # chunk, or between two, is still found
+        monkeypatch.setattr(graph_module, "PAIR_BLOCK", block)
+        ring = build_topology("circular", 6).arcs
+        Graph(node_count=6, anchor_id=0, arcs=ring)
+        for k in range(len(ring[0]) - 1):  # swap two neighbouring arcs
+            src, dst = (a.copy() for a in ring)
+            src[[k, k + 1]], dst[[k, k + 1]] = src[[k + 1, k]], dst[[k + 1, k]]
+            with pytest.raises(TopologyError, match="row-major"):
+                Graph(node_count=6, anchor_id=0, arcs=(src, dst))
+        for k in range(len(ring[0])):  # drop one arc, keeping its reverse
+            with pytest.raises(TopologyError, match="reverse"):
+                Graph(node_count=6, anchor_id=0, arcs=tuple(np.delete(a, k) for a in ring))
 
     def test_arcs_are_a_read_only_copy(self):
         src, dst = np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1])

@@ -650,6 +650,29 @@ class TestCompiledOnce:
         want = run_agent_sim(replace(cfg, graph=fresh), collect_messages=True)
         assert_same_trace(run_agent_sim(cfg, collect_messages=True), want)
 
+    @pytest.mark.parametrize("cells", [None, 1])
+    def test_passes_are_the_first_pass_shifted(self, cells, monkeypatch):
+        # compiled in place: pass p's map is the first's plus p * width and
+        # its flags are the first's; a map of more cells than the gather
+        # budget is int32, a smaller one intp, and both run the same trace
+        if cells is not None:
+            monkeypatch.setattr(engine, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(engine, "_SPAN_CELLS", 12 * 11 * 4)
+        g = build_topology("chain", 12)
+        g = Graph(node_count=12, anchor_id=0, arcs=g.arcs)  # nothing compiled
+        cycle = engine._beacon_cycle(g, UpdateRule())
+        h = cycle.height
+        assert (cycle.passes, h) == (4, 11) and cycle.src.shape == (44, 12)
+        assert cycle.src.dtype == (np.intp if cells is None else np.int32)
+        first = cycle.src[:h].astype(np.intp)
+        assert first.min() >= 0 and first.max() < cycle.width
+        for p in range(4):
+            assert np.array_equal(cycle.src[p * h:(p + 1) * h], first + p * cycle.width)
+            assert np.array_equal(cycle.acts[p * h:(p + 1) * h], cycle.acts[:h])
+        cfg = RunConfig(graph=g, seed=3, max_iterations=30, tolerance=1e-3)
+        assert_same_trace(run_agent_sim(cfg, collect_messages=True),
+                          run_agent_per_tick(cfg, collect_messages=True))
+
     @pytest.mark.parametrize("kind", ["chain", "circular_directed"])
     def test_runs_after_runs(self, kind, monkeypatch):
         g = build_topology(kind, 12)
