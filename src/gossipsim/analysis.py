@@ -7,12 +7,16 @@ Two scalar metrics summarize a state vector x against the graph:
 * disagreement: sqrt((1/n) * sum_ij A_ij (x_i - x_j)^2) over ordered
   adjacent pairs, zero exactly at consensus.
 
-Every pass over a trace's rows reads them _BLOCK_CELLS cells at a time,
-through Trace.row_blocks, and allocates no work array larger than that
-budget: the drift sums' trees, which run in place on two arrays shared
-by all the blocks of a pass, the judge's arc terms (disagreement_rows,
-which takes a block of fewer than _SHORT_ROWS rows a row at a time) and
-the trace writer's lists of changed cells all keep to it.
+One function, row_chunks, gathers rows out of the blocks a run keeps
+them in, _BLOCK_CELLS cells at a time: the engine's recorder judges
+every row through it, once, and the series it judges by becomes the
+trace's disagreements; every pass over a finished trace reads its rows
+through it too, by Trace.row_blocks. The row kernels take the chunk
+they are given and allocate no work array larger than that budget: the
+drift sums' trees, which run in place on two arrays shared by all the
+chunks of a pass, the judge's arc terms (disagreement_rows, which takes
+a chunk of fewer than _SHORT_ROWS rows a row at a time) and the trace
+writer's lists of changed cells all keep to it.
 
 Spectral certification works on an averaging matrix (usually the
 expected one under an activation model): row stochasticity plus a
@@ -24,8 +28,8 @@ projector, certifies convergence to the exact average.
 from __future__ import annotations
 
 import io
-from collections.abc import Iterable, Iterator
-from dataclasses import InitVar, dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import fsum
 
@@ -39,15 +43,15 @@ from .rules import RuleVariant, UpdateRule, update_block
 #: and use the same tolerance for stochasticity checks
 SPECTRAL_TOL = 1e-9
 
-#: cells per block of rows in the passes over a whole trace, so that a
-#: block's (rows, n) states take 512 KiB of float64; Trace.row_blocks, the
-#: engine's recorder, its scripted and pairwise blocks and the duty cycle's
-#: blocks of draws keep the same budget. The work arrays of a pass hold no
-#: more each: the row sums' two arrays a budget each, the judge's two
-#: arrays of arc terms half of one, the trace writer's cells a sixteenth
+#: cells per chunk of rows that row_chunks gathers, so that a chunk's
+#: states take 512 KiB of float64. The one budget: the engine's scripted
+#: and pairwise blocks and the duty cycle's blocks of draws read it from
+#: here when they run. The work arrays of a pass hold no more each: the
+#: row sums' two arrays a budget each, the judge's two arrays of arc
+#: terms half of one, the trace writer's cells a sixteenth
 _BLOCK_CELLS = 1 << 16
 
-#: blocks of fewer rows than this are judged a row at a time: summed down
+#: chunks of fewer rows than this are taken a row at a time: summed down
 #: their first axis, their arc terms would run inner loops of two or three
 #: values (measured slower than a row's cumulative sum at n = 4000 to 10^5)
 _SHORT_ROWS = 4
@@ -72,64 +76,42 @@ class Trace:
     reads them through row_blocks; states and activations build the
     whole arrays, for a reader that wants them once.
     cycle_ticks is the width of one beacon cycle in ticks, and so in rows;
-    sustained convergence is judged over that window against tolerance.
+    sustained convergence is read over that window against tolerance.
+    disagreements is the disagreement of every row, as the engine's
+    recorder computed it, so that metrics.csv and the run's verdict share
+    one pass; dataclasses.replace carries it to the new trace.
     A trace is built once and never changes: its fields cannot
     be rebound and its arrays are read-only, so everything derived
-    from its rows is computed on first use and kept. judged, when given,
-    is the disagreement_rows series of the rows, already computed (the
-    engine's recorder passes the values it judged by), and seeds
-    disagreements; dataclasses.replace passes none, so a trace built that
-    way computes its own.
+    from its rows is computed on first use and kept.
     """
 
     graph: Graph
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     cycle_ticks: int
     tolerance: float
+    disagreements: np.ndarray
     message_counts: dict[str, int] = field(default_factory=dict)
     messages: list[tuple[int, str, int, int, float | int | None]] | None = None
-    judged: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, judged: np.ndarray | None) -> None:
+    def __post_init__(self) -> None:
         for block in self.blocks:
             for a in block:
                 a.flags.writeable = False
-        if judged is not None:
-            judged.flags.writeable = False
-            self.__dict__["disagreements"] = judged
+        self.disagreements.flags.writeable = False
 
     @cached_property
     def iterations(self) -> int:
         return sum(len(src) for _, src, _ in self.blocks)
 
     def row_blocks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Every row, as (k, states, acts) blocks of at most
-        _BLOCK_CELLS // n rows, k the index of the block's first row. The
-        kept blocks are gathered into one pair of arrays, which each block
-        yielded overwrites: a caller is done with a block by its next."""
-        n = self.graph.node_count
-        height = max(1, min(_BLOCK_CELLS // n, self.iterations))
-        states, acts = np.empty((height, n)), np.empty((height, n), dtype=np.uint8)
-        k = fill = 0  # the buffer's first row and its rows filled
-        for values, src, flags in self.blocks:
-            a = 0
-            while a < len(src):
-                m = min(len(src) - a, height - fill)
-                # clip: the maps are in range, and out is not buffered
-                values.take(src[a:a + m], out=states[fill:fill + m], mode="clip")
-                acts[fill:fill + m] = flags[a:a + m]
-                fill, a = fill + m, a + m
-                if fill == height:
-                    yield k, states, acts
-                    k, fill = k + fill, 0
-        if fill:
-            yield k, states[:fill], acts[:fill]
+        """Every row, as row_chunks gives them."""
+        return row_chunks(self.blocks)
 
     @property
     def states(self) -> np.ndarray:
         """Every row's states, as one read-only (rows, n) array built on
-        each call."""
-        out = np.concatenate([values.take(src) for values, src, _ in self.blocks])
+        each call from copies of row_blocks' chunks."""
+        out = np.concatenate([states.copy() for _, states, _ in self.row_blocks()])
         out.flags.writeable = False
         return out
 
@@ -163,16 +145,6 @@ class Trace:
         return d
 
     @cached_property
-    def disagreements(self) -> np.ndarray:
-        """Disagreement of every row, read-only, so that metrics.csv and
-        the run's verdict share one pass."""
-        e = np.empty(self.iterations)
-        for k, states, _ in self.row_blocks():
-            e[k:k + len(states)] = disagreement_rows(states, self.graph)
-        e.flags.writeable = False
-        return e
-
-    @cached_property
     def convergence_row(self) -> int | None:
         """First row from which disagreement stays below tolerance for a
         full beacon cycle, by sustained_run; None if it never does."""
@@ -200,6 +172,42 @@ class Trace:
         return sum(self.message_counts.values())
 
 
+def row_chunks(blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
+               ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Every row of the (values, src, acts) blocks, whose rows follow one
+    another, as (k, states, acts) chunks of _BLOCK_CELLS // n rows (one
+    at least; the last what is left), k the index of the chunk's first
+    row; a chunk may span blocks. This is the one gather of rows out of
+    blocks: the engine's recorder judges each block it is handed through
+    it, and every pass over a trace reads the trace's blocks through it.
+
+    A chunk's states are gathered straight into the C-contiguous (n, rows)
+    columns that disagreement_rows and _row_fsums sum, and handed over as
+    their (rows, n) transpose; its flags are a (rows, n) array. Both are
+    kept in one pair of buffers, which each chunk yielded overwrites: a
+    caller is done with a chunk by its next.
+    """
+    n = blocks[0][1].shape[1]
+    total = sum(len(src) for _, src, _ in blocks)
+    height = max(1, min(_BLOCK_CELLS // n, total))
+    flat, flags = np.empty(n * height), np.empty((height, n), dtype=np.uint8)
+    k = fill = 0  # the chunk's first row and its rows filled
+    for values, src, acts in blocks:
+        a = 0
+        while a < len(src):
+            rows = min(height, total - k)
+            cols = flat[:n * rows].reshape(n, rows)
+            m = min(len(src) - a, rows - fill)
+            # clip: the maps are in range, and take then writes out in
+            # place unless the chunk spans blocks, when out is not contiguous
+            values.take(src[a:a + m].T, out=cols[:, fill:fill + m], mode="clip")
+            flags[fill:fill + m] = acts[a:a + m]
+            fill, a = fill + m, a + m
+            if fill == rows:
+                yield k, cols.T, flags[:rows]
+                k, fill = k + rows, 0
+
+
 def disagreement_of(x: np.ndarray, graph: Graph) -> float:
     """Adjacency-weighted RMS gap of a raw state vector, its arc terms
     summed pairwise, as numpy sums a flat vector; so it can differ in the
@@ -211,31 +219,23 @@ def disagreement_of(x: np.ndarray, graph: Graph) -> float:
 
 
 def disagreement_rows(states: np.ndarray, graph: Graph) -> np.ndarray:
-    """Disagreement of every row of a (rows, n) block of states.
+    """Disagreement of every row of a (rows, n) chunk of states.
 
     Each row's arc terms are added left to right, in arc order, whatever
-    the height of the block, so disagreement_rows(s)[k] is bit-equal to
-    disagreement_rows(s[k:k + 1])[0]. The rows go in blocks of at least
-    two, unless there is one, of about _BLOCK_CELLS // n rows. A block of
-    _SHORT_ROWS or more rows is summed as its (n, rows) columns, read in
-    place when states is the transpose of a C-contiguous array, as the
-    engine's recorder gathers it; a shorter one a row at a time. Both go
-    through _arc_sums. Rows of a diverging run read inf or nan without a
-    warning.
+    the height of the chunk, so disagreement_rows(s)[k] is bit-equal to
+    disagreement_rows(s[k:k + 1])[0]. A chunk of _SHORT_ROWS or more rows
+    is summed as its (n, rows) columns, read in place when states is the
+    transpose of a C-contiguous array, as row_chunks gathers it; a
+    shorter one a row at a time. Both go through _arc_sums. Rows of a
+    diverging run read inf or nan without a warning.
     """
     i, j = graph.arcs
-    rows, n = states.shape
-    out = np.empty(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = max(1, rows // max(2, _BLOCK_CELLS // n))
-        for b in range(blocks):
-            lo, hi = b * rows // blocks, (b + 1) * rows // blocks
-            if hi - lo < _SHORT_ROWS:
-                for k in range(lo, hi):
-                    out[k] = _arc_sums(np.ascontiguousarray(states[k]), i, j)
-            else:
-                out[lo:hi] = _arc_sums(np.ascontiguousarray(states[lo:hi].T), i, j)
-        np.sqrt(out / n, out=out)
+        if len(states) < _SHORT_ROWS:
+            out = np.array([_arc_sums(np.ascontiguousarray(x), i, j) for x in states])
+        else:
+            out = _arc_sums(np.ascontiguousarray(states.T), i, j)
+        np.sqrt(out / states.shape[1], out=out)
     return out
 
 
@@ -291,9 +291,9 @@ def _two_sum_tree(cols: np.ndarray, work: np.ndarray) -> None:
         m = o + h
 
 
-def _row_fsums(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """math.fsum of every row of each (rows, n) block in turn: an array
-    of a block's sums for each block.
+def _row_fsums(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """math.fsum of every row of each (rows, n) chunk in turn: an array
+    of a chunk's sums for each chunk.
 
     A TwoSum tree gives each row's float sum hi and its errors; a second
     tree sums those to lo and leaves m errors of its own, whose exact sum
@@ -306,43 +306,38 @@ def _row_fsums(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     at a power of two). Every other row, and every row with a value that
     is not finite or large enough that a sum could overflow, goes to
     fsum, so the values and the exceptions (OverflowError, ValueError)
-    are fsum's. Both trees run in place on the (n, rows) columns of
-    _BLOCK_CELLS // n rows at a time, with one work array. The blocks
-    share those two arrays of about _BLOCK_CELLS cells, allocated again
-    only for a block with more cells than every one before it: a fresh
-    pair for each block of a pass would fault their pages in anew.
+    are fsum's. Both trees run in place on a copy of the chunk's (n, rows)
+    columns, with one work array. The chunks share those two arrays,
+    allocated again only for a chunk with more cells than every one
+    before it: a fresh pair for each chunk of a pass would fault their
+    pages in anew.
     """
     flat = scratch = None
-    for states in blocks:
+    for states in chunks:
         rows, n = states.shape
-        sums = np.empty(rows)
-        step = max(1, min(rows, _BLOCK_CELLS // n))
-        if flat is None or len(flat) < n * step:
-            flat, scratch = np.empty(n * step), np.empty(n * step)
+        if flat is None or len(flat) < states.size:
+            flat, scratch = np.empty(states.size), np.empty(states.size)
+        cols = flat[:states.size].reshape(n, rows)
+        work = scratch[:states.size].reshape(n, rows)
+        np.copyto(cols, states.T)
         limit = 2.0 ** 1020 / n  # no sum of n values below it overflows
         with np.errstate(over="ignore", invalid="ignore"):
-            for b in range(0, rows, step):
-                block = states[b:b + step]
-                cols = flat[:n * len(block)].reshape(n, len(block))
-                work = scratch[:cols.size].reshape(cols.shape)
-                np.copyto(cols, block.T)
-                # False at nan and inf
-                small = (cols.max(axis=0) < limit) & (cols.min(axis=0) > -limit)
-                _two_sum_tree(cols, work)
-                _two_sum_tree(cols[1:], work)
-                hi, lo, rest = cols[0], (cols[1] if n > 1 else 0.0), cols[2:]
-                c = hi + lo
-                z = c - hi
-                r = (hi - (c - z)) + (lo - z)
-                biggest = np.maximum(rest.max(axis=0, initial=0.0),
-                                     -rest.min(axis=0, initial=0.0))
-                bound = 2.0 * len(rest) * biggest
-                mag = np.abs(c)
-                half_gap = 0.5 * (mag - np.nextafter(mag, 0.0))
-                exact = small & ((bound == 0.0) | (np.abs(r) + bound < half_gap))
-                sums[b:b + step] = c
-                for k in np.flatnonzero(~exact).tolist():
-                    sums[b + k] = fsum(block[k])
+            # False at nan and inf
+            small = (cols.max(axis=0) < limit) & (cols.min(axis=0) > -limit)
+            _two_sum_tree(cols, work)
+            _two_sum_tree(cols[1:], work)
+            hi, lo, rest = cols[0], (cols[1] if n > 1 else 0.0), cols[2:]
+            sums = hi + lo
+            z = sums - hi
+            r = (hi - (sums - z)) + (lo - z)
+            biggest = np.maximum(rest.max(axis=0, initial=0.0),
+                                 -rest.min(axis=0, initial=0.0))
+            bound = 2.0 * len(rest) * biggest
+            mag = np.abs(sums)
+            half_gap = 0.5 * (mag - np.nextafter(mag, 0.0))
+            exact = small & ((bound == 0.0) | (np.abs(r) + bound < half_gap))
+            for k in np.flatnonzero(~exact).tolist():
+                sums[k] = fsum(states[k])
         yield sums
 
 
@@ -502,10 +497,10 @@ def write_trace_csv(trace: Trace, fh) -> None:
     parts. A part is rebuilt only where the node's float64 bit pattern or
     activation flag differs from the previous row's (comparing bits, not
     values, keeps -0.0 after 0.0 and NaN payload changes exact); a chain
-    row changes about 3 of its 50. The rows come a block at a time from
-    Trace.row_blocks, and each block's last row is carried into the
+    row changes about 3 of its 50. The rows come a chunk at a time from
+    Trace.row_blocks, and each chunk's last row is carried into the
     next's comparison. A neighborhood-set fold writes one value to its
-    whole closed neighbourhood, so the changed cells of a block of rows
+    whole closed neighbourhood, so the changed cells of a chunk of rows
     hold few distinct values. They are listed a group of rows at a time,
     at most about _BLOCK_CELLS // 16 cells a group, and each distinct bit
     pattern of a group is formatted once. Every field but x is an

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _BLOCK_CELLS
+from . import analysis
 from .errors import ConfigError
 
 
@@ -33,13 +33,13 @@ def activation_sequence(params: DutyCycleParams, n: int, steps: int,
                         seed: int | None = None) -> np.ndarray:
     """Materialize (steps, n) activation rows, starting with every node
     asleep, by running the wake/sleep chain on one rng.random(n) per step,
-    taken in blocks of about _BLOCK_CELLS draws."""
+    taken in blocks of about analysis._BLOCK_CELLS draws."""
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
     rows = np.empty((steps, n), dtype=np.uint8)
     rng = np.random.default_rng(seed)
     awake = np.zeros(n, dtype=bool)
-    block = max(1, _BLOCK_CELLS // max(n, 1))
+    block = max(1, analysis._BLOCK_CELLS // max(n, 1))
     for b in range(0, steps, block):
         u = rng.random((min(block, steps - b), n))
         wake, stay = u < params.p, u >= params.q

@@ -32,23 +32,22 @@ from the same reads, once a pass is complete.
   with one gather through a last-writer source map.
 
 No array of rows gathered through a source map holds more than
-_BLOCK_CELLS cells: the recorder judges a block, and the trace's passes
-read it, _BLOCK_CELLS // n rows at a time, however tall the block; the
-scripted and pairwise runners also size their blocks by it. The
-recorder gathers each chunk straight into the (n, rows) columns that
-analysis.disagreement_rows sums, which takes a chunk of fewer than
-_SHORT_ROWS rows a row at a time instead. A schedule compiled for
-several passes writes every pass's source map into one array, in place,
-as the first pass's shifted; a map of more than _BLOCK_CELLS cells is
-int32 while its entries fit. Every runner takes its block heights from
+analysis._BLOCK_CELLS cells, the one budget, which this module reads
+from analysis when it runs: the recorder judges a block, and the
+trace's passes read it, in the chunks of analysis.row_chunks, the one
+gather of rows, however tall the block; the scripted and pairwise
+runners also size their blocks by it. A schedule compiled for several
+passes writes every pass's source map into one array, in place, as the
+first pass's shifted; a map of more than the budget's cells is int32
+while its entries fit. Every runner takes its block heights from
 _heights: a first height, then twice the one before, up to a most.
 
 Each runner records its rows in a _Recorder, a block of rows at a time,
-and the recorder judges every row once, as it records it:
-analysis.disagreement_rows gives a row the same value whatever rows are
-summed with it, so a block may span many windows. After each block the
-recorder applies the window rule of analysis.sustained_run to the new
-rows, which stops the run on the first row that completes a window;
+and the recorder, the one judge, judges every row once, as it records
+it: analysis.disagreement_rows gives a row the same value whatever rows
+are summed with it, so a block may span many windows. After each block
+the recorder applies the window rule of analysis.sustained_run to the
+new rows, which stops the run on the first row that completes a window;
 the runners size their blocks so that a run computes past its stop at
 most about as many rows as it kept. A block reaches the recorder as the
 kernel made it, a values array and the source map its rows are gathered
@@ -57,10 +56,11 @@ in that form: an agent block's maps are views of its compiled cycle, so
 the block holds only the n + folds values of each pass, where its rows
 would hold n states a tick. When the run ends it builds its frozen
 Trace in one call: the blocks cut to the rows kept, the disagreements
-it judged them by, their closed-form message counts and, on request,
-the message log up to the last row. The trace reads converged off
-those rows by the same rule for every backend, and every pass over its
-rows gathers them a block at a time.
+it computed for them, which the trace keeps as its series, their
+closed-form message counts and, on request, the message log up to the
+last row. The trace reads converged off that series by the same rule
+for every backend, and every pass over its rows gathers them a chunk
+at a time.
 step_matrix writes the same steps as explicit matrices, built from
 rules.update_block.
 
@@ -94,15 +94,16 @@ from operator import itemgetter
 
 import numpy as np
 
-from .analysis import _BLOCK_CELLS, Trace, disagreement_rows, sustained_run
+from . import analysis
+from .analysis import Trace, disagreement_rows, row_chunks, sustained_run
 from .errors import ConfigError, SimulationError
 from .graph import Graph, assign_layers
 from .rules import FOLDS, RuleVariant, UpdateRule, update_block
 
 #: cells of the schedule run_agent_sim compiles from several beacon cycles
-#: when more than one cycle fits. Far below _BLOCK_CELLS: a small run
-#: often converges early inside its largest block, and every cycle
-#: folded past the stop is wasted.
+#: when more than one cycle fits. Far below analysis._BLOCK_CELLS: a
+#: small run often converges early inside its largest block, and every
+#: cycle folded past the stop is wasted.
 _SPAN_CELLS = 1 << 12
 
 ANCHOR_SRC = -1  # message src used by the anchor entity
@@ -150,21 +151,22 @@ def initial_states(cfg: RunConfig) -> tuple[np.ndarray, np.random.Generator]:
 
 
 class _Recorder:
-    """Trace rows of a run, each judged once, as it is recorded, with the
-    reduction and window rule of the finished trace's metrics, so that the
-    run stops on the numbers metrics.csv reports. The values judged become
-    the trace's disagreements. log, when messages are collected, is the
+    """Trace rows of a run, the disagreement of each computed once, as
+    it is recorded, and the window rule of the finished trace's metrics
+    applied to it, so that the run stops on the numbers metrics.csv
+    reports. The recorder is the one judge: its values become the trace's
+    disagreements. log, when messages are collected, is the
     list the run appends its messages to, each stamped with rows: the
     index of the row its tick is recorded in.
 
     A runner hands over each block as the kernel made it: a values
     array, a (rows, n) source map into it and the block's (rows, n)
     activation flags. The recorder gathers the block's rows once, to
-    judge them, a budget of rows at a time whatever the block's height,
-    and keeps the triple, not the rows: the agent's maps are
-    views of its compiled cycle, so each of its blocks costs its values
-    alone. finish cuts the blocks to the rows kept and hands them to the
-    trace as they are.
+    judge them, in the chunks of analysis.row_chunks whatever the
+    block's height, and keeps the triple, not the rows: the agent's maps
+    are views of its compiled cycle, so each of its blocks costs its
+    values alone. finish cuts the blocks to the rows kept and hands them
+    to the trace as they are.
     """
 
     def __init__(self, graph: Graph, x0: np.ndarray, cycle_ticks: int, tol: float,
@@ -182,18 +184,15 @@ class _Recorder:
         self.record(x0, np.arange(n)[None], np.zeros((1, n), dtype=np.uint8))
 
     def record(self, values: np.ndarray, src: np.ndarray, acts: np.ndarray) -> None:
-        """Judge the (rows, n) block of states values.take(src), gathered
-        _BLOCK_CELLS // n rows at a time, and keep the block, with its
+        """Judge the (rows, n) block of states values.take(src), in the
+        chunks of analysis.row_chunks, and keep the block, with its
         activation flags acts."""
         end = self.rows + len(src)
         if len(self.series) < end:  # no view of it is ever taken
             self.series.resize(2 * end, refcheck=False)
-        step = max(1, _BLOCK_CELLS // self.graph.node_count)
-        for k in range(self.rows, end, step):  # no gathered chunk exceeds the budget
-            chunk = src[k - self.rows:k - self.rows + step]
-            # gathered as the (n, rows) columns the judge sums, and handed
-            # over as their (rows, n) transpose: no copy of either
-            self.series[k:k + len(chunk)] = disagreement_rows(values[chunk.T].T, self.graph)
+        for k, states, _ in row_chunks(((values, src, acts),)):
+            k += self.rows
+            self.series[k:k + len(states)] = disagreement_rows(states, self.graph)
         self.blocks.append((values, src, acts))
         self.rows = end
 
@@ -231,7 +230,7 @@ class _Recorder:
         self.series.resize(self.rows, refcheck=False)
         return Trace(graph=self.graph, blocks=tuple(blocks), cycle_ticks=self.cycle_ticks,
                      tolerance=self.tol, message_counts=counts(updates, self.rows),
-                     messages=log, judged=self.series)
+                     messages=log, disagreements=self.series)
 
 
 def _nobody(i: int, values: list[float]) -> tuple[float, ...]:
@@ -269,7 +268,7 @@ class _Schedule:
         # a map wider than a gather budget halves as int32, while its entries
         # fit; a smaller one stays intp, which take reads without a cast
         width = n + sum(map(len, ticks))
-        wide = passes * h * n > _BLOCK_CELLS and passes * width < 1 << 31
+        wide = passes * h * n > analysis._BLOCK_CELLS and passes * width < 1 << 31
         self.src = src = np.empty((passes * h, n), dtype=np.int32 if wide else np.intp)
         self.acts = acts = np.zeros((passes * h, n), dtype=np.uint8)
         self.reads = []
@@ -468,7 +467,7 @@ def run_matrix_sim(cfg: RunConfig, activation_sequence: np.ndarray,
     g = cfg.graph
     x0, _ = initial_states(cfg)
     rec = _Recorder(g, x0, 1, cfg.tolerance, collect_messages)
-    step = max(1, _BLOCK_CELLS // n)
+    step = max(1, analysis._BLOCK_CELLS // n)
     x = x0.tolist()
     for m in _heights(step, step, cfg.max_iterations):
         # each block of the script is compiled when its turn comes; tick
@@ -515,8 +514,8 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
     their nodes from one bulk draw of the rng's words, as the scalar
     draws would, and the block's rows are gathered in one call. A block
     holds n exchanges, then twice as many as the one before, up to
-    _BLOCK_CELLS cells, so that a run computes past its stop at most
-    about as many exchanges as it kept.
+    analysis._BLOCK_CELLS cells, so that a run computes past its stop at
+    most about as many exchanges as it kept.
     """
     g = cfg.graph
     if g.directed:
@@ -532,7 +531,7 @@ def run_pairwise_baseline(cfg: RunConfig, collect_messages: bool = False) -> Tra
     xs = x0.tolist()
     words: list[int] = []  # the rng's next 32-bit words, from p on
     p = 0
-    for m in _heights(n, max(1, _BLOCK_CELLS // n), cfg.max_iterations):
+    for m in _heights(n, max(1, analysis._BLOCK_CELLS // n), cfg.max_iterations):
         # a word for each of the block's draws, two an exchange at most
         del words[:p]
         p = 0

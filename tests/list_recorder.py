@@ -12,7 +12,8 @@ traces bit for bit.
 It judges with block_disagreements, an in-order disagreement pass that
 shares no code with analysis.disagreement_rows: blocks of rows, each
 adding up its whole (arcs, rows) array of terms at once. Its trace's
-series is that pass over all the rows kept.
+series is that pass over all the rows kept, as is the series of every
+trace trace_of_rows builds.
 """
 
 from collections.abc import Callable
@@ -27,12 +28,14 @@ from gossipsim.graph import Graph
 def trace_of_rows(graph: Graph, states, activations=None, **fields) -> Trace:
     """A trace of the given (rows, n) states and activation flags (all
     zero unless given), kept as one block whose source map lists every
-    cell in row order."""
+    cell in row order, with block_disagreements of the states as its
+    series."""
     states = np.array(states, dtype=float)
     acts = (np.zeros(states.shape, dtype=np.uint8) if activations is None
             else np.array(activations, dtype=np.uint8))
     src = np.arange(states.size).reshape(states.shape)
-    return Trace(graph=graph, blocks=((states.ravel(), src, acts),), **fields)
+    return Trace(graph=graph, blocks=((states.ravel(), src, acts),),
+                 disagreements=block_disagreements(states, graph), **fields)
 
 
 def block_disagreements(states: np.ndarray, graph: Graph) -> np.ndarray:
@@ -100,4 +103,4 @@ class ListRecorder:
                              cycle_ticks=self.cycle_ticks, tolerance=self.tol,
                              message_counts=counts(acts.sum(axis=0, dtype=np.int64),
                                                    len(acts)),
-                             messages=log, judged=block_disagreements(states, self.graph))
+                             messages=log)

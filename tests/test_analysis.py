@@ -771,7 +771,6 @@ class TestShortChunks:
         # chunk starts where a block or the chunk before it ends
         want = _diverging_trace()
         n = want.graph.node_count
-        monkeypatch.setattr(engine, "_BLOCK_CELLS", height * n)
         monkeypatch.setattr(analysis, "_BLOCK_CELLS", height * n)
         got = _diverging_trace()
         series = block_disagreements(got.states, got.graph)
@@ -823,13 +822,23 @@ class TestDisagreementOracle:
         for k in range(len(x)):
             assert _bits(want[k]) == _bits(sequential_disagreement(x[k], g))
 
-    def test_judged_series_seeds_the_trace_and_replace_recomputes(self):
-        tr = synthetic_trace(CHAIN3, [[0.0, 6.0, 0.0], [2.0, 2.0, 2.0]])
-        judged = Trace(graph=tr.graph, blocks=tr.blocks, cycle_ticks=1, tolerance=1e-6,
-                       judged=np.array([7.0, 8.0]))
-        assert judged.disagreements.tolist() == [7.0, 8.0]
-        assert not judged.disagreements.flags.writeable
-        assert judged.convergence_row is None
-        again = dataclasses.replace(judged)
-        assert np.array_equal(again.disagreements, tr.disagreements)
-        assert again.convergence_row == 1
+    def test_replace_keeps_the_recorder_series_and_judges_again(self):
+        # a chain converging at 1e-3, judged again below every row's
+        # disagreement, at a looser tolerance and above every row's
+        tr = run_agent_sim(RunConfig(graph=build_topology("chain", 8), seed=2,
+                                     max_iterations=200, tolerance=1e-3))
+        series = tr.disagreements
+        assert series.tobytes() == block_disagreements(tr.states, tr.graph).tobytes()
+        rows = []
+        for t in (series.min() / 2, 1e-3, 1e-1, 2 * series.max()):
+            again = dataclasses.replace(tr, tolerance=t)
+            assert again.disagreements is series and not series.flags.writeable
+            run = sustained_run(series < t, tr.cycle_ticks)
+            rows.append(again.convergence_row)
+            assert again.convergence_row == (None if run is None else run[0])
+            assert again.converged == (run is not None)
+        assert rows[0] is None and rows[1] == tr.convergence_row > rows[2] > rows[3] == 0
+        # the series is the recorder's to give: a trace computes none
+        with pytest.raises(TypeError, match="disagreements"):
+            Trace(graph=tr.graph, blocks=tr.blocks, cycle_ticks=tr.cycle_ticks,
+                  tolerance=tr.tolerance)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gossipsim import DutyCycleParams, activation_sequence
-from gossipsim import duty_cycle
+from gossipsim import analysis
 from gossipsim.errors import ConfigError
 
 
@@ -83,7 +83,7 @@ class TestSequence:
                                      pytest.param(0.3, 0.6, id="stochastic")])
     def test_matches_iterated_step_activation(self, p, q, seed, monkeypatch):
         # a few rows per block of draws, so block edges are crossed
-        monkeypatch.setattr(duty_cycle, "_BLOCK_CELLS", 20)
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 20)
         params = DutyCycleParams(p=p, q=q)
         phi, rng, want = [0] * 5, np.random.default_rng(seed), []
         for _ in range(103):

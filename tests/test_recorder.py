@@ -28,7 +28,7 @@ from gossipsim.errors import SimulationError
 from gossipsim.rules import FOLDS, RuleVariant
 
 import pairwise_exchanges
-from list_recorder import ListRecorder
+from list_recorder import ListRecorder, block_disagreements
 from pairwise_exchanges import run_pairwise_per_exchange
 from tick_kernel import run_agent_per_tick, run_matrix_per_tick
 
@@ -95,7 +95,7 @@ def with_block_rows(rows, n, run):
     hold at most that many."""
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(engine, "_BLOCK_CELLS", rows * n)
+            mp.setattr(analysis, "_BLOCK_CELLS", rows * n)
         return run()
 
 
@@ -114,8 +114,9 @@ def assert_same_trace(got, want):
     # the rows every pass over the trace reads are those rows
     read = np.concatenate([states.copy() for _, states, _ in got.row_blocks()])
     assert read.tobytes() == want.states.tobytes()
-    # the series the recorder hands over is the one a fresh pass computes
-    fresh = replace(got).disagreements
+    # the series the recorder hands over is the one an independent pass
+    # computes
+    fresh = block_disagreements(got.states, got.graph)
     assert fresh.tobytes() == got.disagreements.tobytes()
     assert got.message_counts == want.message_counts
     # repr tells -0.0 from 0.0 and a float payload from an int one; no
@@ -283,7 +284,7 @@ class TestAgainstScalarExchanges:
         want = [run_pairwise_per_exchange(cfg, collect_messages=True)
                 for cfg in (converging, cut)]
         if cells is not None:
-            monkeypatch.setattr(engine, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
         heights = traced_blocks(monkeypatch)
         got = run_pairwise_baseline(converging, collect_messages=True)
         assert_same_trace(got, want[0])
@@ -486,7 +487,7 @@ class TestSpans:
         # after x0, blocks of c cycles, c = 1, 2, 4, ... up to span, the
         # last cut by the budget
         ticks = got.cycle_ticks
-        span = min(engine._SPAN_CELLS, engine._BLOCK_CELLS) // (ticks * got.graph.node_count)
+        span = min(engine._SPAN_CELLS, analysis._BLOCK_CELLS) // (ticks * got.graph.node_count)
         assert span > 1 and heights[0] == 1
         assert all(h % ticks == 0 for h in heights[1:])
         cycles = [h // ticks for h in heights[1:]]
@@ -531,7 +532,7 @@ class TestSpans:
         # cycle, fails the run
         cfg = span_run("chain12", monkeypatch)
         monkeypatch.setattr(engine, "_SPAN_CELLS", 200)
-        monkeypatch.setattr(engine, "_BLOCK_CELLS", 3 * cfg.graph.node_count)
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 3 * cfg.graph.node_count)
         want = run_agent_sim(cfg)
         assert engine._beacon_cycle(cfg.graph, cfg.rule).passes == 1
         assert (want.iterations - 2) % want.cycle_ticks < 9  # before the last chunk
@@ -550,7 +551,7 @@ class TestSpans:
         cfg = span_run(name, monkeypatch)
         want = run_agent_sim(cfg, collect_messages=True)
         c, folds, ticks = stop_cycle(want), folds_per_cycle(want), want.cycle_ticks
-        span = min(engine._SPAN_CELLS, engine._BLOCK_CELLS) // (ticks * cfg.graph.node_count)
+        span = min(engine._SPAN_CELLS, analysis._BLOCK_CELLS) // (ticks * cfg.graph.node_count)
         first = 1  # the first cycle of the stop cycle's block
         for height in engine._heights(1, span, cfg.max_iterations):
             if c < first + height:
@@ -656,7 +657,7 @@ class TestCompiledOnce:
         # its flags are the first's; a map of more cells than the gather
         # budget is int32, a smaller one intp, and both run the same trace
         if cells is not None:
-            monkeypatch.setattr(engine, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
         monkeypatch.setattr(engine, "_SPAN_CELLS", 12 * 11 * 4)
         g = build_topology("chain", 12)
         g = Graph(node_count=12, anchor_id=0, arcs=g.arcs)  # nothing compiled
@@ -687,7 +688,7 @@ class TestCompiledOnce:
                 self.check(g, rule)
             spans = [engine._beacon_cycle(g, rule) for rule in rules]
             assert all(s.passes < c.passes for s, c in zip(spans, compiled))
-            mp.setattr(engine, "_BLOCK_CELLS", 3 * g.node_count)  # gathers of three rows
+            mp.setattr(analysis, "_BLOCK_CELLS", 3 * g.node_count)  # gathers of three rows
             for rule, cycle in zip(rules, spans):
                 self.check(g, rule)
                 # the gather budget is no compile input
@@ -781,7 +782,7 @@ class TestChunks:
     def test_pairwise_blocks_keep_the_budget(self, cells, monkeypatch):
         # blocks start at a cycle of n = 8 exchanges and double, each at
         # most as many as the budget holds; the last is cut by the run's
-        monkeypatch.setattr(engine, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
         heights = traced_blocks(monkeypatch)
         tr = run_small("pairwise_ring8_cut")
         blocks = heights[1:]  # after x0
@@ -841,13 +842,13 @@ class TestChunks:
             return analysis.disagreement_rows(states, graph)
 
         monkeypatch.setattr(engine, "disagreement_rows", spy)
-        monkeypatch.setattr(engine, "_BLOCK_CELLS", rows * n)
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", rows * n)
         heights = traced_blocks(monkeypatch)
         got = run_agent_sim(cfg, collect_messages=True)
         assert_same_trace(got, want)
         assert max(gathered) == rows and sum(gathered) == sum(heights)
         cycle = engine._beacon_cycle(cfg.graph, cfg.rule)
-        assert cycle.passes > 1 and cycle.height * n > engine._BLOCK_CELLS
+        assert cycle.passes > 1 and cycle.height * n > analysis._BLOCK_CELLS
         # each block kept holds the values of the passes it ran, the last
         # cut to the rows kept
         for h, (values, src, _) in zip(heights[1:], got.blocks[1:]):

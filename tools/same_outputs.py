@@ -58,6 +58,10 @@ INVOCATIONS = [
      "--jobs", "2"],
     ["run", "--graph.kind", "random_geometric", "--graph.n", "4000", "--graph.radius", "0.035",
      "--graph.seed", "0", "--run.max_iterations", "3", "--run.seed", "0"],
+    # rows gathered 3 at a time, fewer than _SHORT_ROWS, so that the
+    # recorder judges every chunk a row at a time
+    ["run", "--graph.kind", "random_geometric", "--graph.n", "20000", "--graph.radius", "0.016",
+     "--run.max_iterations", "1"],
     # with error rows: a diverging rule, and the baseline on a directed ring
     ["sweep", "--graph.n", "12", "--run.max_iterations", "100",
      "--sweep.topologies", "chain,star,circular_directed,random_geometric",
