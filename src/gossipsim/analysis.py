@@ -18,6 +18,13 @@ chunks of a pass, the judge's arc terms (disagreement_rows, which takes
 a chunk of fewer than _SHORT_ROWS rows a row at a time) and the trace
 writer's lists of changed cells all keep to it.
 
+Beyond the chunks, a pass over a finished trace keeps only its result:
+the drifts are summed into the one array they are kept in, the window
+rule (sustained_run) reads the rows where a series switches rather than
+arrays of its length, and the output texts are made a batch of rows at
+a time: trace.csv by write_trace_csv, metrics.csv by metrics_csv_blocks,
+so that no text of a whole file is built.
+
 Spectral certification works on an averaging matrix (usually the
 expected one under an activation model): row stochasticity plus a
 second eigenvalue strictly inside the unit circle certify consensus;
@@ -48,7 +55,7 @@ SPECTRAL_TOL = 1e-9
 #: and pairwise blocks and the duty cycle's blocks of draws read it from
 #: here when they run. The work arrays of a pass hold no more each: the
 #: row sums' two arrays a budget each, the judge's two arrays of arc
-#: terms half of one, the trace writer's cells a sixteenth
+#: terms half of one, the trace writer's cells a sixty-fourth
 _BLOCK_CELLS = 1 << 16
 
 #: chunks of fewer rows than this are taken a row at a time: summed down
@@ -137,10 +144,17 @@ class Trace:
     @cached_property
     def drifts(self) -> np.ndarray:
         """|mean(x) - x_avg| of every row, each mean from a correctly
-        rounded sum, bit for bit as math.fsum gives it; read-only."""
-        sums = np.concatenate(list(_row_fsums(states for _, states, _ in self.row_blocks())))
+        rounded sum, bit for bit as math.fsum gives it; read-only. Each
+        chunk's sums go straight into the array that is kept, and the
+        mean, difference and magnitude are taken in place on it."""
+        d, k = np.empty(self.iterations), 0
+        for sums in _row_fsums(states for _, states, _ in self.row_blocks()):
+            d[k:k + len(sums)] = sums
+            k += len(sums)
         with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
-            d = np.abs(sums / self.graph.node_count - self.x_avg)
+            np.divide(d, self.graph.node_count, out=d)
+            np.subtract(d, self.x_avg, out=d)
+            np.abs(d, out=d)
         d.flags.writeable = False
         return d
 
@@ -183,14 +197,16 @@ def row_chunks(blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     A chunk's states are gathered straight into the C-contiguous (n, rows)
     columns that disagreement_rows and _row_fsums sum, and handed over as
-    their (rows, n) transpose; its flags are a (rows, n) array. Both are
-    kept in one pair of buffers, which each chunk yielded overwrites: a
-    caller is done with a chunk by its next.
+    their (rows, n) transpose; the buffer is reused, and each chunk yielded
+    overwrites it: a caller is done with a chunk by its next. A chunk's
+    flags are a view of its block's when all its rows come from one block;
+    only a chunk that spans blocks copies them, into a (rows, n) buffer
+    allocated for the first such chunk.
     """
     n = blocks[0][1].shape[1]
     total = sum(len(src) for _, src, _ in blocks)
     height = max(1, min(_BLOCK_CELLS // n, total))
-    flat, flags = np.empty(n * height), np.empty((height, n), dtype=np.uint8)
+    flat, flags = np.empty(n * height), None
     k = fill = 0  # the chunk's first row and its rows filled
     for values, src, acts in blocks:
         a = 0
@@ -201,10 +217,13 @@ def row_chunks(blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
             # clip: the maps are in range, and take then writes out in
             # place unless the chunk spans blocks, when out is not contiguous
             values.take(src[a:a + m].T, out=cols[:, fill:fill + m], mode="clip")
-            flags[fill:fill + m] = acts[a:a + m]
+            if m < rows:  # the chunk spans blocks
+                if flags is None:
+                    flags = np.empty((height, n), dtype=np.uint8)
+                flags[fill:fill + m] = acts[a:a + m]
             fill, a = fill + m, a + m
             if fill == rows:
-                yield k, cols.T, flags[:rows]
+                yield k, cols.T, acts[a - m:a] if m == rows else flags[:rows]
                 k, fill = k + rows, 0
 
 
@@ -343,12 +362,16 @@ def _row_fsums(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
 
 def sustained_run(ok: np.ndarray, cycle_ticks: int) -> tuple[int, int] | None:
     """First run of cycle_ticks consecutive ok rows: its first row s and
-    its last row s + cycle_ticks - 1."""
-    rows = np.arange(len(ok))
-    start = np.maximum.accumulate(np.where(ok, 0, rows + 1))  # of each ok row's run
-    spans = ok & (rows - start >= cycle_ticks - 1)
-    hit = np.flatnonzero(spans)
-    return (int(start[hit[0]]), int(hit[0])) if len(hit) else None
+    its last row s + cycle_ticks - 1. Read off the rows where ok switches,
+    so no work array is longer than ok by more than two rows."""
+    padded = np.zeros(len(ok) + 2, dtype=bool)
+    padded[1:-1] = ok
+    edges = np.flatnonzero(padded[1:] != padded[:-1])  # each ok run's first row and its end
+    hit = np.flatnonzero(edges[1::2] - edges[::2] >= cycle_ticks)
+    if not len(hit):
+        return None
+    s = int(edges[2 * hit[0]])
+    return s, s + cycle_ticks - 1
 
 
 def _square(m: np.ndarray) -> np.ndarray:
@@ -502,7 +525,7 @@ def write_trace_csv(trace: Trace, fh) -> None:
     next's comparison. A neighborhood-set fold writes one value to its
     whole closed neighbourhood, so the changed cells of a chunk of rows
     hold few distinct values. They are listed a group of rows at a time,
-    at most about _BLOCK_CELLS // 16 cells a group, and each distinct bit
+    at most about _BLOCK_CELLS // 64 cells a group, and each distinct bit
     pattern of a group is formatted once. Every field but x is an
     integer, so no field ever needs CSV quoting. Rows are written about
     _WRITE_CHARS at a time.
@@ -512,7 +535,7 @@ def write_trace_csv(trace: Trace, fh) -> None:
     parts = [""] * (n + 1)  # a first empty part, so that a row is f"{k},".join(parts)
     batch, size = [], 0
     last = None  # the bits and flags of the row before the block
-    group = max(1, _BLOCK_CELLS // 16)
+    group = max(1, _BLOCK_CELLS // 64)
     for b, states, acts in trace.row_blocks():
         bits = states.view(np.int64)
         changed = np.empty(states.shape, dtype=bool)
@@ -567,25 +590,33 @@ def write_messages_csv(trace: Trace, fh) -> None:
         fh.write("".join(lines))
 
 
-def metrics_csv_text(trace: Trace) -> str:
-    """metrics CSV: iteration, drift, disagreement (one row per event).
+def metrics_csv_blocks(trace: Trace) -> Iterator[str]:
+    """The text of the metrics CSV a block of _WRITE_CHARS // 64 rows at a
+    time (a row is at most about 60 characters), so that no text of the
+    whole series is built. Each block is one call through the module's
+    name metrics_csv_text."""
+    step = _WRITE_CHARS // 64
+    for start in range(0, trace.iterations, step):
+        yield metrics_csv_text(trace, start, start + step)
+
+
+def metrics_csv_text(trace: Trace, start: int = 0, stop: int | None = None) -> str:
+    """metrics CSV: iteration, drift, disagreement (one row per event), of
+    the rows start to stop (to the last row when stop is None). Only the
+    block that starts at row 0 carries the header, so the texts of blocks
+    that cut the rows join to the text of the whole trace.
 
     Drift takes few distinct values (4 over the chain preset's 46,969
-    rows), so each is formatted once; being an absolute value, it is
-    never -0.0, which would share a cell with 0.0. Rows are joined a
-    block of _WRITE_CHARS // 64 at a time, then the blocks; a row is
+    rows), so each of a block's is formatted once; being an absolute
+    value, it is never -0.0, which would share a cell with 0.0. A row is
     %-formatted, which gives the f-string's text about a third faster.
     """
-    values, index = np.unique(trace.drifts, return_inverse=True)
+    values, index = np.unique(trace.drifts[start:stop], return_inverse=True)
     cells = [f"{d:.17g}" for d in values.tolist()]
-    series = trace.disagreements
-    step = _WRITE_CHARS // 64  # a row is at most about 60 characters
-    blocks = ["iteration,drift,disagreement\n"]
-    for lo in range(0, len(series), step):
-        rows = zip(index[lo:lo + step].tolist(), series[lo:lo + step].tolist())
-        blocks.append("".join(["%d,%s,%.17g\n" % (k, cells[d], e)
-                               for k, (d, e) in enumerate(rows, lo)]))
-    return "".join(blocks)
+    rows = zip(index.tolist(), trace.disagreements[start:stop].tolist())
+    head = "iteration,drift,disagreement\n" if start == 0 else ""
+    return head + "".join(["%d,%s,%.17g\n" % (k, cells[d], e)
+                           for k, (d, e) in enumerate(rows, start)])
 
 
 def trace_csv_text(trace: Trace) -> str:

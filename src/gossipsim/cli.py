@@ -24,6 +24,7 @@ import argparse
 import csv
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -211,11 +212,21 @@ def _open_output(path: str):
         raise ConfigError(f"cannot open output file {path}: {exc}")
 
 
+def _write_texts(path: str, texts: Iterator[str]) -> None:
+    """Each of texts in turn to the file at path, which is opened once the
+    first is made: a first text that cannot be made (the drifts of a run
+    whose states diverged) leaves no file."""
+    first = next(texts, "")
+    with _open_output(path) as fh:
+        fh.write(first)
+        for text in texts:
+            fh.write(text)
+
+
 def _write_text(path: str, text: str) -> None:
     # in slices, so the encoder never holds a second copy of a large text
-    with _open_output(path) as fh:
-        for start in range(0, len(text), analysis._WRITE_CHARS):
-            fh.write(text[start:start + analysis._WRITE_CHARS])
+    step = analysis._WRITE_CHARS
+    _write_texts(path, (text[start:start + step] for start in range(0, len(text), step)))
 
 
 def _write_csv(path: str, fields, rows: list[dict]) -> None:
@@ -254,10 +265,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfgd = resolve_config(args)
     _make_out_dir(args.out)
     trace = execute_run(cfgd, collect_messages=args.dump_messages)
-    # streamed, so that no copy of the largest file is held as text
+    # streamed, so that no copy of a whole file is held as text
     with _open_output(os.path.join(args.out, "trace.csv")) as fh:
         analysis.write_trace_csv(trace, fh)
-    _write_text(os.path.join(args.out, "metrics.csv"), analysis.metrics_csv_text(trace))
+    _write_texts(os.path.join(args.out, "metrics.csv"), analysis.metrics_csv_blocks(trace))
     if args.dump_messages:
         with _open_output(os.path.join(args.out, "messages.csv")) as fh:
             analysis.write_messages_csv(trace, fh)

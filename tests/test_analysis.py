@@ -136,9 +136,28 @@ class TestConvergenceTime:
         ([1], 1, (0, 0)),
         ([1, 1, 1, 0], 4, None),
         ([0, 0], 1, None),
+        ([], 1, None),
     ])
     def test_sustained_run_counts_rows(self, ok, cycle, run):
         assert sustained_run(np.array(ok, dtype=bool), cycle) == run
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sustained_run_matches_a_row_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(500):
+            ok = rng.uniform(size=int(rng.integers(1, 60))) < rng.uniform()
+            cycle = int(rng.integers(1, 12))
+            assert sustained_run(ok, cycle) == _first_run(ok.tolist(), cycle), (ok, cycle)
+
+
+def _first_run(ok, cycle):
+    """sustained_run as a scan of the rows, one at a time."""
+    length = 0
+    for k, good in enumerate(ok):
+        length = length + 1 if good else 0
+        if length == cycle:
+            return k - cycle + 1, k
+    return None
 
 
 class TestSpectral:
@@ -528,7 +547,7 @@ class TestDriftOracle:
         assert metrics_csv_text(tr) == "iteration,drift,disagreement\n" + "".join(
             f"{k},{d:.17g},{e:.17g}\n" for k, (d, e) in enumerate(rows))
 
-    # one row, and one block of metrics_csv_text's rows, a row short of
+    # one row, and one block of metrics_csv_blocks' rows, a row short of
     # one and a row past one
     @pytest.mark.parametrize("extra", [None, -1, 0, 1])
     def test_metrics_csv_blocks_match_per_row_loop(self, extra):
@@ -541,7 +560,9 @@ class TestDriftOracle:
                  for k, (d, e) in enumerate(zip(fsum_drifts(tr).tolist(),
                                                 tr.disagreements.tolist()))]
         assert len(lines) == rows
-        assert metrics_csv_text(tr) == "iteration,drift,disagreement\n" + "".join(lines)
+        want = "iteration,drift,disagreement\n" + "".join(lines)
+        assert metrics_csv_text(tr) == want
+        assert "".join(analysis.metrics_csv_blocks(tr)) == want
 
     @pytest.mark.parametrize("cells", DRIFT_BLOCK_CELLS)
     @pytest.mark.parametrize("kind", sorted(CRAFTED_ROWS))
@@ -609,6 +630,54 @@ class TestDriftOracle:
         if n > 1:
             tr = synthetic_trace(build_topology("chain", n), x)
             assert np.array_equal(_bits(tr.drifts), _bits(fsum_drifts(tr)))
+
+
+def _pure_neighbor_trace():
+    """1651 rows, whose drift takes 1502 values: the rule does not keep
+    the sum."""
+    return run_agent_sim(RunConfig(graph=build_topology("chain", 12),
+                                   rule=UpdateRule("pure_neighbor"), seed=3,
+                                   max_iterations=150, tolerance=1e-12))
+
+
+def _joined_metrics(tr, cuts):
+    """metrics_csv_text of each block between the cuts, joined."""
+    bounds = [0, *cuts, tr.iterations]
+    return "".join(metrics_csv_text(tr, a, b) for a, b in zip(bounds, bounds[1:]))
+
+
+class TestMetricsBlocks:
+    """The metrics text of blocks of rows, as metrics_csv_blocks makes it."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
+    def test_blocks_of_one_row_join_to_the_whole(self, name):
+        tr = ORACLE_TRACES[name]()
+        assert _joined_metrics(tr, range(1, tr.iterations)) == metrics_csv_text(tr)
+
+    # at a block of metrics_csv_blocks' rows and either side of it, twice
+    # over, and cuts at random
+    @pytest.mark.parametrize("cuts", [
+        [1], [1023], [1024], [1025], [1023, 1024, 1025], [1, 1024, 1025, 1026],
+        sorted(np.random.default_rng(5).choice(np.arange(1, 1651), 40, replace=False).tolist()),
+    ])
+    def test_pure_neighbor_cuts_join_to_the_whole(self, cuts):
+        tr = _pure_neighbor_trace()
+        assert tr.iterations == 1651 and len(np.unique(tr.drifts)) > 1000
+        assert analysis._WRITE_CHARS // 64 == 1024
+        want = metrics_csv_text(tr)
+        assert _joined_metrics(tr, cuts) == want
+        assert "".join(analysis.metrics_csv_blocks(tr)) == want
+
+    def test_only_the_first_block_has_the_header(self):
+        tr = _pure_neighbor_trace()
+        head = "iteration,drift,disagreement\n"
+        assert metrics_csv_text(tr, 0, 1).startswith(head)
+        assert metrics_csv_text(tr).count(head) == 1
+        for a, b in [(1, 2), (1, 1024), (1024, None), (1650, None)]:
+            text = metrics_csv_text(tr, a, b)
+            assert head not in text and text.startswith(f"{a},")
+            assert len(text.splitlines()) == (b or tr.iterations) - a
+        assert metrics_csv_text(tr, 7, 7) == ""
 
 
 def sequential_disagreement(x, graph):

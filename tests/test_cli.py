@@ -82,6 +82,36 @@ class TestRunCommand:
         want = text(cli.execute_run(cfgd)).encode("utf-8")
         assert (out / "trace.csv").read_bytes() == want
 
+    @pytest.mark.parametrize("step", [None, 7])
+    @pytest.mark.parametrize("argv", [
+        ("--preset", "random_geometric"),
+        ("--preset", "circular_directed", "--run.max_iterations", "40"),
+        ("--preset", "star", "--rule.variant", "pairwise_baseline",
+         "--run.max_iterations", "2000"),
+    ], ids=["random_geometric", "circular_directed", "pairwise"])
+    def test_metrics_csv_is_written_a_block_at_a_time(self, tmp_path, monkeypatch, argv, step):
+        # the run writes metrics.csv with one call of metrics_csv_text per
+        # block of _WRITE_CHARS // 64 rows, and never builds the whole text
+        if step is not None:  # blocks of 7 rows
+            monkeypatch.setattr(analysis, "_WRITE_CHARS", 64 * step)
+        step = analysis._WRITE_CHARS // 64
+        text, calls = analysis.metrics_csv_text, []
+
+        def block(trace, start=0, stop=None):
+            if (start, stop) == (0, None):
+                raise AssertionError("metrics_csv_text called for the whole trace")
+            calls.append((start, stop))
+            return text(trace, start, stop)
+
+        monkeypatch.setattr(analysis, "metrics_csv_text", block)
+        out = tmp_path / "o"
+        assert run_cli("run", *argv, "--out", str(out)) in (0, 3)
+        rows = int(read_kv(out / "summary.txt")["rows"])
+        assert calls == [(a, a + step) for a in range(0, rows, step)]
+        cfgd = cli.resolve_config(cli.build_parser().parse_args(["run", *argv]))
+        want = text(cli.execute_run(cfgd)).encode("utf-8")
+        assert (out / "metrics.csv").read_bytes() == want
+
     @pytest.mark.parametrize("dump", [False, True], ids=["plain", "messages"])
     @pytest.mark.parametrize("argv", [
         ("--preset", "random_geometric"),
@@ -181,10 +211,13 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("preset", ["chain", "circular_directed"])
     def test_diverging_run_exits_two(self, tmp_path, capsys, preset):
-        # chain overflows inside the run, circular_directed in metrics.csv
+        # chain overflows inside the run, circular_directed in metrics.csv,
+        # which it leaves unwritten
+        out = tmp_path / "o"
         rc = run_cli("run", "--preset", preset, "--rule.variant", "self_additive",
-                     "--out", str(tmp_path / "o"))
+                     "--out", str(out))
         assert rc == 2
+        assert sorted(os.listdir(out)) == ([] if preset == "chain" else ["trace.csv"])
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ")
         assert err.count("\n") == 1

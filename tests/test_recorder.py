@@ -770,6 +770,23 @@ class TestChunks:
         assert tr.final_state.tobytes() == states[-1].tobytes()
         assert tr.x_avg == math.fsum(states[0]) / 50
 
+    def test_only_a_chunk_across_blocks_copies_its_flags(self, monkeypatch):
+        # a chunk whose rows all come from one block hands over a view of
+        # that block's flags; a chunk across blocks, a copy. Chunks of 10
+        # rows over blocks of one 49-tick cycle each
+        g = build_topology("chain", 50)
+        tr = run_agent_sim(RunConfig(graph=g, seed=1, max_iterations=30))
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 10 * 50)
+        ends = np.cumsum([len(src) for _, src, _ in tr.blocks])
+        activations, seen = tr.activations, set()
+        for k, states, acts in tr.row_blocks():
+            b = int(np.searchsorted(ends, k, "right"))  # the block of row k
+            inside = k + len(states) <= ends[b]
+            assert np.shares_memory(acts, tr.blocks[b][2]) == inside
+            assert acts.tobytes() == activations[k:k + len(states)].tobytes()
+            seen.add(inside)
+        assert seen == {True, False}
+
     def test_a_chunk_holds_at_least_one_row(self, monkeypatch):
         monkeypatch.setattr(analysis, "_BLOCK_CELLS", 49)
         g = build_topology("chain", 50)
