@@ -13,17 +13,21 @@ every row through it, once, and the series it judges by becomes the
 trace's disagreements; every pass over a finished trace reads its rows
 through it too, by Trace.row_blocks. The row kernels take the chunk
 they are given and allocate no work array larger than that budget: the
-drift sums' trees, which run in place on two arrays shared by all the
-chunks of a pass, the judge's arc terms (disagreement_rows, which takes
-a chunk of fewer than _SHORT_ROWS rows a row at a time) and the trace
-writer's lists of changed cells all keep to it.
+drift sums' trees, which run in place on the chunk with one work array
+shared by all the chunks of a pass, the judge's arc terms
+(disagreement_rows, which takes a chunk of fewer than _SHORT_ROWS rows
+a row at a time) and the trace writer's lists of changed cells all keep
+to it.
 
 Beyond the chunks, a pass over a finished trace keeps only its result:
 the drifts are summed into the one array they are kept in, the window
 rule (sustained_run) reads the rows where a series switches rather than
-arrays of its length, and the output texts are made a batch of rows at
-a time: trace.csv by write_trace_csv, metrics.csv by metrics_csv_blocks,
-so that no text of a whole file is built.
+arrays of its length, and the output texts are made a piece at a time:
+trace.csv a row at a time by trace_csv_texts, metrics.csv a block of
+rows at a time by metrics_csv_blocks, messages.csv a line at a time by
+messages_csv_texts, so that no text of a whole file is built. This
+module only makes text; the CLI's one writer, cli._write_text, opens
+every output file and writes the texts in batches of _WRITE_CHARS.
 
 Spectral certification works on an averaging matrix (usually the
 expected one under an activation model): row stochasticity plus a
@@ -34,7 +38,6 @@ projector, certifies convergence to the exact average.
 
 from __future__ import annotations
 
-import io
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -54,7 +57,7 @@ SPECTRAL_TOL = 1e-9
 #: states take 512 KiB of float64. The one budget: the engine's scripted
 #: and pairwise blocks and the duty cycle's blocks of draws read it from
 #: here when they run. The work arrays of a pass hold no more each: the
-#: row sums' two arrays a budget each, the judge's two arrays of arc
+#: row sums' one work array a budget, the judge's two arrays of arc
 #: terms half of one, the trace writer's cells a sixty-fourth
 _BLOCK_CELLS = 1 << 16
 
@@ -63,10 +66,11 @@ _BLOCK_CELLS = 1 << 16
 #: values (measured slower than a row's cumulative sum at n = 4000 to 10^5)
 _SHORT_ROWS = 4
 
-#: characters per write of an output file: 64 KiB of the CSVs' ASCII
-#: text, and at most 256 KiB of any text once UTF-8 encoded. Larger
-#: batches measured no faster on narrow rows and slower on wide ones,
-#: whose joined and encoded copies then outgrow what the allocator reuses
+#: characters per write of an output file: cli._write_text joins its
+#: texts into writes of at least this many, 64 KiB of the CSVs' ASCII
+#: text. Larger batches measured no faster on narrow rows and slower on
+#: wide ones, whose joined and encoded copies then outgrow what the
+#: allocator reuses
 _WRITE_CHARS = 1 << 16
 
 
@@ -198,7 +202,8 @@ def row_chunks(blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
     A chunk's states are gathered straight into the C-contiguous (n, rows)
     columns that disagreement_rows and _row_fsums sum, and handed over as
     their (rows, n) transpose; the buffer is reused, and each chunk yielded
-    overwrites it: a caller is done with a chunk by its next. A chunk's
+    overwrites it: a caller is done with a chunk by its next, and may
+    write in it until then, as _row_fsums does. A chunk's
     flags are a view of its block's when all its rows come from one block;
     only a chunk that spans blocks copies them, into a (rows, n) buffer
     allocated for the first such chunk.
@@ -322,27 +327,35 @@ def _row_fsums(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     2005). With c = fl(hi + lo) and r its exact rounding error, c is the
     correctly rounded sum when E2 is zero, or when |r| plus the bound is
     below half the gap from |c| down to the next float (the smaller gap
-    at a power of two). Every other row, and every row with a value that
-    is not finite or large enough that a sum could overflow, goes to
-    fsum, so the values and the exceptions (OverflowError, ValueError)
-    are fsum's. Both trees run in place on a copy of the chunk's (n, rows)
-    columns, with one work array. The chunks share those two arrays,
-    allocated again only for a chunk with more cells than every one
-    before it: a fresh pair for each chunk of a pass would fault their
-    pages in anew.
+    at a power of two). A row with a value that is not finite or large
+    enough that a sum could overflow goes to fsum, so the values and the
+    exceptions (OverflowError, ValueError) are fsum's; every other row the
+    bound leaves open is the fsum of its column after the trees, whose
+    additions are error-free, so that the column's exact sum is the row's.
+
+    Both trees run in place on the chunk's (n, rows) columns: on the chunk
+    itself when it is the transpose of a writable C-contiguous array, as
+    row_chunks hands them over, which it then overwrites; on a copy
+    otherwise. Only the rows that go to fsum whole are copied out first.
+    The chunks share one work array, allocated again only for a chunk with
+    more cells than every one before it: a fresh one for each chunk of a
+    pass would fault its pages in anew.
     """
-    flat = scratch = None
+    scratch = None
     for states in chunks:
         rows, n = states.shape
-        if flat is None or len(flat) < states.size:
-            flat, scratch = np.empty(states.size), np.empty(states.size)
-        cols = flat[:states.size].reshape(n, rows)
+        if scratch is None or len(scratch) < states.size:
+            scratch = np.empty(states.size)
         work = scratch[:states.size].reshape(n, rows)
-        np.copyto(cols, states.T)
+        cols = states.T
+        if not (cols.flags.c_contiguous and cols.flags.writeable):
+            cols = cols.copy()
         limit = 2.0 ** 1020 / n  # no sum of n values below it overflows
         with np.errstate(over="ignore", invalid="ignore"):
             # False at nan and inf
             small = (cols.max(axis=0) < limit) & (cols.min(axis=0) > -limit)
+            large = np.flatnonzero(~small)
+            whole = cols.T[large]  # their rows, before the trees
             _two_sum_tree(cols, work)
             _two_sum_tree(cols[1:], work)
             hi, lo, rest = cols[0], (cols[1] if n > 1 else 0.0), cols[2:]
@@ -355,8 +368,10 @@ def _row_fsums(chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
             mag = np.abs(sums)
             half_gap = 0.5 * (mag - np.nextafter(mag, 0.0))
             exact = small & ((bound == 0.0) | (np.abs(r) + bound < half_gap))
-            for k in np.flatnonzero(~exact).tolist():
-                sums[k] = fsum(states[k])
+            for k, row in zip(large.tolist(), whole):
+                sums[k] = fsum(row)
+            for k in np.flatnonzero(~exact & small).tolist():
+                sums[k] = fsum(cols[:, k])
         yield sums
 
 
@@ -513,8 +528,9 @@ def expected_weight_matrix(g: Graph, rule: UpdateRule | None = None) -> np.ndarr
     return w
 
 
-def write_trace_csv(trace: Trace, fh) -> None:
-    """trace CSV in long form: iteration, node_id, x, phi.
+def trace_csv_texts(trace: Trace) -> Iterator[str]:
+    """trace CSV in long form: iteration, node_id, x, phi; its header,
+    then the text of each row.
 
     Row k puts f"{k}," before each of its nodes' f"{i},{x:.17g},{phi}\n"
     parts. A part is rebuilt only where the node's float64 bit pattern or
@@ -527,13 +543,11 @@ def write_trace_csv(trace: Trace, fh) -> None:
     hold few distinct values. They are listed a group of rows at a time,
     at most about _BLOCK_CELLS // 64 cells a group, and each distinct bit
     pattern of a group is formatted once. Every field but x is an
-    integer, so no field ever needs CSV quoting. Rows are written about
-    _WRITE_CHARS at a time.
+    integer, so no field ever needs CSV quoting.
     """
-    fh.write("iteration,node_id,x,phi\n")
+    yield "iteration,node_id,x,phi\n"
     n = trace.graph.node_count
     parts = [""] * (n + 1)  # a first empty part, so that a row is f"{k},".join(parts)
-    batch, size = [], 0
     last = None  # the bits and flags of the row before the block
     group = max(1, _BLOCK_CELLS // 64)
     for b, states, acts in trace.row_blocks():
@@ -561,33 +575,23 @@ def write_trace_csv(trace: Trace, fh) -> None:
             for k, m in enumerate(counts[lo:hi].tolist(), b + lo):
                 for _, (i, x, a) in zip(range(m), cells):
                     parts[i + 1] = f"{i},{texts[x]},{a}\n"
-                row = f"{k},".join(parts)
-                batch.append(row)
-                size += len(row)
-                if size >= _WRITE_CHARS:
-                    fh.write("".join(batch))
-                    batch, size = [], 0
+                yield f"{k},".join(parts)
             lo = hi
-    fh.write("".join(batch))
 
 
-def write_messages_csv(trace: Trace, fh) -> None:
-    """message CSV: time, kind, src, dst, payload (dst -1 = broadcast).
+def messages_csv_texts(trace: Trace) -> Iterator[str]:
+    """message CSV: time, kind, src, dst, payload (dst -1 = broadcast);
+    its header, then one line per message.
 
-    One line per message, the payload empty when there is none and a
-    float one to 17 significant digits, as format_value writes it. Kinds
-    are plain words and every other field a number, so no field ever
-    needs CSV quoting. Lines are written about _WRITE_CHARS at a time.
+    The payload is empty when there is none, and a float one is written
+    to 17 significant digits, as format_value writes it. Kinds are plain
+    words and every other field a number, so no field ever needs CSV
+    quoting.
     """
-    fh.write("time,kind,src,dst,payload\n")
-    messages = trace.messages or []
-    step = max(1, _WRITE_CHARS // 32)  # a line is about 32 characters
-    for lo in range(0, len(messages), step):
-        lines = []
-        for t, kind, src, dst, v in messages[lo:lo + step]:
-            cell = "" if v is None else f"{v:.17g}" if type(v) is float else format_value(v)
-            lines.append(f"{t},{kind},{src},{dst},{cell}\n")
-        fh.write("".join(lines))
+    yield "time,kind,src,dst,payload\n"
+    for t, kind, src, dst, v in trace.messages or []:
+        cell = "" if v is None else f"{v:.17g}" if type(v) is float else format_value(v)
+        yield f"{t},{kind},{src},{dst},{cell}\n"
 
 
 def metrics_csv_blocks(trace: Trace) -> Iterator[str]:
@@ -620,6 +624,5 @@ def metrics_csv_text(trace: Trace, start: int = 0, stop: int | None = None) -> s
 
 
 def trace_csv_text(trace: Trace) -> str:
-    buf = io.StringIO()
-    write_trace_csv(trace, buf)
-    return buf.getvalue()
+    """The whole text of the trace CSV."""
+    return "".join(trace_csv_texts(trace))

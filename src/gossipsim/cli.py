@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -203,39 +204,40 @@ def execute_run(cfgd: dict, collect_messages: bool = False) -> analysis.Trace:
     return run_agent_sim(cfg, collect_messages=collect_messages)
 
 
-def _open_output(path: str):
-    """path opened for writing text; a file that cannot be opened is a
-    configuration error, like an unusable --out."""
+def _write_text(path: str, texts: Iterable[str]) -> None:
+    """The one writer of every output file: the texts, in turn, to the
+    file at path. The file is opened once the first text is made, so a
+    first text that cannot be made (the drifts of a run whose states
+    diverged) leaves no file; a file that cannot be opened is a
+    configuration error, like an unusable --out. The texts are joined
+    into writes of at least analysis._WRITE_CHARS characters: a batch is
+    written once it holds that many, before the next text joins it, and
+    the last batch holds what is left."""
+    texts = iter(texts)
+    first = next(texts, "")
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot open output file {path}: {exc}")
-
-
-def _write_texts(path: str, texts: Iterator[str]) -> None:
-    """Each of texts in turn to the file at path, which is opened once the
-    first is made: a first text that cannot be made (the drifts of a run
-    whose states diverged) leaves no file."""
-    first = next(texts, "")
-    with _open_output(path) as fh:
-        fh.write(first)
+    with fh:
+        batch, size, limit = [first], len(first), analysis._WRITE_CHARS
         for text in texts:
-            fh.write(text)
-
-
-def _write_text(path: str, text: str) -> None:
-    # in slices, so the encoder never holds a second copy of a large text
-    step = analysis._WRITE_CHARS
-    _write_texts(path, (text[start:start + step] for start in range(0, len(text), step)))
+            if size >= limit:
+                fh.write("".join(batch))
+                batch, size = [], 0
+            batch.append(text)
+            size += len(text)
+        fh.write("".join(batch))
 
 
 def _write_csv(path: str, fields, rows: list[dict]) -> None:
     """A CSV file of the given columns, one line per row dict; a column a
     row lacks is left empty."""
-    with _open_output(path) as fh:
-        w = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n", restval="")
-        w.writeheader()
-        w.writerows(rows)
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n", restval="")
+    w.writeheader()
+    w.writerows(rows)
+    _write_text(path, [buf.getvalue()])
 
 
 def _make_out_dir(path: str) -> None:
@@ -266,17 +268,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     _make_out_dir(args.out)
     trace = execute_run(cfgd, collect_messages=args.dump_messages)
     # streamed, so that no copy of a whole file is held as text
-    with _open_output(os.path.join(args.out, "trace.csv")) as fh:
-        analysis.write_trace_csv(trace, fh)
-    _write_texts(os.path.join(args.out, "metrics.csv"), analysis.metrics_csv_blocks(trace))
+    _write_text(os.path.join(args.out, "trace.csv"), analysis.trace_csv_texts(trace))
+    _write_text(os.path.join(args.out, "metrics.csv"), analysis.metrics_csv_blocks(trace))
     if args.dump_messages:
-        with _open_output(os.path.join(args.out, "messages.csv")) as fh:
-            analysis.write_messages_csv(trace, fh)
-    summary = summarize(trace)
-    lines = [f"{k}={v}" for k, v in summary.items()]
-    _write_text(os.path.join(args.out, "summary.txt"), "\n".join(lines) + "\n")
-    for ln in lines:
-        print(ln)
+        _write_text(os.path.join(args.out, "messages.csv"), analysis.messages_csv_texts(trace))
+    lines = [f"{k}={v}\n" for k, v in summarize(trace).items()]
+    _write_text(os.path.join(args.out, "summary.txt"), lines)
+    print("".join(lines), end="")
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
@@ -370,7 +368,7 @@ def cmd_spectra(args: argparse.Namespace) -> int:
         w = analysis.expected_weight_matrix(cfg.graph, rule)
         reports.append(analysis.check_consensus_conditions(w, label=label))
     text = "\n".join(r.to_text() for r in reports)
-    _write_text(os.path.join(args.out, "spectra.txt"), text)
+    _write_text(os.path.join(args.out, "spectra.txt"), [text])
     _write_csv(os.path.join(args.out, "spectra.csv"), analysis.SpectralReport.CSV_FIELDS,
                [r.to_csv_row() for r in reports])
     print(text, end="")

@@ -219,8 +219,10 @@ def _build_deterministic(kind: str, n: int, anchor: int) -> Graph:
     elif kind == "circular_directed":
         arcs = (idx, (idx + 1) % n)
     else:  # complete
-        src, dst = np.divmod(np.arange(n * n), n)
-        arcs = (src[src != dst], dst[src != dst])
+        # each node's n - 1 others, in order: skip its own index
+        src, dst = np.repeat(idx, n - 1), np.tile(np.arange(n - 1), n)
+        dst += dst >= src
+        arcs = (src, dst)
     return Graph(node_count=n, anchor_id=anchor, arcs=arcs,
                  directed=kind == "circular_directed")
 

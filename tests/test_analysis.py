@@ -15,6 +15,7 @@ from gossipsim import (
     analysis,
     build_topology,
     check_consensus_conditions,
+    cli,
     disagreement_of,
     engine,
     expected_weight_matrix,
@@ -28,10 +29,11 @@ from gossipsim import (
 from gossipsim.analysis import (
     Trace,
     disagreement_rows,
+    messages_csv_texts,
     metrics_csv_text,
     sustained_run,
     trace_csv_text,
-    write_messages_csv,
+    trace_csv_texts,
 )
 from gossipsim.rules import RuleVariant, UpdateRule
 
@@ -388,12 +390,19 @@ class TestTraceCsvOracle:
         assert trace_csv_text(tr) == reference_trace_csv(tr)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
-    def test_matches_with_tiny_blocks(self, name, monkeypatch):
-        # one row per block, and one write per row
+    def test_matches_with_tiny_blocks(self, name, monkeypatch, tmp_path):
+        # one row per block, and one write per row as the CLI writes it
         monkeypatch.setattr(analysis, "_BLOCK_CELLS", 1)
         monkeypatch.setattr(analysis, "_WRITE_CHARS", 1)
         tr = ORACLE_TRACES[name]()
         assert trace_csv_text(tr) == reference_trace_csv(tr)
+        assert _written(tmp_path, trace_csv_texts(tr)) == reference_trace_csv(tr)
+
+
+def _written(tmp_path, texts):
+    """The file cli._write_text makes of the texts, as text."""
+    cli._write_text(tmp_path / "out.csv", texts)
+    return (tmp_path / "out.csv").read_text(encoding="utf-8")
 
 
 def reference_messages_csv(trace):
@@ -404,12 +413,6 @@ def reference_messages_csv(trace):
     for time, kind, src, dst, payload in (trace.messages or []):
         w.writerow([time, kind, src, dst,
                     "" if payload is None else analysis.format_value(payload)])
-    return buf.getvalue()
-
-
-def _messages_text(trace):
-    buf = io.StringIO()
-    write_messages_csv(trace, buf)
     return buf.getvalue()
 
 
@@ -446,13 +449,14 @@ MESSAGE_TRACES = {
 class TestMessagesCsvOracle:
     @pytest.mark.parametrize("chars", [None, 1, 64])
     @pytest.mark.parametrize("name", sorted(MESSAGE_TRACES))
-    def test_matches_csv_writer_loop(self, name, chars, monkeypatch):
-        # one line per write, two per write, and the default batches
+    def test_matches_csv_writer_loop(self, name, chars, monkeypatch, tmp_path):
+        # one line per write, two per write, and the default batches, as
+        # the CLI writes messages.csv
         if chars is not None:
             monkeypatch.setattr(analysis, "_WRITE_CHARS", chars)
         tr = MESSAGE_TRACES[name]()
         assert name == "no_log" or tr.messages
-        assert _messages_text(tr) == reference_messages_csv(tr)
+        assert _written(tmp_path, messages_csv_texts(tr)) == reference_messages_csv(tr)
 
 
 def _bits(values) -> np.ndarray:
@@ -611,6 +615,23 @@ class TestDriftOracle:
         assert [len(s) for s in got] == [len(b) for b in blocks]
         want = [math.fsum(row) + 0.0 for row in x]
         assert np.array_equal(_bits(np.concatenate(got) + 0.0), _bits(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_chunks_summed_in_place(self, n):
+        # a chunk handed over as row_chunks hands it, the transpose of a
+        # C-contiguous buffer, is summed in that buffer, its rows with a
+        # large or non-finite value copied out first; a read-only one is
+        # summed in a copy
+        x = _random_rows(300, n, seed=n)
+        x[7, 0], x[8, -1], x[9, 0] = 1e308, INF, NAN
+        want = _bits([math.fsum(row) + 0.0 for row in x])
+        buf = np.ascontiguousarray(x.T)
+        assert np.array_equal(_bits(row_fsums(buf.T) + 0.0), want)
+        assert np.array_equal(buf, x.T, equal_nan=True) == (n == 1)
+        buf = np.ascontiguousarray(x.T)
+        buf.flags.writeable = False
+        assert np.array_equal(_bits(row_fsums(buf.T) + 0.0), want)
+        assert np.array_equal(buf, x.T, equal_nan=True)
 
     def test_non_finite_initial_row(self):
         # x_avg is inf, so rows give inf - inf and inf - x without a warning

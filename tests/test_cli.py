@@ -1,6 +1,7 @@
 """Command line interface: subcommands, config layering, exit codes."""
 
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -153,7 +154,7 @@ class TestRunCommand:
         assert run_cli("run", *argv, "--out", str(want)) in (0, 3)
         heights = {"judge": [], "fsums": [], "trace_csv": []}
         judge, fsums = engine.disagreement_rows, analysis._row_fsums
-        write, row_blocks, writing = analysis.write_trace_csv, analysis.Trace.row_blocks, []
+        texts, row_blocks, writing = analysis.trace_csv_texts, analysis.Trace.row_blocks, []
 
         def judged(states, graph):
             heights["judge"].append(len(states))
@@ -168,16 +169,16 @@ class TestRunCommand:
                     heights["trace_csv"].append(len(states))
                 yield k, states, acts
 
-        def written(trace, fh):
+        def written(trace):
             writing.append(True)
-            write(trace, fh)
+            yield from texts(trace)
             writing.clear()
 
         monkeypatch.setattr(analysis, "_BLOCK_CELLS", 3 * 50)
         monkeypatch.setattr(engine, "disagreement_rows", judged)
         monkeypatch.setattr(analysis, "_row_fsums", summed)
         monkeypatch.setattr(analysis.Trace, "row_blocks", read)
-        monkeypatch.setattr(analysis, "write_trace_csv", written)
+        monkeypatch.setattr(analysis, "trace_csv_texts", written)
         out = tmp_path / "o"
         assert run_cli("run", *argv, "--out", str(out)) in (0, 3)
         rows = int(read_kv(out / "summary.txt")["rows"])
@@ -250,6 +251,72 @@ class TestRunCommand:
         assert kinds == {k: v for k, v in trace.message_counts.items() if v}
         total = int(read_kv(tmp_path / "o" / "summary.txt")["messages_total"])
         assert total == sum(kinds.values()) > 0
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize("argv", [
+        ("run", *FAST, "--dump-messages"),
+        ("sweep", *FAST, "--sweep.topologies", "star,chain", "--sweep.seeds", "0:2",
+         "--jobs", "1"),
+        ("compare", *FAST),
+        ("spectra", *FAST),
+    ], ids=["run", "sweep", "compare", "spectra"])
+    def test_every_output_file_goes_through_write_text(self, tmp_path, monkeypatch, argv):
+        # cli._write_text is the one writer: each file a command leaves in
+        # --out was written by exactly one call of it
+        write, paths = cli._write_text, []
+
+        def recorded(path, texts):
+            paths.append(os.fspath(path))
+            write(path, texts)
+
+        monkeypatch.setattr(cli, "_write_text", recorded)
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        names = sorted(os.listdir(out))
+        assert names
+        assert sorted(paths) == [os.path.join(out, name) for name in names]
+
+    @pytest.mark.parametrize("chars", [1, 5, 64])
+    @pytest.mark.parametrize("lengths", [
+        [], [0], [3], [1, 2, 3, 4, 5, 6, 7], [70, 0, 1, 200, 63, 64, 65, 2], [9] * 40,
+    ], ids=str)
+    def test_write_text_batches(self, tmp_path, monkeypatch, chars, lengths):
+        # every write but the last holds at least _WRITE_CHARS characters
+        # and fewer than that plus the longest text; the file is the texts
+        # joined, UTF-8 encoded
+        monkeypatch.setattr(analysis, "_WRITE_CHARS", chars)
+        texts = ["".join("aé\n"[(k + i) % 3] for i in range(m))
+                 for k, m in enumerate(lengths)]
+        writes = []
+
+        class Recording(io.TextIOWrapper):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        def opened(path, *args, **kwargs):
+            return Recording(io.FileIO(path, "w"), encoding=kwargs["encoding"],
+                             newline=kwargs["newline"])
+
+        monkeypatch.setattr(cli, "open", opened, raising=False)
+        path = tmp_path / "out.txt"
+        cli._write_text(path, iter(texts))
+        assert path.read_bytes() == "".join(texts).encode("utf-8")
+        assert "".join(writes) == "".join(texts)
+        longest = max(map(len, texts), default=0)
+        for text in writes[:-1]:
+            assert chars <= len(text) < chars + longest
+
+    def test_write_text_leaves_no_file_for_a_first_text_that_raises(self, tmp_path):
+        def texts():
+            raise OverflowError("no first text")
+            yield ""
+
+        path = tmp_path / "out.txt"
+        with pytest.raises(OverflowError):
+            cli._write_text(path, texts())
+        assert not path.exists()
 
 
 class TestConfigHandling:
@@ -416,8 +483,9 @@ class TestConfigHandling:
         assert blocker.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command, name", [
-        ("run", "trace.csv"), ("run", "messages.csv"), ("sweep", "sweep.csv"),
-        ("compare", "compare.csv"), ("spectra", "spectra.txt")])
+        ("run", "trace.csv"), ("run", "metrics.csv"), ("run", "messages.csv"),
+        ("run", "summary.txt"), ("sweep", "sweep.csv"), ("compare", "compare.csv"),
+        ("spectra", "spectra.txt"), ("spectra", "spectra.csv")])
     def test_unopenable_output_file_exits_one(self, tmp_path, capsys, command, name):
         out = tmp_path / "o"
         (out / name).mkdir(parents=True)

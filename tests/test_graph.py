@@ -69,6 +69,12 @@ class TestBuilders:
         g = build_topology("complete", 5)
         assert (control_degrees(g) == 4).all()
 
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_complete_arcs_are_every_ordered_pair(self, n):
+        i, j = build_topology("complete", n).arcs
+        want_i, want_j = np.nonzero(~np.eye(n, dtype=bool))
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             build_topology("hexgrid", 5)
